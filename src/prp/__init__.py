@@ -4,7 +4,7 @@ Compute strategies that trade expected utility loss against the information
 an observer gains about a private type, measured as an f-divergence between
 the Bayes posterior and the prior.  Three schemes are provided: direct
 first-order descent on the finite plan parametrization, descent of the
-entropic optimal-transport loss with unrolled differentiation, and a
+entropic optimal-transport loss with envelope-theorem gradients, and a
 difference-of-convex algorithm for linear costs on a box.
 """
 
@@ -26,7 +26,7 @@ from .autodiff import (NonScalarOutput, Tape, Var, backward,
 from .sinkhorn import (NonDifferentiableCost, NumericalUnderflow,
                        SinkhornProblem, SinkhornResult, minimize_sinkhorn,
                        sinkhorn_iterate, sinkhorn_log_domain, sinkhorn_loss,
-                       sinkhorn_loss_grad, solve_sinkhorn, unrolled_loss)
+                       sinkhorn_loss_grad, solve_sinkhorn)
 from .direct import kl_plan_objective, minimize_direct
 from .dca import (DCAResult, DCAState, DCProgram, DegenerateBox, build_dc,
                   concave_part_subgradient, convex_subproblem, dc_objective,

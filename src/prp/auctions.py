@@ -29,7 +29,10 @@ different questions:
   sign, and revenue ascent then lowers the revenue.
 
 Training descends the entropic-OT loss of the induced (policy, type)
-coupling and reaches the policies through the adjoint of the cost matrix.
+coupling.  Each step solves it once, warm started from the previous step,
+and takes the envelope gradients of that solve: dL/dalpha in closed form
+and dL/dC = P, which reaches the policies through the adjoint of the cost
+matrix C_ik = 1 - (y_k A_i - B_i).
 """
 
 from __future__ import annotations
@@ -39,12 +42,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import autodiff as ad
 from . import seeds
 from .divergences import kl_divergence, divergence
 from .measures import CostOracle, DiscreteDistribution, TransportPlan, posterior
 from .optim import DescentConfig, make_optimizer, optimizer_step, project_simplex
-from .sinkhorn import SinkhornProblem, solve_sinkhorn, unrolled_loss
+from .sinkhorn import SinkhornProblem, solve_sinkhorn, step_solve
 
 _CHUNK = 50_000  # Monte-Carlo batch size; the value stream is chunk invariant
 
@@ -58,15 +60,24 @@ class BidPolicy:
     out_weights: np.ndarray  # (W,)
     out_bias: float
 
+    def _activation(self, v) -> np.ndarray:
+        act = np.multiply.outer(np.asarray(v, dtype=float), self.weights)
+        act += self.biases
+        return act
+
     def __call__(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        act = v[:, None] * self.weights[None, :] + self.biases[None, :]
-        return np.maximum(act, 0.0) @ self.out_weights + self.out_bias
+        act = np.maximum(self._activation(v), 0.0)
+        return act @ self.out_weights + self.out_bias
 
     def derivative(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        act = v[:, None] * self.weights[None, :] + self.biases[None, :]
-        return ((act > 0.0) * self.weights[None, :]) @ self.out_weights
+        return self.bid_and_slope(v)[1]
+
+    def bid_and_slope(self, v):
+        """(beta(v), beta'(v)) from one evaluation of the activations."""
+        act = self._activation(v)
+        slope = ((act > 0.0) * self.weights) @ self.out_weights
+        np.maximum(act, 0.0, out=act)
+        return act @ self.out_weights + self.out_bias, slope
 
 
 def random_policy(rng: np.random.Generator, width: int = 100,
@@ -315,16 +326,8 @@ def cost_oracle(model: AuctionModel, n_samples: int, seed: int) -> CostOracle:
 AUCTION_TRAINING = DescentConfig(lr_weights=0.02, lr_atoms=3e-4)
 
 
-def _unroll_budget(alpha, cost, beta, lam, floor_iters, cap: int = 3000) -> int:
-    """Iterations the scaling loop needs on these values, measured off-tape.
-
-    Differentiating an unconverged coupling (common at small lam, where
-    convergence takes ~1/lam iterations) feeds the optimizer marginals that
-    are far from feasible; a cheap numpy pre-pass picks the fixed unroll
-    length the tape then records.
-    """
-    probe = SinkhornProblem(alpha, beta, cost, lam, max_iter=cap, tol=1e-8)
-    return int(min(cap, max(floor_iters, solve_sinkhorn(probe).iterations + 10)))
+# read only by bench/tracing.py, for the `cap` default of the step solve
+_unroll_budget = step_solve
 
 
 def train_strategy(model: AuctionModel, lam: float,
@@ -336,10 +339,10 @@ def train_strategy(model: AuctionModel, lam: float,
 
     Per step, a fresh seeded sample set prices every policy against every
     type through the cost C_ik = 1 - (y_k A_i - B_i), and the entropic-OT
-    loss L of the induced coupling is differentiated through a fixed number
-    of scaling updates (sized per step so the recorded coupling is
-    converged).  The policy gradient is the adjoint dL/dC_ik contracted with
-    the gradients of the expected statistics, -y_k dA_i + dB_i, each the
+    loss L of the induced coupling is solved once, warm started from the
+    previous step.  Its envelope gradients are dL/dalpha and dL/dC = P (see
+    `prp.sinkhorn`).  The policy gradient contracts P_ik with the gradients
+    of the expected statistics, -y_k dA_i + dB_i, each the
     pathwise sample average plus the exact indicator and kink boundary terms
     (see `stats_grad`).  Returns the plan recovered from a converged final
     solve (policies as action atoms) and the loss trace.
@@ -354,22 +357,18 @@ def train_strategy(model: AuctionModel, lam: float,
     opt_alpha = make_optimizer(config.method, config.lr_weights, [alpha])
     opt_params = make_optimizer(config.method, config.lr_atoms, params)
     trace = np.empty(steps)
+    log_v = None
     for step in range(steps):
         v = sample_values(seeds.seed_for(seed, seeds.TRAIN_STEP, step),
                           train_samples)
         a_stat, b_stat, cache = _forward(params, v)
         cost = 1.0 - (a_stat[:, None] * y[None, :] - b_stat[:, None])
-        tape = ad.Tape()
-        alpha_var = tape.leaf(alpha)
-        cost_var = tape.leaf(cost)
-        unroll = _unroll_budget(alpha, cost, prior_weights, lam,
-                                config.unroll_iters)
-        loss = unrolled_loss(alpha_var, cost_var, prior_weights, lam, unroll)
-        grad_alpha, grad_cost = ad.grad(tape, loss, [alpha_var, cost_var])
-        trace[step] = float(loss.value)
-        grads = _stats_grads(params, cache, -(grad_cost @ y),
-                             grad_cost.sum(axis=1))
-        (alpha,) = optimizer_step(opt_alpha, [alpha], [grad_alpha])
+        result = step_solve(alpha, cost, prior_weights, lam, log_v)
+        log_v = result.log_v
+        trace[step] = result.loss
+        grads = _stats_grads(params, cache, -(result.plan @ y),
+                             result.plan.sum(axis=1))
+        (alpha,) = optimizer_step(opt_alpha, [alpha], [result.grad_alpha])
         # the floor keeps every atom shipping a trickle of mass, so its
         # policy keeps receiving gradient; a policy that bids <= 0 for every
         # value has zero gradient and stays dead regardless
@@ -383,7 +382,7 @@ def train_strategy(model: AuctionModel, lam: float,
     cost = 1.0 - (a_stat[:, None] * y[None, :] - b_stat[:, None])
     problem = SinkhornProblem(alpha, prior_weights, cost, lam,
                               max_iter=2000, tol=1e-9)
-    result = solve_sinkhorn(problem)
+    result = solve_sinkhorn(problem, log_v)
     plan = TransportPlan(result.plan, policies, list(y), model.prior)
     return plan, trace
 
@@ -413,8 +412,7 @@ def evaluate_strategy(plan: TransportPlan, eval_samples: int = 1_000_000,
         for i, policy in enumerate(plan.action_atoms):
             if masses[i] == 0.0:
                 continue
-            beta = policy(v)
-            beta_prime = policy.derivative(v)
+            beta, beta_prime = policy.bid_and_slope(v)
             weight = np.clip(beta, 0.0, 1.0) * ((beta - beta_prime) >= 0.0)
             u += (coef[i] * v - masses[i] * (beta - beta_prime)) * weight
         total += u.sum()

@@ -4,8 +4,8 @@ Every operation appends a node to an explicit :class:`Tape`; nodes only
 reference earlier nodes, so the graph is acyclic by construction.  The op set
 is deliberately small (elementwise arithmetic, exp/log/power, relu, binary
 minimum, absolute value, reductions, dot/matmul/outer, stack, reshape) —
-just enough to express unrolled Sinkhorn iterations, plan objectives and
-small ReLU networks.
+just enough to express the cost-matrix builders (whose adjoints give the
+Sinkhorn atom gradients) and the direct scheme's plan objective.
 
 Subgradient conventions at kinks are fixed for reproducibility:
 relu'(0) = 0, |.|'(0) = 0, and binary minimum takes the first argument's

@@ -64,14 +64,12 @@ class ExperimentConfig:
     method: str = "adam"
     lr_weights: float = 0.05
     lr_atoms: float = 0.01
-    unroll_iters: int = 100
 
     def descent(self, steps: int | None = None) -> DescentConfig:
         return DescentConfig(method=self.method,
                              steps=self.iterations if steps is None else steps,
                              lr_weights=self.lr_weights,
-                             lr_atoms=self.lr_atoms,
-                             unroll_iters=self.unroll_iters)
+                             lr_atoms=self.lr_atoms)
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -134,8 +132,7 @@ def run_toy_benchmark(config: ExperimentConfig):
     result = toy.run_benchmark(config.d, config.K, config.lam, config.methods,
                                config.runs, config.iterations, config.seed,
                                lr_weights=config.lr_weights,
-                               lr_atoms=config.lr_atoms,
-                               unroll_iters=config.unroll_iters)
+                               lr_atoms=config.lr_atoms)
     rows = []
     for method in result.methods:
         mean = result.mean_trace[method]

@@ -79,6 +79,26 @@ class CostOracle:
     build_cost_matrix: Optional[Callable] = None
 
 
+def cost_with_adjoint(cost: CostOracle, atoms, type_atoms):
+    """Cost matrix C(x) of stacked action atoms and the map P -> d<C(x), P>/dx.
+
+    Built once on the oracle's tape builder; the adjoint backpropagates the
+    scalar <C(x), P>, which for the linear cost x . y gives P @ Y.
+    """
+    from . import autodiff as ad
+
+    tape = ad.Tape()
+    atoms_var = tape.leaf(np.asarray(atoms, dtype=float))
+    cost_var = cost.build_cost_matrix(atoms_var,
+                                      np.asarray(type_atoms, dtype=float))
+
+    def adjoint(weights) -> np.ndarray:
+        (grad,) = ad.grad(tape, ad.vsum(ad.mul(cost_var, weights)), [atoms_var])
+        return grad
+
+    return cost_var.value, adjoint
+
+
 def linear_cost(bounds) -> CostOracle:
     """c(x, y) = x . y on the given box, with a tape builder for solvers."""
     from . import autodiff as ad

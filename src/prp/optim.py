@@ -72,7 +72,6 @@ class DescentConfig:
     steps: int = 500
     lr_weights: float = 0.05
     lr_atoms: float = 0.01
-    unroll_iters: int = 100
 
 
 @dataclass

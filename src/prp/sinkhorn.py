@@ -1,33 +1,41 @@
-"""Entropic optimal transport: scaling iterations, loss, and its minimization.
+"""Entropic optimal transport: scaling iterations, the loss, its gradients.
 
-`sinkhorn_iterate` is the textbook diagonal-scaling loop on the kernel
-exp(-C/lam); `sinkhorn_log_domain` is the numerically robust equivalent on
-dual potentials.  `solve_sinkhorn` picks the path automatically: whenever a
-kernel entry would leave the double range (|C|/lam > 690, i.e. entries below
-1e-300), the log-domain recursion is used.
+For weights alpha on the action atoms, the type prior beta and a cost
+matrix C, the loss is
+
+    L(alpha, C) = min_P  sum C*P + lam * KL(P || alpha x beta)
+
+over couplings P with marginals alpha and beta.  `sinkhorn_iterate` is the
+textbook diagonal scaling P = diag(u) K diag(v) with K = exp(-C/lam);
+`sinkhorn_log_domain` is the numerically robust equivalent on potentials
+phi = log u, psi = log v.  `solve_sinkhorn` picks the path: whenever a
+kernel entry would leave the double range (|C|/lam > 690, i.e. entries
+below 1e-300), the log-domain recursion is used.
 
 Every iteration runs the action-side update first and the type-side update
-last, so the returned plan's column sums match the type marginal exactly.
+last, so the columns are exact after each iteration and the marginal error
+is the row error |u (K v) - alpha|.  That needs only K v, which the next
+update uses anyway; it is compared with the tolerance every
+`_CHECK_EVERY` iterations.  A solve may start from the log v of an earlier
+solve; the descent loops pass it on from step to step, so each step's solve
+starts next to its answer.
 
-`unrolled_loss` records a fixed number of updates on an autodiff tape; the
-loss value after n updates equals
+Gradients come from the envelope theorem at the converged coupling, with
+no differentiation through the iterations (Feydy et al., AISTATS 2019;
+Peyre & Cuturi, Computational Optimal Transport, section 9.1):
 
-    sum C*P + lam * sum P log(P / (alpha x beta))
-  = lam * [ sum_i r_i log(u_i/alpha_i) + sum_j c_j log(v_j/beta_j) ]
+    dL/dC     = P
+    dL/dalpha = lam * (f - <f, alpha> - 1),   f = log(u / alpha) = -log(K v)
 
-with r, c the marginals of the current plan P = diag(u) K diag(v).  The
-second form is what the tape computes: it avoids log(0) for boundary
-weights and holds before convergence as well.
-
-Zero weights need no floor on either path.  The plain path carries alpha
-through u = alpha / (K v).  The log-domain path carries it multiplicatively
-as well: with z = log K - lse_u, the type-side update is
-lse_v = log(alpha @ exp(z - shift)) + shift and the plan is
-alpha_i * exp(z_ij + psi_j), so log(alpha) is never formed.  The shift is
-the column maximum of z over the rows with alpha_i > 0.  A zero weight
-gives a zero plan row and the same value and alpha-gradient as the plain
-path.  Only where such a row's shifted exponent would pass 300 is it
-capped; the value stays exact and that row's alpha-gradient stays finite.
+and in the log domain f_i = -logsumexp_j(log K_ij + psi_j).  f is the
+action-side dual potential in units of lam.  On the simplex it matters only
+up to a constant; the constant chosen here gives <dL/dalpha, alpha> = -lam,
+the gradient that differentiating the scaling updates themselves converges
+to, so momentum optimizers see the same steps either way.  Since f comes
+from K v, log(alpha) is never formed and a row with zero weight keeps a
+finite gradient.  The gradient in the action atoms is the cost builder's
+adjoint applied to P (`measures.cost_with_adjoint`); for the linear cost
+x . y that is P @ Y.
 """
 
 from __future__ import annotations
@@ -36,13 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .measures import CostOracle, DiscreteDistribution, TransportPlan
+from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
+                       cost_with_adjoint)
 from .optim import (DescentConfig, make_optimizer, optimizer_step,
                     project_box, project_simplex)
 
 _LOG_DOMAIN_EXPONENT = 690.0  # |C|/lam beyond this puts exp(-C/lam) under 1e-300
-_ZERO_ROW_EXPONENT_CAP = 300.0  # keeps exp finite on rows with alpha_i = 0
+_CHECK_EVERY = 10  # iterations between comparisons with the tolerance
 
 
 class NumericalUnderflow(ArithmeticError):
@@ -70,6 +78,8 @@ class SinkhornProblem:
         self.cost_matrix = np.asarray(self.cost_matrix, dtype=float)
         if self.lam <= 0.0:
             raise ValueError("lam must be positive")
+        if self.max_iter < 1:
+            raise ValueError("need at least one iteration")
         for w, name in ((self.alpha, "alpha"), (self.beta, "beta")):
             if w.min(initial=0.0) < 0.0 or abs(w.sum() - 1.0) > 1e-9:
                 raise ValueError(f"{name} must lie on the simplex")
@@ -87,6 +97,7 @@ class SinkhornResult:
     loss: float
     iterations: int
     marginal_error: float
+    grad_alpha: np.ndarray   # envelope gradient dL/dalpha; dL/dC is the plan
 
 
 def _plan_loss(plan, alpha, beta, cost_matrix, lam) -> float:
@@ -103,7 +114,25 @@ def _marginal_error(plan, alpha, beta) -> float:
     return float(max(row, col))
 
 
-def sinkhorn_iterate(problem: SinkhornProblem) -> SinkhornResult:
+def _result(plan, log_u, log_v, log_kv, problem, iterations):
+    """Package a solve; log_kv = log(K v) for the returned v, per row."""
+    alpha, lam = problem.alpha, problem.lam
+    f = -log_kv
+    with np.errstate(over="ignore"):
+        u, v = np.exp(log_u), np.exp(log_v)
+    return SinkhornResult(plan, u, v, log_u, log_v,
+                          _plan_loss(plan, alpha, problem.beta,
+                                     problem.cost_matrix, lam),
+                          iterations, _marginal_error(plan, alpha, problem.beta),
+                          lam * (f - f @ alpha - 1.0))
+
+
+def _checkpoint(iterations: int, max_iter: int) -> bool:
+    return iterations % _CHECK_EVERY == 0 or iterations == max_iter
+
+
+def sinkhorn_iterate(problem: SinkhornProblem,
+                     init_log_v=None) -> SinkhornResult:
     """Plain diagonal scaling u <- alpha/(Kv), v <- beta/(K'u)."""
     alpha, beta, lam = problem.alpha, problem.beta, problem.lam
     with np.errstate(over="ignore"):
@@ -113,26 +142,30 @@ def sinkhorn_iterate(problem: SinkhornProblem) -> SinkhornResult:
             or (kernel.max(axis=0) == 0.0).any()):
         raise NumericalUnderflow(
             "kernel leaves the floating-point range; use sinkhorn_log_domain")
-    u = np.ones(alpha.size)
-    v = np.ones(beta.size)
+    if init_log_v is None:
+        v = np.ones(beta.size)
+    else:
+        # v and v * c give the same plan; scaling to max 1 keeps exp finite
+        log_v = np.asarray(init_log_v, dtype=float)
+        v = np.exp(log_v - log_v.max())
+    kv = kernel @ v
     iterations = 0
-    error = np.inf
-    for iterations in range(1, problem.max_iter + 1):
-        u = alpha / (kernel @ v)
-        v = beta / (u @ kernel)
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
-            raise NumericalUnderflow(
-                "scaling vectors left the floating-point range; "
-                "use sinkhorn_log_domain")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for iterations in range(1, problem.max_iter + 1):
+            u = alpha / kv
+            v = beta / (u @ kernel)
+            previous, kv = kv, kernel @ v
+            if _checkpoint(iterations, problem.max_iter):
+                if not (np.isfinite(u).all() and np.isfinite(kv).all()
+                        and (kv > 0.0).all()):
+                    raise NumericalUnderflow(
+                        "scaling vectors left the floating-point range; "
+                        "use sinkhorn_log_domain")
+                if np.abs(alpha * (kv / previous - 1.0)).max() < problem.tol:
+                    break
         plan = (u[:, None] * kernel) * v[None, :]
-        error = _marginal_error(plan, alpha, beta)
-        if error < problem.tol:
-            break
-    with np.errstate(divide="ignore"):
-        log_u, log_v = np.log(u), np.log(v)
-    return SinkhornResult(plan, u, v, log_u, log_v,
-                          _plan_loss(plan, alpha, beta, problem.cost_matrix, lam),
-                          iterations, error)
+        return _result(plan, np.log(u), np.log(v), np.log(kv), problem,
+                       iterations)
 
 
 def _logsumexp(m, axis):
@@ -142,29 +175,27 @@ def _logsumexp(m, axis):
         return np.log(np.exp(m - shift).sum(axis=axis)) + np.squeeze(shift, axis=axis)
 
 
-def sinkhorn_log_domain(problem: SinkhornProblem) -> SinkhornResult:
+def sinkhorn_log_domain(problem: SinkhornProblem,
+                        init_log_v=None) -> SinkhornResult:
     """Same contract as sinkhorn_iterate, on log-scale potentials."""
     alpha, beta, lam = problem.alpha, problem.beta, problem.lam
     log_kernel = -problem.cost_matrix / lam
     with np.errstate(divide="ignore"):
         log_alpha, log_beta = np.log(alpha), np.log(beta)
-    phi = np.zeros(alpha.size)
-    psi = np.zeros(beta.size)
+    psi = (np.zeros(beta.size) if init_log_v is None
+           else np.asarray(init_log_v, dtype=float))
+    lse_row = _logsumexp(log_kernel + psi[None, :], axis=1)
     iterations = 0
-    error = np.inf
-    plan = np.zeros_like(log_kernel)
     for iterations in range(1, problem.max_iter + 1):
-        phi = log_alpha - _logsumexp(log_kernel + psi[None, :], axis=1)
+        phi = log_alpha - lse_row
         psi = log_beta - _logsumexp(log_kernel + phi[:, None], axis=0)
-        plan = np.exp(phi[:, None] + psi[None, :] + log_kernel)
-        error = _marginal_error(plan, alpha, beta)
-        if error < problem.tol:
+        previous, lse_row = lse_row, _logsumexp(log_kernel + psi[None, :], axis=1)
+        if (_checkpoint(iterations, problem.max_iter)
+                and np.abs(alpha * np.expm1(lse_row - previous)).max()
+                < problem.tol):
             break
-    with np.errstate(over="ignore"):
-        u, v = np.exp(phi), np.exp(psi)
-    return SinkhornResult(plan, u, v, phi, psi,
-                          _plan_loss(plan, alpha, beta, problem.cost_matrix, lam),
-                          iterations, error)
+    plan = np.exp(phi[:, None] + psi[None, :] + log_kernel)
+    return _result(plan, phi, psi, lse_row, problem, iterations)
 
 
 def needs_log_domain(cost_matrix, lam: float) -> bool:
@@ -172,11 +203,15 @@ def needs_log_domain(cost_matrix, lam: float) -> bool:
     return bool(c / lam > _LOG_DOMAIN_EXPONENT)
 
 
-def solve_sinkhorn(problem: SinkhornProblem) -> SinkhornResult:
-    """Dispatch to the numerically appropriate iteration."""
+def solve_sinkhorn(problem: SinkhornProblem, init_log_v=None) -> SinkhornResult:
+    """Dispatch to the numerically appropriate iteration.
+
+    `init_log_v` warm-starts the type-side scaling, e.g. with the `log_v`
+    of the previous solve in a descent loop.
+    """
     if needs_log_domain(problem.cost_matrix, problem.lam):
-        return sinkhorn_log_domain(problem)
-    return sinkhorn_iterate(problem)
+        return sinkhorn_log_domain(problem, init_log_v)
+    return sinkhorn_iterate(problem, init_log_v)
 
 
 def sinkhorn_loss(problem: SinkhornProblem) -> float:
@@ -184,80 +219,32 @@ def sinkhorn_loss(problem: SinkhornProblem) -> float:
     return solve_sinkhorn(problem).loss
 
 
-def unrolled_loss(alpha_var: ad.Var, cost_var: ad.Var, beta, lam: float,
-                  iters: int) -> ad.Var:
-    """Record `iters` full scaling updates and the resulting loss on the tape."""
-    beta = np.asarray(beta, dtype=float)
-    if needs_log_domain(cost_var.value, lam):
-        return _unrolled_loss_log(alpha_var, cost_var, beta, lam, iters)
-    return _unrolled_loss_plain(alpha_var, cost_var, beta, lam, iters)
+def step_solve(alpha, cost_matrix, beta, lam: float, log_v=None,
+               cap: int = 3000) -> SinkhornResult:
+    """The solve behind one descent step, warm started from the last `log_v`.
+
+    At small lam a cold start takes thousands of iterations; the warm start
+    and the cap bound the work per step.
+    """
+    problem = SinkhornProblem(alpha, beta, cost_matrix, lam, max_iter=cap,
+                              tol=1e-8)
+    return solve_sinkhorn(problem, log_v)
 
 
-def _unrolled_loss_plain(alpha_var, cost_var, beta, lam, iters):
-    if iters < 1:
-        raise ValueError("need at least one unrolled update")
-    kernel = ad.exp(ad.mul(cost_var, -1.0 / lam))
-    v = np.ones(beta.size)
-    s = t = None
-    for _ in range(iters):
-        s = ad.matmul(kernel, v) if isinstance(v, ad.Var) else ad.vsum(kernel, axis=1)
-        u = ad.div(alpha_var, s)
-        t = ad.matmul(u, kernel)
-        v = ad.div(beta, t)
-    plan = ad.mul(ad.outer(u, v), kernel)
-    r = ad.vsum(plan, axis=1)
-    loss = ad.add(ad.dot(r, ad.neg(ad.log(s))), ad.dot(ad.neg(ad.log(t)), beta))
-    return ad.mul(loss, lam)
-
-
-def _unrolled_loss_log(alpha_var, cost_var, beta, lam, iters):
-    if iters < 1:
-        raise ValueError("need at least one unrolled update")
-    n = alpha_var.value.size
-    m = beta.size
-    log_kernel = ad.mul(cost_var, -1.0 / lam)
-    log_beta = np.log(beta)
-    support = alpha_var.value > 0.0
-    psi = np.zeros(m)
-    lse_u = lse_v = z = None
-    for _ in range(iters):
-        shifted = (ad.add(log_kernel, ad.reshape(psi, (1, m)))
-                   if isinstance(psi, ad.Var) else log_kernel)
-        lse_u = ad.logsumexp(shifted, axis=1)
-        z = ad.sub(log_kernel, ad.reshape(lse_u, (n, 1)))
-        shift = z.value[support].max(axis=0)
-        # the cap binds only on zero-weight rows, where 0 * exp(overflow)
-        # would turn the sum into nan
-        scaled = ad.exp(ad.minimum(ad.sub(z, shift), _ZERO_ROW_EXPONENT_CAP))
-        lse_v = ad.add(ad.log(ad.matmul(alpha_var, scaled)), shift)
-        psi = ad.sub(log_beta, lse_v)
-    plan = ad.mul(ad.reshape(alpha_var, (n, 1)),
-                  ad.exp(ad.add(z, ad.reshape(psi, (1, m)))))
-    r = ad.vsum(plan, axis=1)
-    loss = ad.add(ad.dot(r, ad.neg(lse_u)), ad.dot(ad.neg(lse_v), beta))
-    return ad.mul(loss, lam)
-
-
-def sinkhorn_loss_grad(alpha, atoms, nu, cost: CostOracle, lam: float,
-                       unroll_iters: int = 100):
-    """Loss after `unroll_iters` updates plus its gradients in (alpha, atoms).
+def sinkhorn_loss_grad(alpha, atoms, nu, cost: CostOracle, lam: float):
+    """Loss plus its envelope gradients in (alpha, atoms), from `step_solve`.
 
     `nu` is the fixed type-side marginal as a pair (weights, atoms).  The
-    gradient comes from reverse-mode differentiation through exactly
-    `unroll_iters` update steps (no early stopping inside the tape).
+    gradients are the closed forms of the module docstring; the gradient in
+    the atoms is the cost builder's adjoint applied to the plan.
     """
     if not cost.differentiable or cost.build_cost_matrix is None:
         raise NonDifferentiableCost(
             "cost oracle does not support differentiation in the action")
     beta, type_atoms = nu
-    tape = ad.Tape()
-    alpha_var = tape.leaf(np.asarray(alpha, dtype=float))
-    atoms_var = tape.leaf(np.asarray(atoms, dtype=float))
-    cost_var = cost.build_cost_matrix(atoms_var, np.asarray(type_atoms, dtype=float))
-    loss = unrolled_loss(alpha_var, cost_var, np.asarray(beta, dtype=float),
-                         lam, unroll_iters)
-    grad_alpha, grad_atoms = ad.grad(tape, loss, [alpha_var, atoms_var])
-    return grad_alpha, grad_atoms, float(loss.value)
+    matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms)
+    result = step_solve(alpha, matrix, beta, lam)
+    return result.grad_alpha, adjoint(result.plan), result.loss
 
 
 def minimize_sinkhorn(prior_weights, type_atoms, cost: CostOracle, lam: float,
@@ -268,7 +255,9 @@ def minimize_sinkhorn(prior_weights, type_atoms, cost: CostOracle, lam: float,
 
     Atom locations start uniform in the cost box and the weight vector starts
     uniform; after every step the weights are projected back onto the simplex
-    and the atoms onto the box.  Returns the plan recovered from a converged
+    and the atoms onto the box.  Each step solves the instance once, warm
+    started from the previous step's scaling, and takes the envelope
+    gradients of that solve.  Returns the plan recovered from a converged
     final solve (its column sums equal the prior exactly) along with the
     per-step loss trace.  The trace is recorded for benchmarking and is not
     guaranteed to be monotone.
@@ -289,31 +278,19 @@ def minimize_sinkhorn(prior_weights, type_atoms, cost: CostOracle, lam: float,
     opt_alpha = make_optimizer(config.method, config.lr_weights, [alpha])
     opt_atoms = make_optimizer(config.method, config.lr_atoms, [atoms])
     trace = np.empty(config.steps)
+    log_v = None
     for step in range(config.steps):
-        tape = ad.Tape()
-        alpha_var = tape.leaf(alpha)
-        atoms_var = tape.leaf(atoms)
-        cost_var = cost.build_cost_matrix(atoms_var, type_atoms_arr)
-        loss = unrolled_loss(alpha_var, cost_var, prior_weights, lam,
-                             config.unroll_iters)
-        grad_alpha, grad_atoms = ad.grad(tape, loss, [alpha_var, atoms_var])
-        trace[step] = float(loss.value)
-        (alpha,) = optimizer_step(opt_alpha, [alpha], [grad_alpha])
+        matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms_arr)
+        result = step_solve(alpha, matrix, prior_weights, lam, log_v)
+        log_v = result.log_v
+        trace[step] = result.loss
+        (alpha,) = optimizer_step(opt_alpha, [alpha], [result.grad_alpha])
         alpha = project_simplex(alpha, floor=min(1e-6, 0.1 / n))
-        (atoms,) = optimizer_step(opt_atoms, [atoms], [grad_atoms])
+        (atoms,) = optimizer_step(opt_atoms, [atoms], [adjoint(result.plan)])
         atoms = project_box(atoms, bounds[:, 0], bounds[:, 1])
-    final = SinkhornProblem(alpha, prior_weights,
-                            _numpy_cost_matrix(cost, atoms, type_atoms_arr),
-                            lam, max_iter=2000, tol=1e-9)
-    result = solve_sinkhorn(final)
+    matrix, _ = cost_with_adjoint(cost, atoms, type_atoms_arr)
+    result = solve_sinkhorn(SinkhornProblem(alpha, prior_weights, matrix, lam),
+                            log_v)
     prior = DiscreteDistribution(list(type_atoms_arr), prior_weights)
     plan = TransportPlan(result.plan, list(atoms), list(type_atoms_arr), prior)
     return plan, trace
-
-
-def _numpy_cost_matrix(cost, atoms, type_atoms):
-    out = np.empty((len(atoms), len(type_atoms)))
-    for i, x in enumerate(atoms):
-        for j, y in enumerate(type_atoms):
-            out[i, j] = cost.evaluate(x, y)
-    return out

@@ -57,8 +57,7 @@ def _optimizer_of(method: str) -> str:
 
 def run_method(method: str, instance: ToyInstance, lam: float,
                iterations: int, seed: int,
-               lr_weights: float = 0.05, lr_atoms: float = 0.01,
-               unroll_iters: int = 100) -> MethodRun:
+               lr_weights: float = 0.05, lr_atoms: float = 0.01) -> MethodRun:
     """One solve; the trace reports the scheme's own objective per iteration."""
     cost = linear_cost(instance.bounds)
     kl = kl_divergence()
@@ -71,8 +70,7 @@ def run_method(method: str, instance: ToyInstance, lam: float,
         plan = result.plan
     else:
         config = DescentConfig(method=_optimizer_of(method), steps=iterations,
-                               lr_weights=lr_weights, lr_atoms=lr_atoms,
-                               unroll_iters=unroll_iters)
+                               lr_weights=lr_weights, lr_atoms=lr_atoms)
         solver = minimize_direct if method.startswith("prp") else minimize_sinkhorn
         plan, trace = solver(instance.prior_weights, instance.type_atoms, cost,
                              lam, config=config, seed=seed)
@@ -99,8 +97,8 @@ class BenchmarkResult:
 
 def run_benchmark(d: int, k: int, lam: float, methods, runs: int,
                   iterations: int, seed: int,
-                  lr_weights: float = 0.05, lr_atoms: float = 0.01,
-                  unroll_iters: int = 100) -> BenchmarkResult:
+                  lr_weights: float = 0.05,
+                  lr_atoms: float = 0.01) -> BenchmarkResult:
     methods = tuple(methods)
     traces = {m: np.empty((runs, iterations)) for m in methods}
     finals = {m: np.empty(runs) for m in methods}
@@ -109,8 +107,7 @@ def run_benchmark(d: int, k: int, lam: float, methods, runs: int,
         for mi, method in enumerate(methods):
             out = run_method(method, instance, lam, iterations,
                              seed=seeds.seed_for(seed, seeds.INIT, run, mi),
-                             lr_weights=lr_weights, lr_atoms=lr_atoms,
-                             unroll_iters=unroll_iters)
+                             lr_weights=lr_weights, lr_atoms=lr_atoms)
             traces[method][run] = pad_trace(out.trace, iterations)
             finals[method][run] = out.final_objective
     mean = {m: traces[m].mean(axis=0) for m in methods}

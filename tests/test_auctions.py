@@ -47,6 +47,12 @@ def test_bid_curve_derivative_consistency():
     slope = policy.derivative(v)
     rel = np.abs(slope_fd[away] - slope[away]) / np.maximum(1.0, np.abs(slope[away]))
     assert rel.max() < 1e-6
+    # one shared activation gives the same bits as two separate passes
+    bid, shared_slope = policy.bid_and_slope(v)
+    assert np.array_equal(bid, np.maximum(act, 0.0) @ policy.out_weights
+                          + policy.out_bias)
+    assert np.array_equal(shared_slope, ((act > 0.0) * policy.weights[None, :])
+                          @ policy.out_weights)
 
 
 def test_zero_bid_earns_nothing():

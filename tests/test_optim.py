@@ -169,4 +169,4 @@ def test_descent_config_defaults():
     config = DescentConfig()
     assert config.lr_weights == pytest.approx(0.05)
     assert config.lr_atoms == pytest.approx(0.01)
-    assert config.unroll_iters == 100
+    assert not hasattr(config, "unroll_iters")

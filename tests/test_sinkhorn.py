@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-import prp.autodiff as ad
 from prp.divergences import kl_divergence
 from prp.measures import (CostOracle, DiscreteDistribution, TransportPlan,
                           linear_cost, prp_objective)
 from prp.optim import DescentConfig
 from prp.sinkhorn import (NonDifferentiableCost, NumericalUnderflow,
-                          SinkhornProblem, minimize_sinkhorn, sinkhorn_iterate,
-                          sinkhorn_log_domain, sinkhorn_loss,
-                          sinkhorn_loss_grad, solve_sinkhorn, unrolled_loss)
+                          SinkhornProblem, minimize_sinkhorn, needs_log_domain,
+                          sinkhorn_iterate, sinkhorn_log_domain, sinkhorn_loss,
+                          sinkhorn_loss_grad, solve_sinkhorn)
 
 import oracles
 
@@ -151,69 +150,142 @@ def test_loss_equals_constrained_plan_objective():
         assert value == pytest.approx(best, abs=1e-5)
 
 
-def test_unrolled_loss_matches_converged_value():
-    rng = np.random.default_rng(6)
-    problem = random_problem(rng, 3, 3, lam=1.0)
-    tape = ad.Tape()
-    alpha_var = tape.leaf(problem.alpha)
-    cost_var = tape.leaf(problem.cost_matrix)
-    loss = unrolled_loss(alpha_var, cost_var, problem.beta, 1.0, iters=200)
-    assert float(loss.value) == pytest.approx(sinkhorn_loss(problem), abs=1e-10)
+def converged_loss(alpha, beta, cost, lam):
+    """Reference value for central differences: the loss of a tight solve."""
+    problem = SinkhornProblem(alpha, beta, cost, lam, max_iter=50_000,
+                              tol=1e-13)
+    return sinkhorn_loss(problem)
 
 
-def test_unrolled_loss_log_and_plain_paths_agree():
+# (n, m, lam, centre and spread of the action atoms, scale of the types).
+# In the last instance |C|/lam > 690, so the log-domain path runs; its
+# atoms sit close together, which keeps the solves short at lam = 1e-3.
+ENVELOPE_CASES = [(3, 4, 0.7, 0.0, 1.0, 1.0), (7, 5, 0.1, 0.0, 1.0, 1.0),
+                  (3, 3, 1e-3, 0.95, 0.02, 2.0)]
+
+
+@pytest.mark.parametrize("n, m, lam, centre, spread, scale", ENVELOPE_CASES,
+                         ids=["plain-3x4", "plain-7x5", "log-3x3"])
+def test_envelope_gradients_match_central_differences(n, m, lam, centre,
+                                                      spread, scale):
+    rng = np.random.default_rng(n * 100 + m)
+    cost = linear_cost(np.array([[-1.0, 1.0]] * 2))
+    alpha = rng.dirichlet(np.ones(n) * 5.0)
+    beta = rng.dirichlet(np.ones(m) * 5.0)
+    x = centre + rng.uniform(-spread, spread, size=(n, 2))
+    y = rng.uniform(-scale, scale, size=(m, 2))
+    matrix = x @ y.T
+    assert needs_log_domain(matrix, lam) == (lam < 0.01)
+    grad_alpha, grad_x, value = sinkhorn_loss_grad(alpha, x, (beta, y), cost,
+                                                   lam)
+    assert value == pytest.approx(converged_loss(alpha, beta, matrix, lam),
+                                  abs=1e-9)
+    plan = solve_sinkhorn(SinkhornProblem(alpha, beta, matrix, lam)).plan
+    h = 1e-6
+
+    def central(f, point, direction):
+        return (f(point + h * direction) - f(point - h * direction)) / (2 * h)
+
+    for _ in range(3):
+        d = rng.normal(size=n)
+        d -= d.mean()   # tangent to the simplex
+        fd = central(lambda a: converged_loss(a, beta, matrix, lam), alpha, d)
+        assert grad_alpha @ d == pytest.approx(fd, rel=1e-4, abs=1e-6)
+        e = rng.normal(size=x.shape)
+        fd = central(lambda z: converged_loss(alpha, beta, z @ y.T, lam), x, e)
+        assert (grad_x * e).sum() == pytest.approx(fd, rel=1e-4, abs=1e-6)
+        c = rng.normal(size=matrix.shape)
+        fd = central(lambda z: converged_loss(alpha, beta, z, lam), matrix, c)
+        assert (plan * c).sum() == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+
+def test_alpha_gradient_has_the_gauge_of_the_scaling_updates():
+    rng = np.random.default_rng(7)
+    for lam in (1.5, 0.2, 1e-3):
+        problem = random_problem(rng, 5, 4, lam=lam)
+        result = solve_sinkhorn(problem)
+        assert result.grad_alpha @ problem.alpha == pytest.approx(-lam,
+                                                                  rel=1e-9)
+
+
+def agreement_instance():
     rng = np.random.default_rng(7)
     alpha = rng.dirichlet(np.ones(3))
     beta = rng.dirichlet(np.ones(3))
     cost = rng.uniform(0.0, 1.0, size=(3, 3))
+    return alpha, beta, cost
 
-    def value(fn):
-        tape = ad.Tape()
-        return float(fn(tape.leaf(alpha), tape.leaf(cost), beta, 0.5, 40).value)
 
-    from prp.sinkhorn import _unrolled_loss_log, _unrolled_loss_plain
-    assert value(_unrolled_loss_plain) == pytest.approx(
-        value(_unrolled_loss_log), abs=1e-10)
+def assert_log_and_plain_paths_agree(alpha, beta, cost):
+    problem = SinkhornProblem(alpha, beta, cost, 0.5, tol=1e-13)
+    plain = sinkhorn_iterate(problem)
+    log = sinkhorn_log_domain(problem)
+    assert np.isfinite(log.grad_alpha).all()
+    assert log.loss == pytest.approx(plain.loss, abs=1e-12)
+    assert np.allclose(log.grad_alpha, plain.grad_alpha, rtol=0.0, atol=1e-12)
+    assert np.allclose(log.plan, plain.plan, rtol=0.0, atol=1e-12)
+
+
+def test_unrolled_loss_log_and_plain_paths_agree():
+    # the name predates the envelope gradients; the log- and plain-domain
+    # solves must give the same loss, plan and gradient
+    assert_log_and_plain_paths_agree(*agreement_instance())
 
 
 def test_unrolled_log_path_matches_plain_path_at_zero_weight():
     # the instance of the agreement test above with the middle weight
     # zeroed; the zero row's exponents there exceed the column shift
-    rng = np.random.default_rng(7)
-    alpha = rng.dirichlet(np.ones(3))
-    beta = rng.dirichlet(np.ones(3))
-    cost = rng.uniform(0.0, 1.0, size=(3, 3))
+    alpha, beta, cost = agreement_instance()
     alpha[1] = 0.0
     alpha /= alpha.sum()
-
-    def value_and_grad(fn):
-        tape = ad.Tape()
-        alpha_var = tape.leaf(alpha)
-        loss = fn(alpha_var, tape.leaf(cost), beta, 0.5, 40)
-        (grad_alpha,) = ad.grad(tape, loss, [alpha_var])
-        return float(loss.value), grad_alpha
-
-    from prp.sinkhorn import _unrolled_loss_log, _unrolled_loss_plain
-    plain_value, plain_grad = value_and_grad(_unrolled_loss_plain)
-    log_value, log_grad = value_and_grad(_unrolled_loss_log)
-    assert np.isfinite(log_grad).all()
-    assert log_value == pytest.approx(plain_value, abs=1e-12)
-    assert np.allclose(log_grad, plain_grad, rtol=0.0, atol=1e-12)
+    assert_log_and_plain_paths_agree(alpha, beta, cost)
 
 
-def test_unrolled_log_path_stays_finite_when_zero_row_dominates():
+def test_gradient_stays_finite_when_zero_row_dominates():
     # the zero-weight row is the only cheap route into column 1, so its
-    # shifted exponent is about 1000 in the first update
+    # potential is about -1/lam; log(alpha) would be -inf there
     alpha = np.array([0.5, 0.5, 0.0])
     beta = np.array([0.5, 0.5])
     cost = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
-    tape = ad.Tape()
-    alpha_var = tape.leaf(alpha)
-    loss = unrolled_loss(alpha_var, tape.leaf(cost), beta, 1e-3, 50)
-    (grad_alpha,) = ad.grad(tape, loss, [alpha_var])
-    converged = sinkhorn_log_domain(SinkhornProblem(alpha, beta, cost, 1e-3))
-    assert float(loss.value) == pytest.approx(converged.loss, abs=1e-9)
-    assert np.isfinite(grad_alpha).all()
+    lam = 1e-3
+    result = solve_sinkhorn(SinkhornProblem(alpha, beta, cost, lam))
+    assert np.isfinite(result.grad_alpha).all()
+    assert result.loss == pytest.approx(converged_loss(alpha, beta, cost, lam),
+                                        abs=1e-9)
+    # moving mass into the zero row: a one-sided difference, alpha >= 0
+    d = np.array([-0.5, -0.5, 1.0])
+    h = 1e-5
+    fd = (converged_loss(alpha + h * d, beta, cost, lam)
+          - converged_loss(alpha, beta, cost, lam)) / h
+    assert result.grad_alpha @ d == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize("lam", [0.3, 1e-3])
+def test_warm_start_reaches_the_cold_start_plan(lam):
+    rng = np.random.default_rng(11)
+    problem = random_problem(rng, 6, 4, lam=lam)
+    nearby = SinkhornProblem(problem.alpha, problem.beta,
+                             problem.cost_matrix + rng.normal(size=(6, 4))
+                             * 0.01, lam)
+    cold = solve_sinkhorn(problem)
+    warm = solve_sinkhorn(problem, solve_sinkhorn(nearby).log_v)
+    tight = solve_sinkhorn(SinkhornProblem(problem.alpha, problem.beta,
+                                           problem.cost_matrix, lam,
+                                           max_iter=100_000, tol=1e-14))
+    assert warm.marginal_error < problem.tol
+    for result in (cold, warm):
+        assert np.abs(result.plan - tight.plan).max() < problem.tol
+    assert warm.iterations < cold.iterations
+
+
+def test_plain_path_accepts_a_warm_start_beyond_the_double_range():
+    # log v from a log-domain solve can exceed log(max double); only
+    # differences of log v matter to the plan
+    rng = np.random.default_rng(12)
+    problem = random_problem(rng, 3, 3, lam=0.5)
+    cold = sinkhorn_iterate(problem)
+    warm = sinkhorn_iterate(problem, cold.log_v + 800.0)
+    assert np.abs(warm.plan - cold.plan).max() < problem.tol
 
 
 def test_gradient_single_atom_reduces_to_cost_gradient():
@@ -221,8 +293,7 @@ def test_gradient_single_atom_reduces_to_cost_gradient():
     cost = linear_cost(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
     x = np.array([[0.2, 0.1]])
     grad_alpha, grad_x, loss = sinkhorn_loss_grad(
-        np.array([1.0]), x, (np.array([1.0]), y), cost, lam=1.0,
-        unroll_iters=30)
+        np.array([1.0]), x, (np.array([1.0]), y), cost, lam=1.0)
     assert np.allclose(grad_x, y, atol=1e-12)
     assert loss == pytest.approx(float(x[0] @ y[0]), abs=1e-12)
     assert np.isfinite(grad_alpha).all()
@@ -233,32 +304,8 @@ def test_gradient_vanishes_for_zero_cost():
     cost = linear_cost(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
     grad_alpha, grad_x, _ = sinkhorn_loss_grad(
         np.array([0.4, 0.6]), np.array([[0.1, 0.2], [-0.3, 0.4]]),
-        (np.array([0.5, 0.5]), y), cost, lam=1.0, unroll_iters=30)
+        (np.array([0.5, 0.5]), y), cost, lam=1.0)
     assert np.abs(grad_x).max() < 1e-12
-
-
-def test_graditems_match_finite_differences_on_random_instances():
-    rng = np.random.default_rng(8)
-    bounds = np.array([[-1.0, 1.0]] * 2)
-    cost = linear_cost(bounds)
-    for _ in range(5):
-        y = rng.uniform(-1.0, 1.0, size=(3, 2))
-        beta = rng.dirichlet(np.ones(3))
-        alpha0 = rng.dirichlet(np.ones(3) * 5.0)
-        x0 = rng.uniform(-0.8, 0.8, size=(3, 2))
-        lam = float(rng.uniform(0.3, 1.5))
-
-        def loss_alpha(a_var):
-            c_var = cost.build_cost_matrix(a_var.tape.leaf(x0), y)
-            return unrolled_loss(a_var, c_var, beta, lam, 25)
-
-        def loss_x(x_var):
-            a_var = x_var.tape.leaf(alpha0)
-            c_var = cost.build_cost_matrix(x_var, y)
-            return unrolled_loss(a_var, c_var, beta, lam, 25)
-
-        assert ad.finite_diff_check(loss_alpha, alpha0) < 1e-4
-        assert ad.finite_diff_check(loss_x, x0) < 1e-4
 
 
 def test_nondifferentiable_cost_is_rejected():
