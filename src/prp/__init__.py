@@ -3,9 +3,11 @@
 Compute strategies that trade expected utility loss against the information
 an observer gains about a private type, measured as an f-divergence between
 the Bayes posterior and the prior.  Three schemes are provided: direct
-first-order descent on the finite plan parametrization, descent of the
-entropic optimal-transport loss with envelope-theorem gradients, and a
-difference-of-convex algorithm for linear costs on a box.
+first-order descent on the finite plan parametrization with closed-form KL
+gradients, descent of the entropic optimal-transport loss with
+envelope-theorem gradients, and a difference-of-convex algorithm for linear
+costs on a box.  Both descent schemes take their gradients in the action
+atoms from the cost oracle's adjoint map.
 """
 
 __version__ = "0.1.0"
@@ -14,19 +16,18 @@ from .divergences import (FDivergence, alpha_divergence, check_convexity,
                           divergence, from_name, kl_divergence,
                           perspective_h, reverse_kl_divergence,
                           total_variation)
-from .measures import (CostOracle, DiscreteDistribution, PlanDiagnostics,
-                       TransportPlan, ZeroMassRow, cost_matrix, linear_cost,
-                       merge_duplicate_atoms, plan_from_json, plan_to_json,
-                       posterior, prp_objective, validate_plan)
+from .measures import (CostOracle, DiscreteDistribution, NonDifferentiableCost,
+                       PlanDiagnostics, TransportPlan, ZeroMassRow,
+                       cost_matrix, linear_cost, merge_duplicate_atoms,
+                       plan_from_json, plan_to_json, posterior,
+                       prp_objective, validate_plan)
 from .optim import (DescentConfig, OptimizerState, make_optimizer,
                     optimizer_step, project_box, project_columns,
                     project_simplex)
-from .autodiff import (NonScalarOutput, Tape, Var, backward,
-                       finite_diff_check, grad)
-from .sinkhorn import (NonDifferentiableCost, NumericalUnderflow,
-                       SinkhornProblem, SinkhornResult, minimize_sinkhorn,
-                       sinkhorn_iterate, sinkhorn_log_domain, sinkhorn_loss,
-                       sinkhorn_loss_grad, solve_sinkhorn)
+from .sinkhorn import (NumericalUnderflow, SinkhornProblem, SinkhornResult,
+                       minimize_sinkhorn, sinkhorn_iterate,
+                       sinkhorn_log_domain, sinkhorn_loss, sinkhorn_loss_grad,
+                       solve_sinkhorn)
 from .direct import kl_plan_objective, minimize_direct
 from .dca import (DCAResult, DCAState, DCProgram, DegenerateBox, build_dc,
                   concave_part_subgradient, convex_subproblem, dc_objective,

@@ -27,7 +27,6 @@ from .gridsolve import solve_grid
 from .measures import linear_cost, plan_to_json, prp_objective
 from .optim import DescentConfig
 from .reporting import read_config_document, write_csv, write_manifest
-from .sinkhorn import NumericalUnderflow
 
 KINDS = ("toy", "grid", "dca", "auctions", "sweep")
 
@@ -112,9 +111,8 @@ def _validate(config: ExperimentConfig) -> None:
             raise ConfigError(f"unknown toy methods {bad}; expected {toy.METHODS}")
         if config.lam <= 0.0:
             raise ConfigError("toy benchmark needs lam > 0")
-        if "dca" in config.methods and config.divergence != "kl":
-            # the toy cost is linear on a box, so dca itself is fine; the
-            # gradient schemes share the instance and only support KL
+        if config.divergence != "kl":
+            # every toy method solves and scores with KL
             raise ConfigError("toy benchmark runs with divergence 'kl'")
     if config.kind in ("auctions", "sweep"):
         lambdas = config.lambdas if config.lambdas is not None else [config.lam]
@@ -267,7 +265,7 @@ def main(argv=None) -> int:
         return 2
     try:
         _RUNNERS[config.kind](config)
-    except (NumericalUnderflow, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # NumericalUnderflow among them
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

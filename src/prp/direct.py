@@ -2,36 +2,49 @@
 
 Optimizes the full (K+2) x K plan matrix together with the action atoms:
 after each gradient step the plan columns are projected back onto their
-scaled simplices and the atoms onto the cost box.  The differentiable
-privacy term is the KL form sum_ik gamma_ik log(gamma_ik / (p0_k m_i));
-other divergences have no tape expression here and are rejected.
+scaled simplices and the atoms onto the cost box.  The privacy term is the
+KL form sum_ik gamma_ik log(gamma_ik / (p0_k m_i)), whose gradients have
+closed forms: C_ik + lam log(gamma_ik / (p0_k m_i)) in the plan and the
+cost oracle's adjoint applied to gamma in the atoms (gamma @ Y for the
+linear cost x . y).  Other divergences are rejected.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .divergences import FDivergence, kl_divergence
-from .measures import CostOracle, DiscreteDistribution, TransportPlan
+from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
+                       cost_with_adjoint)
 from .optim import (DescentConfig, make_optimizer, optimizer_step,
                     project_box, project_columns)
 
-_EPS = 1e-30  # keeps the 0 log 0 terms finite on the tape
+_EPS = 1e-30  # keeps the 0 log 0 terms finite
 
 
-def kl_plan_objective(gamma_var: ad.Var, cost_var: ad.Var, prior_weights,
-                      lam: float) -> ad.Var:
-    """Tape value of sum gamma*C + lam * sum_ik gamma_ik log(gamma_ik/(p0_k m_i))."""
+def kl_plan_objective(gamma, cost_matrix, prior_weights, lam: float):
+    """Value and plan gradient of sum gamma*C + lam * KL privacy term.
+
+    The privacy term is sum_ik gamma_ik log r_ik with the regularized ratio
+    r = (gamma + eps) / (m p0 + eps) and row masses m.  The gradient is the
+    exact derivative of that value,
+
+        C + lam * (log r + gamma / (gamma + eps) - s),
+        s_i = sum_k gamma_ik p0_k / (m_i p0_k + eps),
+
+    which is C + lam log(gamma / (p0 m)) on positive entries and stays
+    finite on the exact zeros that `project_columns` leaves.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    cost_matrix = np.asarray(cost_matrix, dtype=float)
     prior_weights = np.asarray(prior_weights, dtype=float)
-    cost_term = ad.vsum(ad.mul(gamma_var, cost_var))
-    if lam == 0.0:
-        return cost_term
-    masses = ad.vsum(gamma_var, axis=1)
-    ref = ad.outer(masses, prior_weights)
-    ratio = ad.div(ad.add(gamma_var, _EPS), ad.add(ref, _EPS))
-    privacy = ad.vsum(ad.mul(gamma_var, ad.log(ratio)))
-    return ad.add(cost_term, ad.mul(privacy, lam))
+    ref = gamma.sum(axis=1)[:, None] * prior_weights[None, :] + _EPS
+    log_ratio = np.log((gamma + _EPS) / ref)
+    privacy = np.sum(gamma * log_ratio)
+    row_term = (gamma * prior_weights[None, :] / ref).sum(axis=1)
+    grad = cost_matrix + lam * (log_ratio + gamma / (gamma + _EPS)
+                                - row_term[:, None])
+    return float(np.sum(gamma * cost_matrix) + privacy * lam), grad
 
 
 def minimize_direct(prior_weights, type_atoms, cost: CostOracle, lam: float,
@@ -64,13 +77,10 @@ def minimize_direct(prior_weights, type_atoms, cost: CostOracle, lam: float,
     opt_atoms = make_optimizer(config.method, config.lr_atoms, [atoms])
     trace = np.empty(config.steps)
     for step in range(config.steps):
-        tape = ad.Tape()
-        gamma_var = tape.leaf(gamma)
-        atoms_var = tape.leaf(atoms)
-        cost_var = cost.build_cost_matrix(atoms_var, type_atoms_arr)
-        objective = kl_plan_objective(gamma_var, cost_var, prior_weights, lam)
-        grad_gamma, grad_atoms = ad.grad(tape, objective, [gamma_var, atoms_var])
-        trace[step] = float(objective.value)
+        matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms_arr)
+        trace[step], grad_gamma = kl_plan_objective(gamma, matrix,
+                                                    prior_weights, lam)
+        grad_atoms = adjoint(gamma)
         (gamma,) = optimizer_step(opt_gamma, [gamma], [grad_gamma])
         gamma = project_columns(gamma, prior_weights)
         (atoms,) = optimizer_step(opt_atoms, [atoms], [grad_atoms])

@@ -62,57 +62,49 @@ class DiscreteDistribution:
         return f"DiscreteDistribution(n={len(self)}, weights={self.weights!r})"
 
 
+class NonDifferentiableCost(TypeError):
+    """Gradient requested through a cost oracle that declares none."""
+
+
 @dataclass(frozen=True)
 class CostOracle:
     """Pointwise utility-loss oracle c(action, type).
 
     ``bounds`` is the per-coordinate action box, shape (d, 2), when the
-    action space is a hyperrectangle.  ``differentiable`` declares that the
-    cost admits gradients in the action; ``build_cost_matrix`` then maps a
-    tape variable of stacked actions (n, d) and the type atoms (m, d) to the
-    tape cost matrix (n, m).
+    action space is a hyperrectangle.  A cost that admits gradients in the
+    action sets ``matrix_and_adjoint``: it maps stacked actions (n, d) and
+    the type atoms (m, d) to the cost matrix C (n, m) and the adjoint map
+    P -> d<C, P>/dx of shape (n, d).
     """
 
     evaluate: Callable[[Any, Any], float]
     bounds: Optional[np.ndarray] = None
-    differentiable: bool = False
-    build_cost_matrix: Optional[Callable] = None
+    matrix_and_adjoint: Optional[Callable] = None
 
 
 def cost_with_adjoint(cost: CostOracle, atoms, type_atoms):
     """Cost matrix C(x) of stacked action atoms and the map P -> d<C(x), P>/dx.
 
-    Built once on the oracle's tape builder; the adjoint backpropagates the
-    scalar <C(x), P>, which for the linear cost x . y gives P @ Y.
+    Every gradient in the action atoms goes through here, so a cost oracle
+    without ``matrix_and_adjoint`` raises `NonDifferentiableCost`.
     """
-    from . import autodiff as ad
-
-    tape = ad.Tape()
-    atoms_var = tape.leaf(np.asarray(atoms, dtype=float))
-    cost_var = cost.build_cost_matrix(atoms_var,
-                                      np.asarray(type_atoms, dtype=float))
-
-    def adjoint(weights) -> np.ndarray:
-        (grad,) = ad.grad(tape, ad.vsum(ad.mul(cost_var, weights)), [atoms_var])
-        return grad
-
-    return cost_var.value, adjoint
+    if cost.matrix_and_adjoint is None:
+        raise NonDifferentiableCost(
+            "cost oracle does not support differentiation in the action")
+    return cost.matrix_and_adjoint(np.asarray(atoms, dtype=float),
+                                   np.asarray(type_atoms, dtype=float))
 
 
 def linear_cost(bounds) -> CostOracle:
-    """c(x, y) = x . y on the given box, with a tape builder for solvers."""
-    from . import autodiff as ad
+    """c(x, y) = x . y on the given box: C = X Y^T with adjoint P -> P Y."""
 
-    bounds = np.asarray(bounds, dtype=float)
-
-    def build(x_var, type_atoms):
-        return ad.matmul(x_var, np.asarray(type_atoms, dtype=float).T)
+    def matrix_and_adjoint(atoms, type_atoms):
+        return atoms @ type_atoms.T, lambda plan: plan @ type_atoms
 
     return CostOracle(
         evaluate=lambda x, y: float(np.dot(x, y)),
-        bounds=bounds,
-        differentiable=True,
-        build_cost_matrix=build,
+        bounds=np.asarray(bounds, dtype=float),
+        matrix_and_adjoint=matrix_and_adjoint,
     )
 
 

@@ -33,9 +33,9 @@ up to a constant; the constant chosen here gives <dL/dalpha, alpha> = -lam,
 the gradient that differentiating the scaling updates themselves converges
 to, so momentum optimizers see the same steps either way.  Since f comes
 from K v, log(alpha) is never formed and a row with zero weight keeps a
-finite gradient.  The gradient in the action atoms is the cost builder's
-adjoint applied to P (`measures.cost_with_adjoint`); for the linear cost
-x . y that is P @ Y.
+finite gradient.  The gradient in the action atoms is the cost oracle's
+adjoint map applied to P (`measures.cost_with_adjoint`); for the linear
+cost x . y that is P @ Y.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
-                       cost_with_adjoint)
+from .measures import (CostOracle, DiscreteDistribution,
+                       NonDifferentiableCost, TransportPlan, cost_with_adjoint)
 from .optim import (DescentConfig, make_optimizer, optimizer_step,
                     project_box, project_simplex)
 
@@ -55,10 +55,6 @@ _CHECK_EVERY = 10  # iterations between comparisons with the tolerance
 
 class NumericalUnderflow(ArithmeticError):
     """The plain-domain kernel left the positive floating-point range."""
-
-
-class NonDifferentiableCost(TypeError):
-    """Gradient requested through a cost oracle that declares none."""
 
 
 @dataclass
@@ -236,11 +232,9 @@ def sinkhorn_loss_grad(alpha, atoms, nu, cost: CostOracle, lam: float):
 
     `nu` is the fixed type-side marginal as a pair (weights, atoms).  The
     gradients are the closed forms of the module docstring; the gradient in
-    the atoms is the cost builder's adjoint applied to the plan.
+    the atoms is the cost oracle's adjoint applied to the plan.  Raises
+    `NonDifferentiableCost` for an oracle without an adjoint.
     """
-    if not cost.differentiable or cost.build_cost_matrix is None:
-        raise NonDifferentiableCost(
-            "cost oracle does not support differentiation in the action")
     beta, type_atoms = nu
     matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms)
     result = step_solve(alpha, matrix, beta, lam)

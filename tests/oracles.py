@@ -202,6 +202,11 @@ def simplex_projection_grid(v, resolution=200) -> np.ndarray:
     return best
 
 
+def central(f, point, direction, h=1e-6) -> float:
+    """Central difference of f at `point` along `direction`."""
+    return (f(point + h * direction) - f(point - h * direction)) / (2 * h)
+
+
 def box_vertices(lower, upper) -> np.ndarray:
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)

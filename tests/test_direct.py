@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-import prp.autodiff as ad
 from prp.direct import kl_plan_objective, minimize_direct
 from prp.divergences import kl_divergence, total_variation
-from prp.measures import DiscreteDistribution, TransportPlan, linear_cost, prp_objective
-from prp.optim import DescentConfig
+from prp.measures import (DiscreteDistribution, TransportPlan,
+                          cost_with_adjoint, linear_cost, prp_objective)
+from prp.optim import DescentConfig, project_columns
+
+import oracles
 
 BOUNDS = np.array([[-1.0, 1.0], [-1.0, 1.0]])
 
@@ -17,33 +19,34 @@ def random_instance(rng, k=3):
     return y, prior
 
 
-def test_tape_objective_matches_plan_objective():
+def kl_objective(gamma, cost_matrix, prior, lam):
+    return oracles.objective_single(gamma, cost_matrix, prior, "kl", lam)
+
+
+def test_objective_matches_plan_objective():
     rng = np.random.default_rng(0)
     y, prior = random_instance(rng)
     cost = linear_cost(BOUNDS)
     gamma = rng.dirichlet(np.ones(5), size=3).T * prior[None, :]
     atoms = rng.uniform(-1.0, 1.0, size=(5, 2))
-    tape = ad.Tape()
-    cost_var = cost.build_cost_matrix(tape.leaf(atoms), y)
-    value = kl_plan_objective(tape.leaf(gamma), cost_var, prior, lam=0.7)
+    value, _ = kl_plan_objective(gamma, atoms @ y.T, prior, lam=0.7)
     prior_dd = DiscreteDistribution(list(y), prior)
     plan = TransportPlan(gamma, list(atoms), list(y), prior_dd)
     expected = prp_objective(plan, cost, kl_divergence(), 0.7)
-    assert float(value.value) == pytest.approx(expected, abs=1e-9)
+    assert value == pytest.approx(expected, abs=1e-9)
 
 
 def test_plan_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     y, prior = random_instance(rng)
-    cost = linear_cost(BOUNDS)
-    atoms = rng.uniform(-1.0, 1.0, size=(5, 2))
+    matrix = rng.uniform(-1.0, 1.0, size=(5, 2)) @ y.T
     gamma0 = rng.dirichlet(np.ones(5) * 3.0, size=3).T * prior[None, :]
-
-    def f(gamma_var):
-        cost_var = cost.build_cost_matrix(gamma_var.tape.leaf(atoms), y)
-        return kl_plan_objective(gamma_var, cost_var, prior, lam=0.5)
-
-    assert ad.finite_diff_check(f, gamma0) < 1e-4
+    _, grad = kl_plan_objective(gamma0, matrix, prior, lam=0.5)
+    for _ in range(5):
+        d = rng.normal(size=gamma0.shape)
+        fd = oracles.central(lambda g: kl_objective(g, matrix, prior, 0.5),
+                             gamma0, d)
+        assert (grad * d).sum() == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
 def test_atom_gradient_matches_finite_differences():
@@ -52,13 +55,40 @@ def test_atom_gradient_matches_finite_differences():
     cost = linear_cost(BOUNDS)
     gamma0 = rng.dirichlet(np.ones(5) * 3.0, size=3).T * prior[None, :]
     atoms0 = rng.uniform(-0.9, 0.9, size=(5, 2))
+    _, adjoint = cost_with_adjoint(cost, atoms0, y)
+    grad = adjoint(gamma0)
+    for _ in range(5):
+        e = rng.normal(size=atoms0.shape)
+        fd = oracles.central(lambda x: kl_objective(gamma0, x @ y.T, prior, 0.5),
+                             atoms0, e)
+        assert (grad * e).sum() == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
-    def f(atoms_var):
-        cost_var = cost.build_cost_matrix(atoms_var, y)
-        return kl_plan_objective(atoms_var.tape.leaf(gamma0), cost_var, prior,
-                                 lam=0.5)
 
-    assert ad.finite_diff_check(f, atoms0) < 1e-4
+def test_plan_gradient_stays_finite_on_exact_zeros():
+    rng = np.random.default_rng(6)
+    y, prior = random_instance(rng, k=4)
+    matrix = rng.uniform(-1.0, 1.0, size=(6, 2)) @ y.T
+    start = rng.normal(size=(6, 4)) * 0.5
+    start[5] = -10.0   # projects to a row without mass
+    gamma0 = project_columns(start, prior)
+    zeros = gamma0 == 0.0
+    assert zeros.any() and zeros[5].all()
+    value, grad = kl_plan_objective(gamma0, matrix, prior, lam=0.3)
+    assert np.isfinite(value) and np.isfinite(grad).all()
+    assert value == pytest.approx(kl_objective(gamma0, matrix, prior, 0.3),
+                                  abs=1e-12)
+    # on positive entries: C + lam log(gamma / (p0 m)); a massless row: C
+    masses = gamma0.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = matrix + 0.3 * np.log(gamma0 / (masses * prior[None, :]))
+    assert np.allclose(grad[~zeros], closed[~zeros], rtol=1e-12, atol=1e-12)
+    assert np.array_equal(grad[5], matrix[5])
+    # directions that keep the zeros at zero see the true derivative
+    for _ in range(3):
+        d = np.where(zeros, 0.0, rng.normal(size=gamma0.shape))
+        fd = oracles.central(lambda g: kl_objective(g, matrix, prior, 0.3),
+                             gamma0, d, h=1e-8)
+        assert (grad * d).sum() == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 def test_rejects_divergences_without_tape_form():

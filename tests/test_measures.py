@@ -275,4 +275,9 @@ def test_linear_cost_oracle_evaluates_dot_product():
     cost = linear_cost(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
     assert cost.evaluate(np.array([1.0, 2.0]), np.array([0.5, -0.5])) == (
         pytest.approx(-0.5))
-    assert cost.differentiable
+    x = np.array([[1.0, 2.0], [0.0, -1.0], [0.5, 0.5]])
+    y = np.array([[0.5, -0.5], [1.0, 0.25]])
+    matrix, adjoint = cost.matrix_and_adjoint(x, y)
+    assert np.array_equal(matrix, [[cost.evaluate(a, b) for b in y] for a in x])
+    plan = np.arange(6.0).reshape(3, 2)
+    assert np.array_equal(adjoint(plan), plan @ y)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prp.direct import minimize_direct
 from prp.divergences import kl_divergence
 from prp.measures import (CostOracle, DiscreteDistribution, TransportPlan,
                           linear_cost, prp_objective)
@@ -181,21 +182,19 @@ def test_envelope_gradients_match_central_differences(n, m, lam, centre,
     assert value == pytest.approx(converged_loss(alpha, beta, matrix, lam),
                                   abs=1e-9)
     plan = solve_sinkhorn(SinkhornProblem(alpha, beta, matrix, lam)).plan
-    h = 1e-6
-
-    def central(f, point, direction):
-        return (f(point + h * direction) - f(point - h * direction)) / (2 * h)
-
     for _ in range(3):
         d = rng.normal(size=n)
         d -= d.mean()   # tangent to the simplex
-        fd = central(lambda a: converged_loss(a, beta, matrix, lam), alpha, d)
+        fd = oracles.central(
+            lambda a: converged_loss(a, beta, matrix, lam), alpha, d)
         assert grad_alpha @ d == pytest.approx(fd, rel=1e-4, abs=1e-6)
         e = rng.normal(size=x.shape)
-        fd = central(lambda z: converged_loss(alpha, beta, z @ y.T, lam), x, e)
+        fd = oracles.central(
+            lambda z: converged_loss(alpha, beta, z @ y.T, lam), x, e)
         assert (grad_x * e).sum() == pytest.approx(fd, rel=1e-4, abs=1e-6)
         c = rng.normal(size=matrix.shape)
-        fd = central(lambda z: converged_loss(alpha, beta, z, lam), matrix, c)
+        fd = oracles.central(
+            lambda z: converged_loss(alpha, beta, z, lam), matrix, c)
         assert (plan * c).sum() == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
@@ -308,11 +307,18 @@ def test_gradient_vanishes_for_zero_cost():
     assert np.abs(grad_x).max() < 1e-12
 
 
-def test_nondifferentiable_cost_is_rejected():
-    blob = CostOracle(evaluate=lambda x, y: 0.0)
+BLOB = CostOracle(evaluate=lambda x, y: 0.0, bounds=np.array([[-1.0, 1.0]]))
+ONE, ORIGIN = np.array([1.0]), np.zeros((1, 1))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: sinkhorn_loss_grad(ONE, ORIGIN, (ONE, ORIGIN), BLOB, 1.0),
+    lambda: minimize_sinkhorn(ONE, ORIGIN, BLOB, 1.0),
+    lambda: minimize_direct(ONE, ORIGIN, BLOB, 1.0),
+], ids=["sinkhorn_loss_grad", "minimize_sinkhorn", "minimize_direct"])
+def test_nondifferentiable_cost_is_rejected(solve):
     with pytest.raises(NonDifferentiableCost):
-        sinkhorn_loss_grad(np.array([1.0]), np.zeros((1, 1)),
-                           (np.array([1.0]), np.zeros((1, 1))), blob, 1.0)
+        solve()
 
 
 def test_minimize_single_type_reaches_pointwise_minimum():
