@@ -43,8 +43,8 @@ from typing import Optional
 import numpy as np
 
 from . import seeds
-from .divergences import kl_divergence, divergence
-from .measures import CostOracle, DiscreteDistribution, TransportPlan, posterior
+from .divergences import kl_divergence, perspective_total
+from .measures import CostOracle, DiscreteDistribution, TransportPlan
 from .optim import DescentConfig, make_optimizer, optimizer_step, project_simplex
 from .sinkhorn import SinkhornProblem, solve_sinkhorn, step_solve
 
@@ -421,13 +421,8 @@ def evaluate_strategy(plan: TransportPlan, eval_samples: int = 1_000_000,
     utility = total / eval_samples
     variance = max(0.0, total_sq / eval_samples - utility ** 2)
     stderr = float(np.sqrt(variance / eval_samples))
-    kl = kl_divergence()
-    privacy = 0.0
-    for i in range(plan.n_actions):
-        if masses[i] > 0.0:
-            privacy += masses[i] * divergence(kl, posterior(plan, i).weights,
-                                              plan.prior.weights)
-    return StrategyEvaluation(float(utility), float(privacy), stderr)
+    privacy = perspective_total(kl_divergence(), gamma, plan.prior.weights)
+    return StrategyEvaluation(float(utility), privacy, stderr)
 
 
 @dataclass(frozen=True)

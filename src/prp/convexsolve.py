@@ -5,12 +5,17 @@ columns sum to the prior.  This covers both the full-grid convex problem
 (L = cost matrix) and the DCA inner step (L = minus the linearization).
 
 lam = 0 is a linear program over scaled simplices and is solved in closed
-form.  Smooth generators run a monotone projected-gradient loop; the kinked
+form.  Smooth generators run `optim.minimize_columns_pgd` from step 1/lam:
+for KL the privacy term is the mutual information and that step is the
+Blahut-Arimoto update (Blahut 1972), always accepted.  The kinked
 total-variation generator is annealed through a shrinking Huber smoothing,
 with the best iterate under the true objective kept.
 """
 
 from __future__ import annotations
+
+import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,6 +28,7 @@ def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
                                  divergence: FDivergence, lam: float,
                                  init=None, max_steps: int = 5000,
                                  tol: float = 1e-8) -> PGDResult:
+    """Solve from ``init`` (default: the uniform mixture); warn if capped."""
     linear = np.asarray(linear, dtype=float)
     prior = np.asarray(prior_weights, dtype=float)
     if lam == 0.0:
@@ -35,19 +41,22 @@ def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
                 + lam * perspective_total(divergence, g, prior))
 
     if init is None:
-        # run from both non-revealing product plans and keep the better
-        # solve: the uniform mixture serves the small-lam regime, while all
-        # mass on the best averaged row is the optimum as lam grows and
-        # spares the descent a badly conditioned crawl along that valley
         n = linear.shape[0]
-        uniform = np.tile(prior / n, (n, 1))
-        concentrated = np.zeros_like(linear)
-        concentrated[int(np.argmin(linear @ prior))] = prior
-        results = [_descend(objective, linear, prior, divergence, lam, start,
-                            max_steps, tol) for start in (uniform, concentrated)]
-        return min(results, key=lambda r: r.value)
-    return _descend(objective, linear, prior, divergence, lam, init,
-                    max_steps, tol)
+        init = np.tile(prior / n, (n, 1))
+    result = _descend(objective, linear, prior, divergence, lam, init,
+                      max_steps, tol)
+    # all mass on the best averaged row, the optimum as lam grows, is a
+    # fixed point of the multiplicative update: compare it directly
+    concentrated = np.zeros_like(linear)
+    concentrated[int(np.argmin(linear @ prior))] = prior
+    value = objective(concentrated)
+    if value < result.value:
+        result = replace(result, x=concentrated, value=value)
+    if not result.converged:
+        warnings.warn(f"{divergence.name} plan solve at lam={lam:g} stopped "
+                      f"at its {result.steps}-step cap", RuntimeWarning,
+                      stacklevel=2)
+    return result
 
 
 def _descend(objective, linear, prior, divergence, lam, init, max_steps, tol):
@@ -56,7 +65,8 @@ def _descend(objective, linear, prior, divergence, lam, init, max_steps, tol):
             return linear + lam * perspective_total_grad(divergence, g, prior)
 
         return minimize_columns_pgd(objective, gradient, init, prior,
-                                    max_steps=max_steps, tol=tol)
+                                    max_steps=max_steps, tol=tol,
+                                    lr0=1.0 / lam)
     return _annealed(objective, linear, prior, divergence, lam, init,
                      max_steps, tol)
 
@@ -68,7 +78,6 @@ def _annealed(objective, linear, prior, divergence, lam, init, max_steps, tol):
     levels = np.geomspace(1e-1, 1e-8, 8)
     # each level gets the full step budget: the smoothed curvature grows like
     # 1/mu, so late levels take many short steps to cross the kink region
-    steps_per_level = max_steps
     converged = True
     for mu in levels:
         smoothed = _smoothed(divergence, mu)
@@ -81,7 +90,8 @@ def _annealed(objective, linear, prior, divergence, lam, init, max_steps, tol):
                     + lam * perspective_total(_d, g, prior))
 
         result = minimize_columns_pgd(smooth_objective, gradient, gamma, prior,
-                                      max_steps=steps_per_level, tol=tol)
+                                      max_steps=max_steps, tol=tol,
+                                      lr0=1.0 / lam)
         gamma = result.x
         converged = converged and result.converged
         value = objective(gamma)

@@ -138,13 +138,21 @@ def dca_solve(program: DCProgram, init=None, outer_tol: float = 1e-9,
               inner_tol: float = 1e-8) -> DCAResult:
     """Alternate linearization and convex subproblem until the decrease stops.
 
+    The default start is half the diagonal plan plus half the product
+    coupling: the product coupling alone is stationary (equal rows stay
+    equal), and the inner solver's multiplicative updates keep exact zeros.
+
     The inner solver starts from the current iterate and never increases its
     objective, which makes the outer trace nonincreasing — the defining DCA
     property.  Inner max-iteration hits are reported through the result flag.
     """
-    n_rows = program.prior.size + 2
-    gamma = (product_coupling(program.prior, n_rows) if init is None
-             else np.asarray(init, dtype=float))
+    k = program.prior.size
+    n_rows = k + 2
+    if init is None:
+        gamma = 0.5 * (np.eye(n_rows, k) * program.prior
+                       + product_coupling(program.prior, n_rows))
+    else:
+        gamma = np.asarray(init, dtype=float)
     state = DCAState(gamma=gamma)
     state.trace.append(dc_objective(program, gamma))
     inner_hit = False

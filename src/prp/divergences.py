@@ -144,62 +144,45 @@ def perspective_h(div: FDivergence, gamma_row, prior, k: int) -> float:
 
 
 def perspective_total(div: FDivergence, gamma, prior) -> float:
-    """sum_{i,k} prior_k * h_k(gamma_i) — the privacy cost of a plan matrix."""
+    """sum_{i,k} prior_k * h_k(gamma_i) — the privacy cost of a plan matrix.
+
+    Equals sum_i m_i * divergence(gamma_i / m_i, prior), m_i the row mass,
+    with the same conventions; massless rows cost 0.
+    """
     gamma = np.asarray(gamma, dtype=float)
     prior = np.asarray(prior, dtype=float)
-    m = gamma.sum(axis=1)
-    total = 0.0
-    for i in range(gamma.shape[0]):
-        if m[i] <= 0.0:
-            continue
-        row = gamma[i]
-        zero = row == 0.0
-        if zero.any():
-            if div.f_at_zero == _INF:
-                return _INF
-            total += float(prior[zero].sum()) * m[i] * div.f_at_zero
-        if (~zero).any():
-            t = (row[~zero] / m[i]) / prior[~zero]
-            total += m[i] * float(np.dot(prior[~zero], div.f(t)))
-    return total
+    m = gamma.sum(axis=1, keepdims=True)
+    weight = m * prior
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # divide by the mass first: gamma/m is in [0, 1], so no underflow
+        t = (gamma / m) / prior
+        terms = np.where(
+            gamma > 0.0,
+            np.where(prior > 0.0, weight * div.f(t),
+                     gamma * div.f_slope_at_infinity),
+            np.where(weight > 0.0, weight * div.f_at_zero, 0.0))
+    return float(terms.sum())
 
 
-def perspective_total_grad(div: FDivergence, gamma, prior,
-                           t_floor: float = 1e-16,
-                           mass_floor: float = 1e-9):
-    """Subgradient of :func:`perspective_total` in the plan matrix.
+def perspective_total_grad(div: FDivergence, gamma, prior) -> np.ndarray:
+    """Gradient of :func:`perspective_total` in the plan matrix.
 
-    On rows with mass, d/d gamma_ij = sum_k prior_k [f(t_ik) - t_ik f'(t_ik)]
-    + f'(t_ij) with t_ik = gamma_ik / (prior_k * m_i); ratios are clamped
-    below at ``t_floor`` so boundary subgradients stay finite.
-
-    Rows with mass at most ``mass_floor`` are priced by the exact directional
-    derivative of entering with pure column-k mass,
-    prior_k f(1/prior_k) + (1 - prior_k) f(0).  This is what makes projected
-    descent drain near-empty rows instead of feeding them mass the privacy
-    term immediately claws back.
+    On a row with mass m_i, d/d gamma_ij = sum_k prior_k [f(t_ik) -
+    t_ik f'(t_ik)] + f'(t_ij), t_ik = gamma_ik / (prior_k m_i), taking the
+    limits at t = 0, which may be infinite.  Massless rows get 0, since the
+    multiplicative updates of `optim.minimize_columns_pgd` never revive them.
     """
     if div.f_prime is None:
         raise ValueError(f"divergence {div.name!r} has no derivative")
     gamma = np.asarray(gamma, dtype=float)
     prior = np.asarray(prior, dtype=float)
-    m = gamma.sum(axis=1)
-    # crumb rows (tiny relative to the heaviest row) are also priced as
-    # empty: their exact gradient looks deceptively cheap and projected
-    # descent would keep feeding them
-    empty = m <= max(mass_floor, 1e-6 * float(m.max(initial=0.0)))
-    safe_m = np.where(empty, 1.0, m)
-    t = (gamma / safe_m[:, None]) / prior[None, :]
-    t[empty, :] = 1.0
-    t = np.maximum(t, t_floor)
-    ft = div.f(t)
-    fpt = div.f_prime(t)
-    row_const = ((ft - t * fpt) * prior[None, :]).sum(axis=1)
-    out = row_const[:, None] + fpt
-    if empty.any():
-        entry_rate = prior * div.f(1.0 / prior) + (1.0 - prior) * div.f_at_zero
-        out[empty, :] = np.minimum(entry_rate, 1e30)[None, :]
-    return out
+    m = gamma.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (gamma / np.where(m > 0.0, m, 1.0)) / prior
+        fpt = div.f_prime(t)
+        bracket = np.where(t > 0.0, div.f(t) - t * fpt, div.f_at_zero)
+        out = (bracket * prior).sum(axis=1, keepdims=True) + fpt
+    return np.where(m > 0.0, out, 0.0)
 
 
 def check_convexity(div: FDivergence) -> bool:

@@ -1,9 +1,11 @@
 """Convex solve over a finite action grid.
 
 With both the action set and the type set finite, the plan objective is
-convex in the full |grid| x K matrix, so a projected-gradient solve finds
-the global optimum.  Small instances of this solver act as the reference
-the nonconvex schemes are compared against.
+convex in the full |grid| x K matrix, so the entropic descent of
+`convexsolve` (Blahut-Arimoto for KL) finds the global optimum.  With a
+linear cost on a box, any grid that contains the box corners holds the
+optimum over all actions.  Small instances of this solver act as the
+reference the nonconvex schemes are compared against.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ def solve_grid(action_atoms, type_atoms, prior_weights, cost: CostOracle,
                tol: float = 1e-8):
     """Minimize the plan objective over all couplings of grid x types.
 
-    Returns (plan, objective value).
+    Returns (plan, objective value).  A solve that stops at ``max_steps``
+    warns (see `convexsolve.minimize_linear_plus_privacy`).
     """
     prior_weights = np.asarray(prior_weights, dtype=float)
     c = cost_matrix(cost, action_atoms, type_atoms)

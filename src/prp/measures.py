@@ -13,7 +13,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .divergences import FDivergence, divergence
+from .divergences import FDivergence, perspective_total
 
 WEIGHT_SUM_TOL = 1e-6      # acceptable drift before construction fails
 COLUMN_SUM_TOL = 1e-9      # acceptable per-column drift for plans
@@ -201,16 +201,7 @@ def prp_objective(plan: TransportPlan, cost: CostOracle, div: FDivergence,
                                                      plan.type_atoms[k])
     if lam == 0.0:
         return total
-    prior_w = plan.prior.weights
-    for i in range(plan.n_actions):
-        mass = gamma[i].sum()
-        if mass <= 0.0:
-            continue
-        d = divergence(div, gamma[i] / mass, prior_w)
-        total += lam * mass * d
-        if total == float("inf"):
-            return total
-    return total
+    return total + lam * perspective_total(div, gamma, plan.prior.weights)
 
 
 def merge_duplicate_atoms(plan: TransportPlan, atom_tol: float = 1e-8) -> TransportPlan:

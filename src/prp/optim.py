@@ -139,40 +139,46 @@ def minimize_columns_pgd(objective: Callable[[np.ndarray], float],
                          tol: float = 1e-8,
                          lr0: float = 1.0,
                          window: int = 25) -> PGDResult:
-    """Monotone projected gradient over column-wise scaled simplices.
+    """Monotone entropic projected gradient over column-wise scaled simplices.
 
-    Backtracking enforces an Armijo-type sufficient decrease, so the value
-    sequence is strictly nonincreasing and the returned value never exceeds
-    the value at ``init``.  The trial step is re-grown every iteration (with
-    a floor), which lets the method recover after passing through a
-    high-curvature region near the boundary; termination fires when a whole
-    window of accepted steps improved the objective by less than
-    ``tol * max(1, |f|)``.
+    A step proposes x * exp(-lr * g) rescaled per column onto its total
+    (mirror descent in the KL geometry, Beck & Teboulle 2003) and halves lr
+    until f(x+) <= f(x) + <g, x+ - x> + KL(x+ || x) / lr, which makes it a
+    descent step.  The trial lr is twice the last accepted one, within
+    [lr0, 1e6 * lr0].  Exact zeros stay zero, so the gradient is read only
+    where x > 0.  Termination fires when no step passes the test with a
+    bound below f in floating point, or when a window of steps improved the
+    objective by at most tol * max(1, |f|).
     """
-    x = project_columns(init, column_totals)
+    totals = np.asarray(column_totals, dtype=float)
+    x = np.asarray(init, dtype=float)
+    x = x * (totals / x.sum(axis=0))
     f = objective(x)
     lr = lr0
     window_anchor = f
     for step in range(1, max_steps + 1):
-        g = gradient(x)
-        lr = min(max(lr * 2.0, 1e-6), 1e6)
+        g = np.where(x > 0.0, gradient(x), 0.0)
+        with np.errstate(divide="ignore"):
+            log_x = np.log(x)
+        lr = min(max(lr * 2.0, lr0), 1e6 * lr0)
         accepted = False
         while lr >= 1e-14:
-            cand = project_columns(x - lr * g, column_totals)
-            delta = cand - x
-            sq = float((delta * delta).sum())
-            if sq == 0.0:
-                break
+            z = log_x - lr * g
+            cand = np.exp(z - z.max(axis=0))
+            cand *= totals / cand.sum(axis=0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                kl = np.where(cand > 0.0, cand * (np.log(cand) - log_x), 0.0)
+            bound = f + float((g * (cand - x)).sum()) + float(kl.sum()) / lr
+            if bound >= f:
+                break  # the decrease is below the resolution of f
             fc = objective(cand)
-            if fc <= f - 1e-4 * sq / lr:
+            if fc <= bound:
                 accepted = True
                 break
             lr *= 0.5
         if not accepted:
             return PGDResult(x, f, step, True)
         x, f = cand, fc
-        if sq <= tol * tol and lr >= 1e-2:
-            return PGDResult(x, f, step, True)
         if step % window == 0:
             if window_anchor - f <= tol * max(1.0, abs(f)):
                 return PGDResult(x, f, step, True)

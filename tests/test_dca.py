@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prp import seeds, toy
 from prp.dca import (DegenerateBox, build_dc, concave_part_subgradient,
                      convex_subproblem, dc_objective, dca_solve,
                      product_coupling, recover_actions)
@@ -249,6 +250,23 @@ def test_trace_is_nonincreasing():
         result = dca_solve(program)
         diffs = np.diff(result.trace)
         assert diffs.max(initial=-np.inf) <= 1e-10
+        non_revealing = -np.abs(program.prior @ program.phi).sum()
+        assert result.trace[-1] <= non_revealing + 1e-12
+
+
+@pytest.mark.parametrize("seed, optimum", [(0, -0.9315216513),
+                                           (1, -0.9319108380),
+                                           (2, -0.8913016319)])
+def test_default_start_reaches_the_corner_optimum(seed, optimum):
+    # toy instances (d=2, K=5, lam=0.1); the optima are Blahut-Arimoto
+    # solves over the box corners with a certified bound.  From the product
+    # coupling alone DCA would stop at the non-revealing plan.
+    instance = toy.sample_instance(2, 5, seeds.rng_for(seed, seeds.INSTANCE))
+    program = build_dc(instance.type_atoms, instance.prior_weights,
+                       -np.ones(2), np.ones(2), KL, 0.1)
+    result = dca_solve(program)
+    assert result.trace[-1] == pytest.approx(optimum, abs=1e-7)
+    assert not result.inner_max_iter_hit
 
 
 def test_reduced_plus_constant_matches_plan_objective_at_solution():

