@@ -24,10 +24,8 @@ from .measures import (CostOracle, DiscreteDistribution, NonDifferentiableCost,
 from .optim import (DescentConfig, OptimizerState, make_optimizer,
                     optimizer_step, project_box, project_columns,
                     project_simplex)
-from .sinkhorn import (NumericalUnderflow, SinkhornProblem, SinkhornResult,
-                       minimize_sinkhorn, sinkhorn_iterate,
-                       sinkhorn_log_domain, sinkhorn_loss, sinkhorn_loss_grad,
-                       solve_sinkhorn)
+from .sinkhorn import (SinkhornProblem, SinkhornResult, minimize_sinkhorn,
+                       sinkhorn_loss, sinkhorn_loss_grad, solve_sinkhorn)
 from .direct import kl_plan_objective, minimize_direct
 from .dca import (DCAResult, DCAState, DCProgram, DegenerateBox, build_dc,
                   concave_part_subgradient, convex_subproblem, dc_objective,

@@ -265,7 +265,7 @@ def main(argv=None) -> int:
         return 2
     try:
         _RUNNERS[config.kind](config)
-    except ArithmeticError as exc:  # NumericalUnderflow among them
+    except ArithmeticError as exc:  # overflow, division by zero, numpy errstate
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -1,45 +1,54 @@
-"""Entropic optimal transport: scaling iterations, the loss, its gradients.
+"""Entropic optimal transport: a Newton solve, the loss, its gradients.
 
 For weights alpha on the action atoms, the type prior beta and a cost
 matrix C, the loss is
 
     L(alpha, C) = min_P  sum C*P + lam * KL(P || alpha x beta)
 
-over couplings P with marginals alpha and beta.  `sinkhorn_iterate` is the
-textbook diagonal scaling P = diag(u) K diag(v) with K = exp(-C/lam);
-`sinkhorn_log_domain` is the numerically robust equivalent on potentials
-phi = log u, psi = log v.  `solve_sinkhorn` picks the path: whenever a
-kernel entry would leave the double range (|C|/lam > 690, i.e. entries
-below 1e-300), the log-domain recursion is used.
+over couplings P with marginals alpha and beta.  The optimal coupling is
+P = diag(u) K diag(v) with K = exp(-C/lam).  `solve_sinkhorn` works on
+psi = log v: phi = log u = log(alpha) - lse_j(-C/lam + psi) makes the rows
+exact, and psi maximizes the concave semi-dual
 
-Every iteration runs the action-side update first and the type-side update
-last, so the columns are exact after each iteration and the marginal error
-is the row error |u (K v) - alpha|.  That needs only K v, which the next
-update uses anyway; it is compared with the tolerance every
-`_CHECK_EVERY` iterations.  A solve may start from the log v of an earlier
-solve; the descent loops pass it on from step to step, so each step's solve
-starts next to its answer.
+    G(psi) = <beta, psi> - sum_i alpha_i lse_j(-C_ij/lam + psi_j)
+
+(Peyre & Cuturi, Computational Optimal Transport, section 4).  With P the
+row-exact plan at psi and Q = P with each row divided by alpha_i, the
+gradient is g = beta - colsum(P), and a damped Newton step solves
+
+    (diag(colsum P) - P'Q + mean(colsum P)/K 11' + 0.1 |g|_inf I) d = g
+
+The ones term fixes the gauge (psi + c gives the same plan); the |g|_inf
+term keeps the matrix positive definite when rows become one-hot at small
+lam.  A step psi + t d, backtracking from t = 1, is taken when it passes
+the Armijo test on G or lowers |g|_inf: near the optimum at |C|/lam ~ 1e3,
+G cannot resolve the gain in floating point.  At |g|_inf < tol the solve
+makes one row and one column update, so the columns are exact and the
+marginal error is the row error.  Zero-weight rows and columns stay out of
+the Newton system.  The solve works on potentials only, so it runs at any
+lam (the u and v it returns may overflow).  A solve may start from the
+log v of an earlier solve; the descent loops pass it on from step to step.
 
 Gradients come from the envelope theorem at the converged coupling, with
 no differentiation through the iterations (Feydy et al., AISTATS 2019;
 Peyre & Cuturi, Computational Optimal Transport, section 9.1):
 
     dL/dC     = P
-    dL/dalpha = lam * (f - <f, alpha> - 1),   f = log(u / alpha) = -log(K v)
+    dL/dalpha = lam * (f - <f, alpha> - 1),   f = -lse_j(log K_ij + psi_j)
 
-and in the log domain f_i = -logsumexp_j(log K_ij + psi_j).  f is the
-action-side dual potential in units of lam.  On the simplex it matters only
-up to a constant; the constant chosen here gives <dL/dalpha, alpha> = -lam,
-the gradient that differentiating the scaling updates themselves converges
-to, so momentum optimizers see the same steps either way.  Since f comes
-from K v, log(alpha) is never formed and a row with zero weight keeps a
-finite gradient.  The gradient in the action atoms is the cost oracle's
-adjoint map applied to P (`measures.cost_with_adjoint`); for the linear
-cost x . y that is P @ Y.
+f is the action-side dual potential in units of lam.  On the simplex it
+matters only up to a constant; the constant chosen here gives
+<dL/dalpha, alpha> = -lam, the gradient that differentiating the scaling
+updates themselves converges to, so momentum optimizers see the same steps
+either way.  Since f does not involve log(alpha), a row with zero weight
+keeps a finite gradient.  The gradient in the action atoms is the cost
+oracle's adjoint map applied to P (`measures.cost_with_adjoint`); for the
+linear cost x . y that is P @ Y.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +59,9 @@ from .optim import (DescentConfig, make_optimizer, optimizer_step,
                     project_box, project_simplex)
 
 _LOG_DOMAIN_EXPONENT = 690.0  # |C|/lam beyond this puts exp(-C/lam) under 1e-300
-_CHECK_EVERY = 10  # iterations between comparisons with the tolerance
-
-
-class NumericalUnderflow(ArithmeticError):
-    """The plain-domain kernel left the positive floating-point range."""
+_ARMIJO = 1e-4       # sufficient ascent of G, per unit of t <g, d>
+_DAMPING = 0.1       # weight of |g|_inf I in the Newton system
+_MIN_STEP = 2.0 ** -30   # backtracking gives up below this step length
 
 
 @dataclass
@@ -91,7 +98,7 @@ class SinkhornResult:
     log_u: np.ndarray
     log_v: np.ndarray
     loss: float
-    iterations: int
+    iterations: int          # Newton steps
     marginal_error: float
     grad_alpha: np.ndarray   # envelope gradient dL/dalpha; dL/dC is the plan
 
@@ -110,60 +117,6 @@ def _marginal_error(plan, alpha, beta) -> float:
     return float(max(row, col))
 
 
-def _result(plan, log_u, log_v, log_kv, problem, iterations):
-    """Package a solve; log_kv = log(K v) for the returned v, per row."""
-    alpha, lam = problem.alpha, problem.lam
-    f = -log_kv
-    with np.errstate(over="ignore"):
-        u, v = np.exp(log_u), np.exp(log_v)
-    return SinkhornResult(plan, u, v, log_u, log_v,
-                          _plan_loss(plan, alpha, problem.beta,
-                                     problem.cost_matrix, lam),
-                          iterations, _marginal_error(plan, alpha, problem.beta),
-                          lam * (f - f @ alpha - 1.0))
-
-
-def _checkpoint(iterations: int, max_iter: int) -> bool:
-    return iterations % _CHECK_EVERY == 0 or iterations == max_iter
-
-
-def sinkhorn_iterate(problem: SinkhornProblem,
-                     init_log_v=None) -> SinkhornResult:
-    """Plain diagonal scaling u <- alpha/(Kv), v <- beta/(K'u)."""
-    alpha, beta, lam = problem.alpha, problem.beta, problem.lam
-    with np.errstate(over="ignore"):
-        kernel = np.exp(-problem.cost_matrix / lam)
-    if (not np.isfinite(kernel).all()
-            or (kernel.max(axis=1) == 0.0).any()
-            or (kernel.max(axis=0) == 0.0).any()):
-        raise NumericalUnderflow(
-            "kernel leaves the floating-point range; use sinkhorn_log_domain")
-    if init_log_v is None:
-        v = np.ones(beta.size)
-    else:
-        # v and v * c give the same plan; scaling to max 1 keeps exp finite
-        log_v = np.asarray(init_log_v, dtype=float)
-        v = np.exp(log_v - log_v.max())
-    kv = kernel @ v
-    iterations = 0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for iterations in range(1, problem.max_iter + 1):
-            u = alpha / kv
-            v = beta / (u @ kernel)
-            previous, kv = kv, kernel @ v
-            if _checkpoint(iterations, problem.max_iter):
-                if not (np.isfinite(u).all() and np.isfinite(kv).all()
-                        and (kv > 0.0).all()):
-                    raise NumericalUnderflow(
-                        "scaling vectors left the floating-point range; "
-                        "use sinkhorn_log_domain")
-                if np.abs(alpha * (kv / previous - 1.0)).max() < problem.tol:
-                    break
-        plan = (u[:, None] * kernel) * v[None, :]
-        return _result(plan, np.log(u), np.log(v), np.log(kv), problem,
-                       iterations)
-
-
 def _logsumexp(m, axis):
     shift = np.max(m, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(shift), shift, 0.0)
@@ -171,43 +124,90 @@ def _logsumexp(m, axis):
         return np.log(np.exp(m - shift).sum(axis=axis)) + np.squeeze(shift, axis=axis)
 
 
-def sinkhorn_log_domain(problem: SinkhornProblem,
-                        init_log_v=None) -> SinkhornResult:
-    """Same contract as sinkhorn_iterate, on log-scale potentials."""
-    alpha, beta, lam = problem.alpha, problem.beta, problem.lam
-    log_kernel = -problem.cost_matrix / lam
-    with np.errstate(divide="ignore"):
-        log_alpha, log_beta = np.log(alpha), np.log(beta)
-    psi = (np.zeros(beta.size) if init_log_v is None
-           else np.asarray(init_log_v, dtype=float))
-    lse_row = _logsumexp(log_kernel + psi[None, :], axis=1)
-    iterations = 0
-    for iterations in range(1, problem.max_iter + 1):
-        phi = log_alpha - lse_row
-        psi = log_beta - _logsumexp(log_kernel + phi[:, None], axis=0)
-        previous, lse_row = lse_row, _logsumexp(log_kernel + psi[None, :], axis=1)
-        if (_checkpoint(iterations, problem.max_iter)
-                and np.abs(alpha * np.expm1(lse_row - previous)).max()
-                < problem.tol):
-            break
-    plan = np.exp(phi[:, None] + psi[None, :] + log_kernel)
-    return _result(plan, phi, psi, lse_row, problem, iterations)
+def _semi_dual(log_kernel, alpha, beta, psi):
+    """G(psi), its gradient g, the row-exact plan P and Q = P / alpha."""
+    m = log_kernel + psi
+    shift = m.max(axis=1)
+    e = np.exp(m - shift[:, None])
+    mass = e.sum(axis=1)
+    # e / mass, not exp(m - lse): its rounding does not grow with |psi|
+    q = e / mass[:, None]
+    p = alpha[:, None] * q
+    return (beta @ psi - alpha @ (np.log(mass) + shift), beta - p.sum(axis=0),
+            p, q)
 
 
-def needs_log_domain(cost_matrix, lam: float) -> bool:
-    c = np.abs(np.asarray(cost_matrix)).max(initial=0.0)
-    return bool(c / lam > _LOG_DOMAIN_EXPONENT)
+def _newton(log_kernel, alpha, beta, psi, max_iter: int, tol: float):
+    """Damped Newton ascent of G from psi, all weights positive.
+
+    Returns the last psi, the number of steps taken and whether |g|_inf
+    fell below tol.
+    """
+    value, g, p, q = _semi_dual(log_kernel, alpha, beta, psi)
+    size = np.abs(g).max()
+    steps = 0
+    while steps < max_iter and size >= tol and size > 0.0:
+        col = p.sum(axis=0)
+        system = (np.diag(col + _DAMPING * size) - p.T @ q
+                  + col.mean() / col.size)
+        d = np.linalg.solve(system, g)
+        slope = g @ d
+        t = 1.0
+        while t >= _MIN_STEP:
+            trial = psi + t * d
+            state = _semi_dual(log_kernel, alpha, beta, trial)
+            if (state[0] >= value + _ARMIJO * t * slope
+                    or np.abs(state[1]).max() < size):
+                break
+            t *= 0.5
+        else:
+            break   # no step gains on G or |g|_inf at rounding level
+        psi = trial
+        value, g, p, q = state
+        size = np.abs(g).max()
+        steps += 1
+    return psi, steps, size < tol
 
 
 def solve_sinkhorn(problem: SinkhornProblem, init_log_v=None) -> SinkhornResult:
-    """Dispatch to the numerically appropriate iteration.
+    """Solve the instance by damped Newton ascent of the semi-dual.
 
-    `init_log_v` warm-starts the type-side scaling, e.g. with the `log_v`
-    of the previous solve in a descent loop.
+    `init_log_v` warm-starts psi = log v, e.g. with the `log_v` of the
+    previous solve in a descent loop.  A solve that stops short of `tol`
+    (at `max_iter`, or where rounding stalls it) warns.
     """
-    if needs_log_domain(problem.cost_matrix, problem.lam):
-        return sinkhorn_log_domain(problem, init_log_v)
-    return sinkhorn_iterate(problem, init_log_v)
+    alpha, beta, lam = problem.alpha, problem.beta, problem.lam
+    log_kernel = -problem.cost_matrix / lam
+    rows, cols = alpha > 0.0, beta > 0.0
+    start = (np.zeros(beta.size) if init_log_v is None
+             else np.asarray(init_log_v, dtype=float))
+    psi = np.full(beta.size, -np.inf)
+    psi[cols], steps, converged = _newton(
+        log_kernel[np.ix_(rows, cols)], alpha[rows], beta[cols], start[cols],
+        problem.max_iter, problem.tol)
+    with np.errstate(divide="ignore"):
+        phi = np.log(alpha) - _logsumexp(log_kernel + psi, axis=1)
+        psi = np.log(beta) - _logsumexp(log_kernel + phi[:, None], axis=0)
+    f = -_logsumexp(log_kernel + psi, axis=1)   # -log(K v)
+    plan = np.exp(phi[:, None] + psi + log_kernel)
+    error = _marginal_error(plan, alpha, beta)
+    if not converged:
+        warnings.warn(f"Sinkhorn solve at lam={lam:g} stopped after {steps} "
+                      f"Newton steps with marginal error {error:.3g}",
+                      RuntimeWarning, stacklevel=2)
+    with np.errstate(over="ignore"):
+        u, v = np.exp(phi), np.exp(psi)
+    return SinkhornResult(plan, u, v, phi, psi,
+                          _plan_loss(plan, alpha, beta, problem.cost_matrix,
+                                     lam),
+                          steps, error, lam * (f - f @ alpha - 1.0))
+
+
+# unused by prp; kept because bench/tracing.py reads it
+def needs_log_domain(cost_matrix, lam: float) -> bool:
+    """Whether some kernel entry exp(-C/lam) would fall below 1e-300."""
+    c = np.abs(np.asarray(cost_matrix)).max(initial=0.0)
+    return bool(c / lam > _LOG_DOMAIN_EXPONENT)
 
 
 def sinkhorn_loss(problem: SinkhornProblem) -> float:
@@ -215,12 +215,13 @@ def sinkhorn_loss(problem: SinkhornProblem) -> float:
     return solve_sinkhorn(problem).loss
 
 
+# bench/tracing.py reads the `cap` default, through prp.auctions._unroll_budget
 def step_solve(alpha, cost_matrix, beta, lam: float, log_v=None,
                cap: int = 3000) -> SinkhornResult:
     """The solve behind one descent step, warm started from the last `log_v`.
 
-    At small lam a cold start takes thousands of iterations; the warm start
-    and the cap bound the work per step.
+    Solved to marginal error 1e-8 in at most `cap` Newton steps; a warm
+    started step solve typically takes 5 to 20.
     """
     problem = SinkhornProblem(alpha, beta, cost_matrix, lam, max_iter=cap,
                               tol=1e-8)
@@ -249,12 +250,12 @@ def minimize_sinkhorn(prior_weights, type_atoms, cost: CostOracle, lam: float,
 
     Atom locations start uniform in the cost box and the weight vector starts
     uniform; after every step the weights are projected back onto the simplex
-    and the atoms onto the box.  Each step solves the instance once, warm
-    started from the previous step's scaling, and takes the envelope
-    gradients of that solve.  Returns the plan recovered from a converged
-    final solve (its column sums equal the prior exactly) along with the
-    per-step loss trace.  The trace is recorded for benchmarking and is not
-    guaranteed to be monotone.
+    and the atoms onto the box.  Each step solves the instance once with
+    `step_solve`, a Newton solve warm started from the previous step's
+    log v, and takes the envelope gradients of that solve.  Returns the plan
+    of a final solve to tol 1e-9 (its column sums equal the prior exactly)
+    along with the per-step loss trace.  The trace is recorded for
+    benchmarking and is not guaranteed to be monotone.
     """
     if cost.bounds is None:
         raise ValueError("minimize_sinkhorn needs a cost oracle with box bounds")

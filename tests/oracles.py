@@ -188,6 +188,32 @@ def grid_minimize_coupling(alpha, beta, cost, lam, base_resolution=10,
 
 
 # ---------------------------------------------------------------------------
+# entropic transport by plain diagonal scaling
+
+def sinkhorn_scaling(alpha, beta, cost, lam, tol=1e-13, max_iter=1_000_000):
+    """Textbook diagonal scaling u <- alpha/(K v), v <- beta/(K' u).
+
+    Plain domain, K = exp(-cost/lam); iterates until the row error of the
+    column-exact plan is below `tol`.  Returns the plan and the envelope
+    gradient lam * (f - <f, alpha> - 1) with f = -log(K v), the action-side
+    dual potential in units of lam.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    kernel = np.exp(-np.asarray(cost, dtype=float) / lam)
+    v = np.ones(beta.size)
+    for _ in range(max_iter):
+        u = alpha / (kernel @ v)
+        v = beta / (kernel.T @ u)
+        if np.abs(u * (kernel @ v) - alpha).max() < tol:
+            break
+    else:
+        raise RuntimeError("scaling iteration did not converge")
+    f = -np.log(kernel @ v)
+    return u[:, None] * kernel * v[None, :], lam * (f - f @ alpha - 1.0)
+
+
+# ---------------------------------------------------------------------------
 # misc small oracles
 
 def simplex_projection_grid(v, resolution=200) -> np.ndarray:

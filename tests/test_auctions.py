@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from prp import seeds
+from prp import auctions, seeds
 from prp.auctions import (AuctionModel, BidPolicy, dominant_action_map,
                           evaluate_strategy, ladder_policies, random_policy,
                           revenue, revenue_grad, sample_values, stats_grad,
@@ -273,6 +273,23 @@ def test_training_with_tiny_privacy_weight_specializes():
         tv = 0.5 * np.abs(posterior(plan, int(i)).weights - prior).sum()
         assert tv >= 0.5
     assert covered >= 0.8
+
+
+def test_tiny_privacy_weight_step_solves_all_converge(monkeypatch):
+    # the instance above; with a 3000-iteration scaling loop, 33 of its 250
+    # step solves ended at the cap with marginal error up to 6.4e-4
+    step_solve, errors = auctions.step_solve, []
+
+    def recorded(*args, **kwargs):
+        result = step_solve(*args, **kwargs)
+        errors.append(result.marginal_error)
+        return result
+
+    monkeypatch.setattr(auctions, "step_solve", recorded)
+    train_strategy(AuctionModel(n_types=10), lam=1e-3, steps=250,
+                   train_samples=400, config=DescentConfig(), seed=1, width=40)
+    assert len(errors) == 250
+    assert max(errors) < 1e-7
 
 
 def test_single_type_training_has_identically_zero_privacy():

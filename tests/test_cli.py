@@ -3,7 +3,6 @@ import json
 import pytest
 
 from prp import cli
-from prp.sinkhorn import NumericalUnderflow
 
 TOY = {"kind": "toy", "d": 2, "K": 3, "lam": 0.1, "iterations": 15,
        "runs": 2, "seed": 5}
@@ -39,7 +38,7 @@ def test_config_errors_exit_with_2(tmp_path, capsys, doc):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("error", [ArithmeticError, NumericalUnderflow])
+@pytest.mark.parametrize("error", [ArithmeticError, FloatingPointError])
 def test_numerical_failures_exit_with_3(tmp_path, capsys, monkeypatch, error):
     def fail(config):
         raise error("diverged")

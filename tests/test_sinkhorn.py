@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,11 @@ from prp.divergences import kl_divergence
 from prp.measures import (CostOracle, DiscreteDistribution, TransportPlan,
                           linear_cost, prp_objective)
 from prp.optim import DescentConfig
-from prp.sinkhorn import (NonDifferentiableCost, NumericalUnderflow,
-                          SinkhornProblem, minimize_sinkhorn, needs_log_domain,
-                          sinkhorn_iterate, sinkhorn_log_domain, sinkhorn_loss,
+from prp.sinkhorn import (NonDifferentiableCost, SinkhornProblem,
+                          minimize_sinkhorn, needs_log_domain, sinkhorn_loss,
                           sinkhorn_loss_grad, solve_sinkhorn)
+from prp import sinkhorn
+from prp.toy import sample_instance
 
 import oracles
 
@@ -24,7 +27,7 @@ def random_problem(rng, n, m, lam, cost_scale=1.0):
 def test_single_atom_plan_is_forced():
     problem = SinkhornProblem(np.array([1.0]), np.array([1.0]),
                               np.array([[0.7]]), 1.0)
-    result = sinkhorn_iterate(problem)
+    result = solve_sinkhorn(problem)
     assert np.allclose(result.plan, [[1.0]])
     assert result.loss == pytest.approx(0.7, abs=1e-12)
 
@@ -33,7 +36,7 @@ def test_zero_cost_gives_product_coupling_and_zero_loss():
     alpha = np.array([0.3, 0.7])
     beta = np.array([0.2, 0.5, 0.3])
     problem = SinkhornProblem(alpha, beta, np.zeros((2, 3)), 0.5)
-    result = sinkhorn_iterate(problem)
+    result = solve_sinkhorn(problem)
     assert np.allclose(result.plan, np.outer(alpha, beta), atol=1e-12)
     assert result.loss == pytest.approx(0.0, abs=1e-12)
 
@@ -48,34 +51,45 @@ def test_two_by_two_matches_coupling_grid_oracle():
 
 
 def test_log_domain_agrees_with_plain_iteration():
+    # the log-domain Newton solve against the textbook plain-domain scaling
     rng = np.random.default_rng(0)
     for _ in range(10):
         problem = random_problem(rng, rng.integers(1, 4), rng.integers(1, 4),
                                  lam=float(rng.uniform(0.3, 3.0)))
-        a = sinkhorn_iterate(problem)
-        b = sinkhorn_log_domain(problem)
-        assert np.abs(a.plan - b.plan).max() < 1e-8
-        assert a.loss == pytest.approx(b.loss, abs=1e-8)
+        problem.tol = 1e-13
+        result = solve_sinkhorn(problem)
+        plan, _ = oracles.sinkhorn_scaling(problem.alpha, problem.beta,
+                                           problem.cost_matrix, problem.lam)
+        assert np.abs(result.plan - plan).max() < 1e-12
+        assert result.loss == pytest.approx(oracles.coupling_loss(
+            plan, problem.alpha, problem.beta, problem.cost_matrix,
+            problem.lam), abs=1e-12)
 
 
 def test_plain_iteration_underflows_and_log_domain_survives():
-    # top row of the kernel is entirely below the double range
+    # top row of the kernel is entirely below the double range, so plain
+    # scaling divides by zero; subtracting each row's minimum cost gives
+    # the same plan and shifts the loss by <alpha, row minima>
+    alpha = beta = np.array([0.5, 0.5])
     cost = np.array([[10.0, 9.5], [0.0, 0.5]])
-    problem = SinkhornProblem(np.array([0.5, 0.5]), np.array([0.5, 0.5]),
-                              cost, 1e-2)
-    with pytest.raises(NumericalUnderflow):
-        sinkhorn_iterate(problem)
-    result = sinkhorn_log_domain(problem)
-    assert np.isfinite(result.loss)
-    assert result.marginal_error < 1e-9
-    assert solve_sinkhorn(problem).loss == pytest.approx(result.loss)
+    lam = 1e-2
+    assert (np.exp(-cost / lam)[0] == 0.0).all()
+    result = solve_sinkhorn(SinkhornProblem(alpha, beta, cost, lam, tol=1e-13))
+    shift = cost.min(axis=1)
+    shifted = cost - shift[:, None]
+    plan, _ = oracles.sinkhorn_scaling(alpha, beta, shifted, lam)
+    assert result.marginal_error < 1e-13
+    assert np.abs(result.plan - plan).max() < 1e-13
+    assert result.loss == pytest.approx(
+        oracles.coupling_loss(plan, alpha, beta, shifted, lam) + alpha @ shift,
+        abs=1e-12)
 
 
 def test_plan_factorizes_through_scalings():
     rng = np.random.default_rng(1)
     for _ in range(5):
         problem = random_problem(rng, 3, 3, lam=1.0)
-        result = sinkhorn_iterate(problem)
+        result = solve_sinkhorn(problem)
         kernel = np.exp(-problem.cost_matrix / problem.lam)
         rebuilt = (result.u[:, None] * kernel) * result.v[None, :]
         assert np.abs(rebuilt - result.plan).max() < 1e-8
@@ -84,22 +98,32 @@ def test_plan_factorizes_through_scalings():
 def test_type_marginal_is_exact_after_final_update():
     rng = np.random.default_rng(2)
     problem = random_problem(rng, 4, 3, lam=0.3)
-    result = sinkhorn_iterate(problem)
+    result = solve_sinkhorn(problem)
     assert np.abs(result.plan.sum(axis=0) - problem.beta).max() < 1e-14
 
 
-def test_marginal_error_decreases_with_iteration_budget():
+def test_iteration_budget_is_used_up_or_the_solve_converges():
+    # a budget short of convergence is spent in full and warned about; the
+    # first budget that converges gives the result of any larger one
     rng = np.random.default_rng(3)
     for _ in range(5):
         alpha = rng.dirichlet(np.ones(3))
         beta = rng.dirichlet(np.ones(3))
         cost = rng.uniform(0.0, 1.0, size=(3, 3))
-        for t in (2, 5, 10):
-            early = SinkhornProblem(alpha, beta, cost, 0.2, max_iter=t, tol=0.0)
-            late = SinkhornProblem(alpha, beta, cost, 0.2, max_iter=2 * t, tol=0.0)
-            err_t = sinkhorn_iterate(early).marginal_error
-            err_2t = sinkhorn_iterate(late).marginal_error
-            assert err_2t <= err_t + 1e-15
+        for t in range(1, 50):
+            problem = SinkhornProblem(alpha, beta, cost, 0.2, max_iter=t,
+                                      tol=1e-12)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = solve_sinkhorn(problem)
+            assert np.abs(result.plan.sum(axis=0) - beta).max() < 1e-15
+            if not caught:
+                break
+            assert result.iterations == t
+        assert result.iterations <= t
+        assert result.marginal_error < 1e-12
+        problem.max_iter = 1000
+        assert (solve_sinkhorn(problem).plan == result.plan).all()
 
 
 def test_loss_stays_in_coarse_bounds_and_entropy_term_nonnegative():
@@ -159,8 +183,8 @@ def converged_loss(alpha, beta, cost, lam):
 
 
 # (n, m, lam, centre and spread of the action atoms, scale of the types).
-# In the last instance |C|/lam > 690, so the log-domain path runs; its
-# atoms sit close together, which keeps the solves short at lam = 1e-3.
+# In the last instance |C|/lam > 690, so the plain-domain kernel would
+# underflow; its atoms sit close together.
 ENVELOPE_CASES = [(3, 4, 0.7, 0.0, 1.0, 1.0), (7, 5, 0.1, 0.0, 1.0, 1.0),
                   (3, 3, 1e-3, 0.95, 0.02, 2.0)]
 
@@ -216,18 +240,18 @@ def agreement_instance():
 
 
 def assert_log_and_plain_paths_agree(alpha, beta, cost):
-    problem = SinkhornProblem(alpha, beta, cost, 0.5, tol=1e-13)
-    plain = sinkhorn_iterate(problem)
-    log = sinkhorn_log_domain(problem)
+    log = solve_sinkhorn(SinkhornProblem(alpha, beta, cost, 0.5, tol=1e-13))
+    plan, grad_alpha = oracles.sinkhorn_scaling(alpha, beta, cost, 0.5)
     assert np.isfinite(log.grad_alpha).all()
-    assert log.loss == pytest.approx(plain.loss, abs=1e-12)
-    assert np.allclose(log.grad_alpha, plain.grad_alpha, rtol=0.0, atol=1e-12)
-    assert np.allclose(log.plan, plain.plan, rtol=0.0, atol=1e-12)
+    assert log.loss == pytest.approx(
+        oracles.coupling_loss(plan, alpha, beta, cost, 0.5), abs=1e-12)
+    assert np.allclose(log.grad_alpha, grad_alpha, rtol=0.0, atol=1e-12)
+    assert np.allclose(log.plan, plan, rtol=0.0, atol=1e-12)
 
 
 def test_unrolled_loss_log_and_plain_paths_agree():
-    # the name predates the envelope gradients; the log- and plain-domain
-    # solves must give the same loss, plan and gradient
+    # the name predates the envelope gradients; the log-domain solve and the
+    # plain-domain scaling must give the same loss, plan and gradient
     assert_log_and_plain_paths_agree(*agreement_instance())
 
 
@@ -278,13 +302,81 @@ def test_warm_start_reaches_the_cold_start_plan(lam):
 
 
 def test_plain_path_accepts_a_warm_start_beyond_the_double_range():
-    # log v from a log-domain solve can exceed log(max double); only
-    # differences of log v matter to the plan
+    # log v can exceed log(max double); only differences of log v matter
+    # to the plan
     rng = np.random.default_rng(12)
     problem = random_problem(rng, 3, 3, lam=0.5)
-    cold = sinkhorn_iterate(problem)
-    warm = sinkhorn_iterate(problem, cold.log_v + 800.0)
+    cold = solve_sinkhorn(problem)
+    warm = solve_sinkhorn(problem, cold.log_v + 800.0)
     assert np.abs(warm.plan - cold.plan).max() < problem.tol
+
+
+def test_zero_weight_column_gets_no_mass_and_the_reduced_loss():
+    rng = np.random.default_rng(13)
+    for lam in (0.5, 1e-3):
+        problem = random_problem(rng, 4, 4, lam=lam)
+        beta = problem.beta.copy()
+        beta[2] = 0.0
+        beta /= beta.sum()
+        full = solve_sinkhorn(SinkhornProblem(problem.alpha, beta,
+                                              problem.cost_matrix, lam,
+                                              tol=1e-13))
+        keep = [0, 1, 3]
+        reduced = solve_sinkhorn(SinkhornProblem(
+            problem.alpha, beta[keep], problem.cost_matrix[:, keep], lam,
+            tol=1e-13))
+        assert (full.plan[:, 2] == 0.0).all()
+        assert full.marginal_error < 1e-13
+        assert full.loss == pytest.approx(reduced.loss, abs=1e-12)
+        assert np.allclose(full.plan[:, keep], reduced.plan, rtol=0.0,
+                           atol=1e-12)
+        assert np.allclose(full.grad_alpha, reduced.grad_alpha, rtol=0.0,
+                           atol=1e-12)
+
+
+def hard_instance():
+    # |C|/lam = 637: plain-domain scaling stalls here at marginal error 7.4e-3
+    rng = np.random.default_rng(303)
+    alpha = rng.dirichlet(np.ones(3) * 5.0)
+    beta = rng.dirichlet(np.ones(3) * 5.0)
+    x = rng.uniform(-1.0, 1.0, size=(3, 2))
+    y = rng.uniform(-0.8, 0.8, size=(3, 2))
+    return SinkhornProblem(alpha, beta, x @ y.T, 1e-3, tol=1e-8)
+
+
+def test_hard_instance_converges_within_the_default_budget():
+    problem = hard_instance()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve_sinkhorn(problem)
+    assert result.marginal_error < 1e-8
+    assert result.iterations < problem.max_iter
+
+
+def test_capped_solve_warns():
+    problem = hard_instance()
+    problem.max_iter = 1
+    with pytest.warns(RuntimeWarning,
+                      match=r"lam=0\.001 .*after 1 Newton steps .*error"):
+        result = solve_sinkhorn(problem)
+    assert result.marginal_error > problem.tol
+
+
+def test_toy_step_solves_take_few_newton_steps(monkeypatch):
+    step_solve, steps = sinkhorn.step_solve, []
+
+    def counted(*args, **kwargs):
+        result = step_solve(*args, **kwargs)
+        steps.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(sinkhorn, "step_solve", counted)
+    instance = sample_instance(2, 5, np.random.default_rng(5))
+    minimize_sinkhorn(instance.prior_weights, instance.type_atoms,
+                      linear_cost(instance.bounds), 0.1,
+                      config=DescentConfig(steps=100), seed=0)
+    assert len(steps) == 100
+    assert max(steps) <= 25
 
 
 def test_gradient_single_atom_reduces_to_cost_gradient():
