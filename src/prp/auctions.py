@@ -33,6 +33,12 @@ coupling.  Each step solves it once, warm started from the previous step,
 and takes the envelope gradients of that solve: dL/dalpha in closed form
 and dL/dC = P, which reaches the policies through the adjoint of the cost
 matrix C_ik = 1 - (y_k A_i - B_i).
+
+Evaluation needs no sampling.  A ReLU policy is piecewise linear, so the
+expected A and B are sums of (degree <= 2 polynomial) * e^(-v) integrals
+between its kinks and the points where beta crosses 0, 1 and beta'.
+`expected_stats` computes them in closed form, and `evaluate_strategy`
+prices a plan with them exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 
 from . import seeds
 from .divergences import kl_divergence, perspective_total
-from .measures import CostOracle, DiscreteDistribution, TransportPlan
+from .measures import DiscreteDistribution, TransportPlan
 from .optim import DescentConfig, make_optimizer, optimizer_step, project_simplex
 from .sinkhorn import SinkhornProblem, solve_sinkhorn, step_solve
 
@@ -186,6 +192,81 @@ def _pathwise_grads(params, cache, coef_a, coef_b) -> list:
             g_beta.sum(axis=1)]
 
 
+def _kinks(w, c):
+    """Kinks v = -c_j/w_j > 0 of every unit, and which units have one.
+
+    A unit without a kink in (0, inf) gets the placeholder 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kink = -c / w
+    valid = (w != 0.0) & (kink > 0.0) & np.isfinite(kink)
+    return np.where(valid, kink, 0.0), valid
+
+
+def _pieces(params, kink):
+    """The linear pieces of every policy between its sorted kinks.
+
+    Returns (starts, ends, mask, p, q), each (n, W + 1) except the
+    (n, W + 1, W) activation mask: on piece [starts, ends) the bid is
+    beta = q + p v and its slope beta' = p.  Placeholder kinks at 0 give
+    empty pieces [0, 0].
+    """
+    w, c, a, b = params
+    n = w.shape[0]
+    knots = np.sort(kink, axis=1)
+    starts = np.concatenate([np.zeros((n, 1)), knots], axis=1)
+    ends = np.concatenate([knots, np.full((n, 1), np.inf)], axis=1)
+    mid = np.where(np.isfinite(ends), 0.5 * (starts + ends), starts + 1.0)
+    mask = (mid[:, :, None] * w[:, None, :] + c[:, None, :]) > 0.0
+    p = np.einsum("ipl,il->ip", mask, a * w)
+    q = np.einsum("ipl,il->ip", mask, a * c) + b[:, None]
+    return starts, ends, mask, p, q
+
+
+def _tail(x, m: int):
+    """T_m(x), the integral of v^m e^(-v) over [x, inf); 0 at x = inf."""
+    scale = np.exp(-x)
+    poly = (1.0, x + 1.0, x * x + 2.0 * x + 2.0)[m]
+    return np.where(scale > 0.0, scale * poly, 0.0)
+
+
+def expected_stats(params):
+    """Exact E[A] = E[v G(beta) 1{h >= 0}] and E[B] = E[h G(beta) 1{h >= 0}].
+
+    Per policy of the stacked `params`, under v ~ Exp(1), with h = beta -
+    beta'.  On a linear piece beta = q + p v, the cuts where beta = 0,
+    beta = 1 and h = 0 split it into sub-intervals on which G(beta) is 0,
+    beta or 1 and the indicator is constant.  There both integrands are
+    polynomials of degree <= 2 in v, and the integral of v^m e^(-v) over
+    [u, t] is T_m(u) - T_m(t) with T_m(x) = e^(-x) (x^m + ... + m!).
+    Vectorized over (policy, piece, sub-interval).  Returns (A, B).
+    """
+    w, c, _, _ = params
+    starts, ends, _, p, q = _pieces(params, _kinks(w, c)[0])
+    lo, hi = starts[..., None], ends[..., None]
+    p, q = p[..., None], q[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cuts = np.concatenate([-q, 1.0 - q, p - q], axis=-1) / p
+    # fmax drops the NaN of 0/0 at p = 0; the other cuts land in [lo, hi]
+    cuts = np.minimum(np.fmax(cuts, lo), hi)
+    edges = np.sort(np.concatenate([lo, cuts, hi], axis=-1), axis=-1)
+    u, t = edges[..., :-1], edges[..., 1:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        mid = np.where(np.isfinite(t), 0.5 * (u + t), u + 1.0)
+        beta = q + p * mid
+        keep = (t > u) & (beta > 0.0) & (beta - p >= 0.0)
+        # G = g0 + g1 v and h = h0 + h1 v on every kept sub-interval
+        sat = beta >= 1.0
+        g0, g1 = np.where(sat, 1.0, q), np.where(sat, 0.0, p)
+        h0, h1 = q - p, p
+        moments = [np.where(keep, _tail(u, m) - _tail(t, m), 0.0)
+                   for m in range(3)]
+    a_stat = (g0 * moments[1] + g1 * moments[2]).sum(axis=(1, 2))
+    b_stat = (h0 * g0 * moments[0] + (h0 * g1 + h1 * g0) * moments[1]
+              + h1 * g1 * moments[2]).sum(axis=(1, 2))
+    return a_stat, b_stat
+
+
 def _boundary_grads(params, coef_a, coef_b) -> list:
     """Leibniz terms of the expected statistics that the pathwise pass drops.
 
@@ -198,10 +279,7 @@ def _boundary_grads(params, coef_a, coef_b) -> list:
     """
     w, c, a, b = params
     n, width = w.shape
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kink = -c / w
-    valid = (w != 0.0) & (kink > 0.0) & np.isfinite(kink)
-    kink = np.where(valid, kink, 0.0)
+    kink, valid = _kinks(w, c)
 
     # jumps at the kinks: unit j switches on to the right of its kink iff
     # w_j > 0; every other unit keeps its activation state
@@ -226,13 +304,7 @@ def _boundary_grads(params, coef_a, coef_b) -> list:
     # activation mask m, beta(v) = q + p v with p = sum a w m = beta'; the
     # crossing s = (p - q)/p moves by -dh/p, and G(beta(s)) = G(p) vanishes
     # unless p > 0, where h turns from negative to positive
-    knots = np.sort(kink, axis=1)
-    starts = np.concatenate([np.zeros((n, 1)), knots], axis=1)
-    ends = np.concatenate([knots, np.full((n, 1), np.inf)], axis=1)
-    mid = np.where(np.isfinite(ends), 0.5 * (starts + ends), starts + 1.0)
-    mask = (mid[:, :, None] * w[:, None, :] + c[:, None, :]) > 0.0
-    p = np.einsum("ipl,il->ip", mask, a * w)
-    q = np.einsum("ipl,il->ip", mask, a * c) + b[:, None]
+    starts, ends, mask, p, q = _pieces(params, kink)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = (p - q) / p
     crossing = (p > 0.0) & (s > starts) & (s < ends)
@@ -317,12 +389,6 @@ def stats_grad(policy: BidPolicy, v):
             _as_fields(_stats_grads(params, cache, zero, one)))
 
 
-def cost_oracle(model: AuctionModel, n_samples: int, seed: int) -> CostOracle:
-    """Plan-objective cost c(policy, y) = 1 - revenue, deterministic per seed."""
-    return CostOracle(
-        evaluate=lambda policy, y: 1.0 - revenue(policy, float(y), n_samples, seed))
-
-
 AUCTION_TRAINING = DescentConfig(lr_weights=0.02, lr_atoms=3e-4)
 
 
@@ -394,35 +460,18 @@ class StrategyEvaluation:
     utility_stderr: float
 
 
-def evaluate_strategy(plan: TransportPlan, eval_samples: int = 1_000_000,
-                      seed: int = 0) -> StrategyEvaluation:
-    """Plan-weighted revenue (fresh Monte-Carlo draw) and KL privacy cost."""
+def evaluate_strategy(plan: TransportPlan) -> StrategyEvaluation:
+    """Plan-weighted expected revenue, exact, and the KL privacy cost.
+
+    The revenue is sum_i (gamma y)_i A_i - m_i B_i with the statistics of
+    `expected_stats` and m_i the row masses, so its standard error is 0.
+    """
     gamma = plan.gamma
-    masses = plan.row_masses
     y = np.asarray(plan.type_atoms, dtype=float)
-    coef = gamma @ y                     # per-row sum_k gamma_ik y_k
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    remaining = eval_samples
-    while remaining > 0:
-        take = min(_CHUNK, remaining)
-        v = -np.log1p(-rng.random(take))
-        u = np.zeros(take)
-        for i, policy in enumerate(plan.action_atoms):
-            if masses[i] == 0.0:
-                continue
-            beta, beta_prime = policy.bid_and_slope(v)
-            weight = np.clip(beta, 0.0, 1.0) * ((beta - beta_prime) >= 0.0)
-            u += (coef[i] * v - masses[i] * (beta - beta_prime)) * weight
-        total += u.sum()
-        total_sq += (u * u).sum()
-        remaining -= take
-    utility = total / eval_samples
-    variance = max(0.0, total_sq / eval_samples - utility ** 2)
-    stderr = float(np.sqrt(variance / eval_samples))
+    a_stat, b_stat = expected_stats(_stack(plan.action_atoms))
+    utility = (gamma @ y) @ a_stat - plan.row_masses @ b_stat
     privacy = perspective_total(kl_divergence(), gamma, plan.prior.weights)
-    return StrategyEvaluation(float(utility), privacy, stderr)
+    return StrategyEvaluation(float(utility), privacy, 0.0)
 
 
 @dataclass(frozen=True)
@@ -451,21 +500,20 @@ class SweepResult:
 
 def sweep_lambda(model: AuctionModel, lambdas, runs: int,
                  steps: int = 1000, train_samples: int = 1000,
-                 eval_samples: int = 100_000,
                  config: Optional[DescentConfig] = None, seed: int = 0,
                  n_atoms: Optional[int] = None,
                  width: int = 100) -> SweepResult:
     """Train and evaluate per (lambda, run); aggregate the trade-off table.
 
-    Per-row standard errors combine the spread across runs with the mean
-    Monte-Carlo error of the evaluations.
+    Each run is evaluated exactly (`evaluate_strategy`), so the per-row
+    standard errors, sqrt(var / runs), come from the spread across runs
+    alone.
     """
     rows = []
     details = []
     for li, lam in enumerate(lambdas):
         utilities = []
         privacies = []
-        mc_vars = []
         for run in range(runs):
             train_seed = seeds.seed_for(seed, seeds.TRAIN_STEP, li, run)
             plan, trace = train_strategy(model, lam, n_atoms=n_atoms,
@@ -473,19 +521,16 @@ def sweep_lambda(model: AuctionModel, lambdas, runs: int,
                                          train_samples=train_samples,
                                          config=config, seed=train_seed,
                                          width=width)
-            eval_seed = seeds.seed_for(seed, seeds.EVAL, li, run)
-            evaluation = evaluate_strategy(plan, eval_samples, eval_seed)
+            evaluation = evaluate_strategy(plan)
             utilities.append(evaluation.utility)
             privacies.append(evaluation.privacy)
-            mc_vars.append(evaluation.utility_stderr ** 2)
             details.append(SweepRun(lam, run, plan, evaluation, trace))
         if not utilities:
             continue
         utilities = np.asarray(utilities)
         privacies = np.asarray(privacies)
         n_runs = len(utilities)
-        util_se = float(np.sqrt((utilities.var(ddof=0) + np.mean(mc_vars))
-                                / n_runs))
+        util_se = float(np.sqrt(utilities.var(ddof=0) / n_runs))
         priv_se = float(np.sqrt(privacies.var(ddof=0) / n_runs))
         rows.append(SweepRow(float(lam), float(utilities.mean()), util_se,
                              float(privacies.mean()), priv_se))

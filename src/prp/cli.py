@@ -56,6 +56,8 @@ class ExperimentConfig:
     # auctions
     steps: int = 1000
     train_samples: int = 1000
+    # no effect since evaluation is exact; still accepted because older
+    # manifests and the benchmark's sweep config set it
     eval_samples: int = 100_000
     n_atoms: int | None = None
     width: int = 100
@@ -205,7 +207,6 @@ def run_auctions(config: ExperimentConfig):
     model = AuctionModel(n_types=config.K)
     result = sweep_lambda(model, lambdas, config.runs, steps=config.steps,
                           train_samples=config.train_samples,
-                          eval_samples=config.eval_samples,
                           config=config.descent(config.steps),
                           seed=config.seed, n_atoms=config.n_atoms,
                           width=config.width)

@@ -22,12 +22,15 @@ The ones term fixes the gauge (psi + c gives the same plan); the |g|_inf
 term keeps the matrix positive definite when rows become one-hot at small
 lam.  A step psi + t d, backtracking from t = 1, is taken when it passes
 the Armijo test on G or lowers |g|_inf: near the optimum at |C|/lam ~ 1e3,
-G cannot resolve the gain in floating point.  At |g|_inf < tol the solve
-makes one row and one column update, so the columns are exact and the
-marginal error is the row error.  Zero-weight rows and columns stay out of
-the Newton system.  The solve works on potentials only, so it runs at any
-lam (the u and v it returns may overflow).  A solve may start from the
-log v of an earlier solve; the descent loops pass it on from step to step.
+G cannot resolve the gain in floating point.  For the same reason a tol
+below the rounding floor of |g|_inf is never met, so the solve also stops
+after a run of accepted steps without a new lowest |g|_inf.  At
+|g|_inf < tol the solve makes one row and one column update, so the
+columns are exact and the marginal error is the row error.  Zero-weight
+rows and columns stay out of the Newton system.  The solve works on
+potentials only, so it runs at any lam (the u and v it returns may
+overflow).  A solve may start from the log v of an earlier solve; the
+descent loops pass it on from step to step.
 
 Gradients come from the envelope theorem at the converged coupling, with
 no differentiation through the iterations (Feydy et al., AISTATS 2019;
@@ -62,6 +65,11 @@ _LOG_DOMAIN_EXPONENT = 690.0  # |C|/lam beyond this puts exp(-C/lam) under 1e-30
 _ARMIJO = 1e-4       # sufficient ascent of G, per unit of t <g, d>
 _DAMPING = 0.1       # weight of |g|_inf I in the Newton system
 _MIN_STEP = 2.0 ** -30   # backtracking gives up below this step length
+# accepted steps without a new lowest |g|_inf after which the solve stops:
+# at the rounding floor of the column error both acceptance tests pass by
+# chance and the steps wander.  Far from the optimum, damped steps can gain
+# on G alone for up to 85 steps (a cold 3x3 solve at lam=1e-3).
+_STALL = 100
 
 
 @dataclass
@@ -140,13 +148,17 @@ def _semi_dual(log_kernel, alpha, beta, psi):
 def _newton(log_kernel, alpha, beta, psi, max_iter: int, tol: float):
     """Damped Newton ascent of G from psi, all weights positive.
 
-    Returns the last psi, the number of steps taken and whether |g|_inf
-    fell below tol.
+    Stops at |g|_inf < tol, after max_iter steps, when no step gains, or
+    after _STALL accepted steps without a new lowest |g|_inf.  Returns the
+    last psi, the number of steps taken and whether |g|_inf fell below
+    tol.
     """
     value, g, p, q = _semi_dual(log_kernel, alpha, beta, psi)
     size = np.abs(g).max()
+    best, since = size, 0
     steps = 0
-    while steps < max_iter and size >= tol and size > 0.0:
+    while (steps < max_iter and size >= tol and size > 0.0
+           and since < _STALL):
         col = p.sum(axis=0)
         system = (np.diag(col + _DAMPING * size) - p.T @ q
                   + col.mean() / col.size)
@@ -166,6 +178,7 @@ def _newton(log_kernel, alpha, beta, psi, max_iter: int, tol: float):
         value, g, p, q = state
         size = np.abs(g).max()
         steps += 1
+        best, since = (size, 0) if size < best else (best, since + 1)
     return psi, steps, size < tol
 
 

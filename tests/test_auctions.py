@@ -186,6 +186,68 @@ def test_training_gradient_matches_expected_statistics(index):
             assert abs(directional - fd) <= 0.01 * max(1.0, abs(fd))
 
 
+def oracle_stats(policy):
+    return oracles.expected_bid_stats(policy.weights, policy.biases,
+                                      policy.out_weights, policy.out_bias)
+
+
+def exact_stats(policy):
+    a_stat, b_stat = auctions.expected_stats(auctions._stack([policy]))
+    return float(a_stat[0]), float(b_stat[0])
+
+
+def relu_policy(weights, biases, out_weights, out_bias):
+    return BidPolicy(np.array(weights, dtype=float),
+                     np.array(biases, dtype=float),
+                     np.array(out_weights, dtype=float), float(out_bias))
+
+
+def test_dead_policy_has_exactly_zero_statistics():
+    # beta <= 0 on [0, inf): one unit pulls down, the other is never on
+    dead = relu_policy([1.0, -1.0], [0.0, -0.5], [-0.3, 2.0], -0.01)
+    assert exact_stats(dead) == (0.0, 0.0)
+
+
+def test_constant_bid_statistics_are_analytic():
+    # G(c) = c and h = c, so A = c E[v] = c and B = c^2; revenue c (y - c)
+    c, y = 0.3, 0.7
+    a_stat, b_stat = exact_stats(constant_policy(c))
+    assert a_stat == pytest.approx(c, abs=1e-15)
+    assert b_stat == pytest.approx(c * c, abs=1e-15)
+    assert y * a_stat - b_stat == pytest.approx(c * (y - c), abs=1e-15)
+
+
+@pytest.mark.parametrize("policy", [
+    # kinks at v < 0 and v = 0: both units are on for every v > 0
+    relu_policy([1.0, 2.0], [0.2, 0.0], [0.3, 0.1], 0.05),
+    # w_j = 0: a constant unit that is on and one that is never on
+    relu_policy([0.0, 0.0, 0.6], [0.3, -0.2, -0.3], [0.5, 4.0, 0.7], 0.0),
+    # w_j < 0: bids fall to a flat p = 0 piece beyond the kink at 1.5
+    relu_policy([-0.9], [1.35], [1.0], 0.05),
+    # saturation: beta crosses 1 at v = 0.825 and stays above
+    relu_policy([1.0], [-0.2], [0.8], 0.5),
+    # flat, rising, flat: p = 0 on [0, 0.5] and [1.5, inf), with h = 0 at 1
+    relu_policy([1.0, 1.0], [-0.5, -1.5], [0.4, -0.4], 0.2),
+    # a unit with zero output weight adds a kink that leaves beta unchanged
+    relu_policy([1.0, 1.0], [-0.3, -0.3], [0.5, 0.0], 0.1),
+], ids=["kinks-at-or-below-0", "zero-slopes", "negative-slope",
+        "saturated", "flat-pieces", "idle-kink"])
+def test_expected_statistics_match_quadrature_on_edge_cases(policy):
+    assert exact_stats(policy) == pytest.approx(oracle_stats(policy),
+                                                abs=1e-12)
+
+
+def test_expected_statistics_match_quadrature_on_random_policies():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        width = int(rng.integers(1, 31))
+        policy = relu_policy(rng.normal(size=width), rng.normal(size=width),
+                             rng.normal(size=width) / np.sqrt(width),
+                             rng.uniform(-0.1, 0.5))
+        assert exact_stats(policy) == pytest.approx(oracle_stats(policy),
+                                                    abs=1e-10)
+
+
 def make_policy_plan(gamma, prior_weights, policies=None):
     gamma = np.asarray(gamma, dtype=float)
     n, k = gamma.shape
@@ -200,14 +262,14 @@ def make_policy_plan(gamma, prior_weights, policies=None):
 def test_product_plan_has_exactly_zero_privacy():
     prior = np.full(4, 0.25)
     plan = make_policy_plan(np.outer([0.5, 0.2, 0.2, 0.1], prior), prior)
-    result = evaluate_strategy(plan, eval_samples=20_000, seed=11)
+    result = evaluate_strategy(plan)
     assert result.privacy == 0.0
 
 
 def test_diagonal_plan_privacy_is_log_two():
     prior = np.array([0.5, 0.5])
     plan = make_policy_plan(np.diag(prior), prior)
-    result = evaluate_strategy(plan, eval_samples=20_000, seed=12)
+    result = evaluate_strategy(plan)
     assert result.privacy == pytest.approx(math.log(2.0), abs=1e-12)
 
 
@@ -216,12 +278,12 @@ def test_evaluation_utility_matches_direct_revenue_sum():
     policies = [affine_policy(0.5, 0.1), affine_policy(0.8, 0.05)]
     gamma = np.array([[0.3, 0.1], [0.2, 0.4]])
     plan = make_policy_plan(gamma, prior, policies)
-    seed, n = 13, 200_000
-    result = evaluate_strategy(plan, eval_samples=n, seed=seed)
-    direct = sum(gamma[i, k] * revenue(policies[i], plan.type_atoms[k], n, seed)
+    result = evaluate_strategy(plan)
+    stats = [oracle_stats(p) for p in policies]
+    direct = sum(gamma[i, k] * (plan.type_atoms[k] * stats[i][0] - stats[i][1])
                  for i in range(2) for k in range(2))
-    assert result.utility == pytest.approx(direct, abs=1e-12)
-    assert result.utility_stderr > 0.0
+    assert result.utility == pytest.approx(direct, abs=1e-10)
+    assert result.utility_stderr == 0.0
 
 
 def test_dominant_map_identity_on_diagonal_plan():
@@ -296,7 +358,7 @@ def test_single_type_training_has_identically_zero_privacy():
     model = AuctionModel(n_types=1)
     plan, trace = train_strategy(model, lam=0.5, steps=60, train_samples=300,
                                  config=DescentConfig(), seed=2, width=20)
-    result = evaluate_strategy(plan, eval_samples=20_000, seed=3)
+    result = evaluate_strategy(plan)
     assert result.privacy == pytest.approx(0.0, abs=1e-12)
     assert np.isfinite(trace).all()
 
@@ -319,10 +381,10 @@ def test_training_is_deterministic():
 def test_sweep_handles_empty_and_single_grids():
     model = AuctionModel(n_types=3)
     empty = sweep_lambda(model, [], runs=1, steps=5, train_samples=100,
-                         eval_samples=1000, seed=6, width=8)
+                         seed=6, width=8)
     assert empty.rows == []
     single = sweep_lambda(model, [0.5], runs=2, steps=5, train_samples=100,
-                          eval_samples=1000, seed=6, width=8)
+                          seed=6, width=8)
     assert len(single.rows) == 1
     assert single.rows[0].lam == 0.5
     assert len(single.runs) == 2

@@ -28,6 +28,24 @@ def test_toy_manifest_reproduces_both_csvs(tmp_path):
     assert methods == set(cli.toy.METHODS)
 
 
+def test_sweep_manifest_reproduces_every_csv(tmp_path):
+    # eval_samples has no effect since evaluation is exact, but older
+    # manifests carry it
+    sweep = {"kind": "sweep", "K": 3, "lambdas": [0.1], "runs": 2,
+             "steps": 5, "width": 8, "train_samples": 100,
+             "eval_samples": 1000, "seed": 4}
+    assert run(tmp_path, sweep, "first") == 0
+    manifest = tmp_path / "first" / "manifest.json"
+    assert cli.main(["sweep", "--config", str(manifest),
+                     "--out", str(tmp_path / "second")]) == 0
+    names = sorted(p.name for p in (tmp_path / "first").glob("*.csv"))
+    assert names == ["bidcurves_lam0.1.csv", "heatmap_lam0.1.csv",
+                     "tradeoff.csv"]
+    for name in names:
+        first = (tmp_path / "first" / name).read_bytes()
+        assert first == (tmp_path / "second" / name).read_bytes()
+
+
 @pytest.mark.parametrize("doc", [
     {**TOY, "unroll_iters": 100},
     {"kind": "toy", "methods": ["prp-adam"], "divergence": "reverse_kl"},

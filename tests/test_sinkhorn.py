@@ -362,6 +362,17 @@ def test_capped_solve_warns():
     assert result.marginal_error > problem.tol
 
 
+def test_tolerance_below_the_rounding_floor_stops_on_the_stall():
+    # at tol 1e-14 this solve converges in 58 steps; at 1e-15, below the
+    # rounding floor of the column error, it used to run all 5000 steps
+    problem = random_problem(np.random.default_rng(11), 6, 4, 1e-3)
+    problem.max_iter, problem.tol = 5000, 1e-15
+    with pytest.warns(RuntimeWarning, match=r"lam=0\.001 .*Newton steps"):
+        result = solve_sinkhorn(problem)
+    assert result.iterations < 200
+    assert result.marginal_error < 1e-13
+
+
 def test_toy_step_solves_take_few_newton_steps(monkeypatch):
     step_solve, steps = sinkhorn.step_solve, []
 
