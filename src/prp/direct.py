@@ -39,12 +39,13 @@ def kl_plan_objective(gamma, cost_matrix, prior_weights, lam: float):
     cost_matrix = np.asarray(cost_matrix, dtype=float)
     prior_weights = np.asarray(prior_weights, dtype=float)
     ref = gamma.sum(axis=1)[:, None] * prior_weights[None, :] + _EPS
-    log_ratio = np.log((gamma + _EPS) / ref)
-    privacy = np.sum(gamma * log_ratio)
+    shifted = gamma + _EPS
+    log_ratio = np.log(shifted / ref)
+    privacy = (gamma * log_ratio).sum()
     row_term = (gamma * prior_weights[None, :] / ref).sum(axis=1)
-    grad = cost_matrix + lam * (log_ratio + gamma / (gamma + _EPS)
+    grad = cost_matrix + lam * (log_ratio + gamma / shifted
                                 - row_term[:, None])
-    return float(np.sum(gamma * cost_matrix) + privacy * lam), grad
+    return float((gamma * cost_matrix).sum() + privacy * lam), grad
 
 
 def minimize_direct(prior_weights, type_atoms, cost: CostOracle, lam: float,
@@ -55,8 +56,11 @@ def minimize_direct(prior_weights, type_atoms, cost: CostOracle, lam: float,
     """Descend the plan objective jointly in (gamma, atoms).
 
     Starts from the non-revealing product coupling with uniformly random
-    atoms in the cost box.  Returns the final feasible plan and the
-    per-step objective trace.
+    atoms in the cost box.  Returns a feasible plan and the per-step
+    objective trace: trace[t] is the objective of the iterate that step t
+    starts from, so the trace keeps every step even where the descent goes
+    uphill.  The plan is the final iterate unless an earlier iterate of the
+    trace has a lower objective, in which case it is the best of those.
     """
     divergence = divergence or kl_divergence()
     if divergence.name != "kl":
@@ -70,21 +74,31 @@ def minimize_direct(prior_weights, type_atoms, cost: CostOracle, lam: float,
     k = prior_weights.size
     n = n_atoms if n_atoms is not None else k + 2
     bounds = np.asarray(cost.bounds, dtype=float)
+    lower, upper = bounds[:, 0], bounds[:, 1]
     rng = np.random.default_rng(seed)
-    atoms = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n, bounds.shape[0]))
+    atoms = rng.uniform(lower, upper, size=(n, bounds.shape[0]))
     gamma = np.tile(prior_weights / n, (n, 1))
-    opt_gamma = make_optimizer(config.method, config.lr_weights, [gamma])
-    opt_atoms = make_optimizer(config.method, config.lr_atoms, [atoms])
+    # one optimizer state over the packed vector (gamma, atoms)
+    split = gamma.size
+    lr = np.repeat([config.lr_weights, config.lr_atoms], [split, atoms.size])
+    state = make_optimizer(config.method, lr, [lr])
     trace = np.empty(config.steps)
+    best_value, best = np.inf, None
     for step in range(config.steps):
         matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms_arr)
         trace[step], grad_gamma = kl_plan_objective(gamma, matrix,
                                                     prior_weights, lam)
-        grad_atoms = adjoint(gamma)
-        (gamma,) = optimizer_step(opt_gamma, [gamma], [grad_gamma])
-        gamma = project_columns(gamma, prior_weights)
-        (atoms,) = optimizer_step(opt_atoms, [atoms], [grad_atoms])
-        atoms = project_box(atoms, bounds[:, 0], bounds[:, 1])
+        if trace[step] < best_value:
+            best_value, best = trace[step], (gamma, atoms)
+        (packed,) = optimizer_step(
+            state, [np.concatenate((gamma.ravel(), atoms.ravel()))],
+            [np.concatenate((grad_gamma.ravel(), adjoint(gamma).ravel()))])
+        gamma = project_columns(packed[:split].reshape(gamma.shape),
+                                prior_weights)
+        atoms = project_box(packed[split:].reshape(atoms.shape), lower, upper)
+    matrix, _ = cost_with_adjoint(cost, atoms, type_atoms_arr)
+    if kl_plan_objective(gamma, matrix, prior_weights, lam)[0] > best_value:
+        gamma, atoms = best
     prior = DiscreteDistribution(list(type_atoms_arr), prior_weights)
     plan = TransportPlan(gamma, list(atoms), list(type_atoms_arr), prior)
     return plan, trace

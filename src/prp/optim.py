@@ -24,39 +24,37 @@ def project_simplex(v, total: float = 1.0, floor: float = 0.0) -> np.ndarray:
         if slack <= 0.0:
             raise ValueError("floor leaves no mass to distribute")
         return floor + slack * project_simplex((v - floor) / slack)
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u) - total
-    rho = np.nonzero(u - cumulative / np.arange(1, v.size + 1) > 0.0)[0][-1]
-    w = np.maximum(v - cumulative[rho] / (rho + 1.0), 0.0)
-    s = w.sum()
-    # renormalize last so the output lies on the simplex exactly
-    return w * (total / s) if s > 0.0 else np.full(v.size, total / v.size)
+    return project_columns(v, total)
 
 
 def project_box(v, lower, upper) -> np.ndarray:
     """Componentwise clamp onto the box [lower, upper]."""
-    return np.clip(np.asarray(v, dtype=float), lower, upper)
+    return np.minimum(np.maximum(np.asarray(v, dtype=float), lower), upper)
 
 
 def project_columns(matrix, totals) -> np.ndarray:
-    """Project each column k of an (n, K) matrix onto {w >= 0, sum w = totals[k]}."""
+    """Project each column k of an (n, K) matrix onto {w >= 0, sum w = totals[k]}.
+
+    A vector of length n with a scalar total is projected as one column.
+    With u a column sorted in decreasing order and S_j its partial sums, the
+    projection is max(m - theta, 0) at theta = max_j (S_j - total) / j
+    (Duchi et al., ICML 2008).  Each column is then rescaled onto its total
+    so the output lies on the scaled simplex exactly.
+    """
     m = np.asarray(matrix, dtype=float)
     totals = np.asarray(totals, dtype=float)
-    n, cols = m.shape
-    u = -np.sort(-m, axis=0)
-    cumulative = np.cumsum(u, axis=0) - totals[None, :]
-    ranks = np.arange(1, n + 1)[:, None]
-    cond = u - cumulative / ranks > 0.0
-    rho = n - 1 - np.argmax(cond[::-1, :], axis=0)
-    theta = cumulative[rho, np.arange(cols)] / (rho + 1.0)
-    w = np.maximum(m - theta[None, :], 0.0)
+    n = m.shape[0]
+    ranks = np.arange(1.0, n + 1.0).reshape((n,) + (1,) * (m.ndim - 1))
+    partial = np.cumsum(np.sort(m, axis=0)[::-1], axis=0) - totals
+    w = np.maximum(m - (partial / ranks).max(axis=0), 0.0)
     s = w.sum(axis=0)
-    safe = s > 0.0
-    scale = np.where(safe, totals / np.where(safe, s, 1.0), 0.0)
-    w = w * scale[None, :]
-    if not safe.all():
-        w[:, ~safe] = totals[~safe] / n
-    return w
+    dead = ~(s > 0.0)
+    if dead.any():
+        # the total is below the rounding of the largest entry: the limit
+        # of the projection shares it among the column's maximal entries
+        w = np.where(dead, m == m.max(axis=0), w)
+        s = w.sum(axis=0)
+    return w * (totals / s)
 
 
 @dataclass
@@ -79,13 +77,21 @@ class OptimizerState:
     """First-order update state; accumulators mirror the parameter shapes."""
 
     method: str                    # adam | rmsprop | pgd
-    lr: float
+    lr: float | np.ndarray
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
     t: int = 0
 
 
-def make_optimizer(method: str, lr: float, params: Sequence[np.ndarray]) -> OptimizerState:
+def make_optimizer(method: str, lr, params: Sequence[np.ndarray]) -> OptimizerState:
+    """Fresh state for `optimizer_step` on parameters shaped like `params`.
+
+    `lr` is a scalar or an array that broadcasts against every parameter.
+    All three updates are elementwise, so one state over a concatenated
+    vector with a per-entry `lr` takes bit for bit the steps of separate
+    states over the pieces; the descent loops pack their weights and atoms
+    that way to make one update call per step.
+    """
     if method not in ("adam", "rmsprop", "pgd"):
         raise ValueError(f"unknown optimizer {method!r}")
     zeros = [np.zeros_like(np.asarray(p, dtype=float)) for p in params]

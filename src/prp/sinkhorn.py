@@ -24,13 +24,19 @@ lam.  A step psi + t d, backtracking from t = 1, is taken when it passes
 the Armijo test on G or lowers |g|_inf: near the optimum at |C|/lam ~ 1e3,
 G cannot resolve the gain in floating point.  For the same reason a tol
 below the rounding floor of |g|_inf is never met, so the solve also stops
-after a run of accepted steps without a new lowest |g|_inf.  At
-|g|_inf < tol the solve makes one row and one column update, so the
-columns are exact and the marginal error is the row error.  Zero-weight
-rows and columns stay out of the Newton system.  The solve works on
-potentials only, so it runs at any lam (the u and v it returns may
-overflow).  A solve may start from the log v of an earlier solve; the
-descent loops pass it on from step to step.
+after a run of accepted steps without a new lowest |g|_inf.  The solve
+ends with one column update of the row-exact plan P at the last psi:
+with r = beta / colsum(P) the plan is P diag(r) and psi moves by log r,
+so the columns are exact and the marginal error is the row error.  On
+its support C + lam log(plan / (alpha x beta)) = lam (phi - log alpha +
+psi - log beta), so the loss is
+
+    L = lam (<rowsum(plan), phi - log alpha> + <beta, psi - log beta>)
+
+with no logarithm of the plan.  Zero-weight rows and columns stay out of
+the Newton system.  The solve works on potentials only, so it runs at any
+lam (the u and v it returns may overflow).  A solve may start from the
+log v of an earlier solve; the descent loops pass it on from step to step.
 
 Gradients come from the envelope theorem at the converged coupling, with
 no differentiation through the iterations (Feydy et al., AISTATS 2019;
@@ -111,29 +117,9 @@ class SinkhornResult:
     grad_alpha: np.ndarray   # envelope gradient dL/dalpha; dL/dC is the plan
 
 
-def _plan_loss(plan, alpha, beta, cost_matrix, lam) -> float:
-    """Transport cost plus lam * KL(plan || alpha x beta), with 0 log 0 := 0."""
-    mask = plan > 0.0
-    ref = np.outer(alpha, beta)
-    logs = np.log(np.where(mask, plan, 1.0)) - np.log(np.where(mask, ref, 1.0))
-    return float((cost_matrix * plan).sum() + lam * (plan * logs)[mask].sum())
-
-
-def _marginal_error(plan, alpha, beta) -> float:
-    row = np.abs(plan.sum(axis=1) - alpha).max(initial=0.0)
-    col = np.abs(plan.sum(axis=0) - beta).max(initial=0.0)
-    return float(max(row, col))
-
-
-def _logsumexp(m, axis):
-    shift = np.max(m, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(m - shift).sum(axis=axis)) + np.squeeze(shift, axis=axis)
-
-
 def _semi_dual(log_kernel, alpha, beta, psi):
-    """G(psi), its gradient g, the row-exact plan P and Q = P / alpha."""
+    """G(psi), its gradient g, the row-exact plan P, Q = P / alpha and the
+    row log-sums lse_j(log K_ij + psi_j)."""
     m = log_kernel + psi
     shift = m.max(axis=1)
     e = np.exp(m - shift[:, None])
@@ -141,8 +127,8 @@ def _semi_dual(log_kernel, alpha, beta, psi):
     # e / mass, not exp(m - lse): its rounding does not grow with |psi|
     q = e / mass[:, None]
     p = alpha[:, None] * q
-    return (beta @ psi - alpha @ (np.log(mass) + shift), beta - p.sum(axis=0),
-            p, q)
+    lse = np.log(mass) + shift
+    return beta @ psi - alpha @ lse, beta - p.sum(axis=0), p, q, lse
 
 
 def _newton(log_kernel, alpha, beta, psi, max_iter: int, tol: float):
@@ -150,18 +136,19 @@ def _newton(log_kernel, alpha, beta, psi, max_iter: int, tol: float):
 
     Stops at |g|_inf < tol, after max_iter steps, when no step gains, or
     after _STALL accepted steps without a new lowest |g|_inf.  Returns the
-    last psi, the number of steps taken and whether |g|_inf fell below
-    tol.
+    last psi, the row-exact plan P and the row log-sums there, the number
+    of steps taken and whether |g|_inf fell below tol.
     """
-    value, g, p, q = _semi_dual(log_kernel, alpha, beta, psi)
+    value, g, p, q, lse = _semi_dual(log_kernel, alpha, beta, psi)
     size = np.abs(g).max()
     best, since = size, 0
     steps = 0
     while (steps < max_iter and size >= tol and size > 0.0
            and since < _STALL):
         col = p.sum(axis=0)
-        system = (np.diag(col + _DAMPING * size) - p.T @ q
-                  + col.mean() / col.size)
+        system = -(p.T @ q)
+        system.flat[::col.size + 1] += col + _DAMPING * size
+        system += col.mean() / col.size
         d = np.linalg.solve(system, g)
         slope = g @ d
         t = 1.0
@@ -175,11 +162,11 @@ def _newton(log_kernel, alpha, beta, psi, max_iter: int, tol: float):
         else:
             break   # no step gains on G or |g|_inf at rounding level
         psi = trial
-        value, g, p, q = state
+        value, g, p, q, lse = state
         size = np.abs(g).max()
         steps += 1
         best, since = (size, 0) if size < best else (best, since + 1)
-    return psi, steps, size < tol
+    return psi, p, lse, steps, size < tol
 
 
 def solve_sinkhorn(problem: SinkhornProblem, init_log_v=None) -> SinkhornResult:
@@ -191,29 +178,39 @@ def solve_sinkhorn(problem: SinkhornProblem, init_log_v=None) -> SinkhornResult:
     """
     alpha, beta, lam = problem.alpha, problem.beta, problem.lam
     log_kernel = -problem.cost_matrix / lam
-    rows, cols = alpha > 0.0, beta > 0.0
+    rows, cols = (alpha > 0.0).nonzero()[0], (beta > 0.0).nonzero()[0]
+    support = rows[:, None], cols
+    a, b = alpha[rows], beta[cols]
     start = (np.zeros(beta.size) if init_log_v is None
              else np.asarray(init_log_v, dtype=float))
-    psi = np.full(beta.size, -np.inf)
-    psi[cols], steps, converged = _newton(
-        log_kernel[np.ix_(rows, cols)], alpha[rows], beta[cols], start[cols],
-        problem.max_iter, problem.tol)
-    with np.errstate(divide="ignore"):
-        phi = np.log(alpha) - _logsumexp(log_kernel + psi, axis=1)
-        psi = np.log(beta) - _logsumexp(log_kernel + phi[:, None], axis=0)
-    f = -_logsumexp(log_kernel + psi, axis=1)   # -log(K v)
-    plan = np.exp(phi[:, None] + psi + log_kernel)
-    error = _marginal_error(plan, alpha, beta)
+    psi, p, lse, steps, converged = _newton(
+        log_kernel[support], a, b, start[cols], problem.max_iter, problem.tol)
+    # the column update from the row-exact plan P: plan = P r, psi + log r
+    r = b / p.sum(axis=0)
+    core = p * r
+    psi = psi + np.log(r)
+    row_mass = core.sum(axis=1)
+    # C + lam log(plan / (alpha x beta)) = lam (phi - log a + psi - log b)
+    loss = lam * (row_mass @ -lse + b @ (psi - np.log(b)))
+    error = float(max(np.abs(row_mass - a).max(),
+                      np.abs(core.sum(axis=0) - b).max()))
+    plan = np.zeros(problem.cost_matrix.shape)
+    plan[support] = core
+    phi = np.full(alpha.size, -np.inf)
+    phi[rows] = np.log(a) - lse
+    log_v = np.full(beta.size, -np.inf)
+    log_v[cols] = psi
+    m = log_kernel[:, cols] + psi
+    shift = m.max(axis=1)
+    f = -np.log(np.exp(m - shift[:, None]).sum(axis=1)) - shift  # -log(K v)
     if not converged:
         warnings.warn(f"Sinkhorn solve at lam={lam:g} stopped after {steps} "
                       f"Newton steps with marginal error {error:.3g}",
                       RuntimeWarning, stacklevel=2)
     with np.errstate(over="ignore"):
-        u, v = np.exp(phi), np.exp(psi)
-    return SinkhornResult(plan, u, v, phi, psi,
-                          _plan_loss(plan, alpha, beta, problem.cost_matrix,
-                                     lam),
-                          steps, error, lam * (f - f @ alpha - 1.0))
+        u, v = np.exp(phi), np.exp(log_v)
+    return SinkhornResult(plan, u, v, phi, log_v, float(loss), steps, error,
+                          lam * (f - f @ alpha - 1.0))
 
 
 # unused by prp; kept because bench/tracing.py reads it
@@ -280,11 +277,14 @@ def minimize_sinkhorn(prior_weights, type_atoms, cost: CostOracle, lam: float,
     if n < 1:
         raise ValueError("need at least one action atom")
     bounds = np.asarray(cost.bounds, dtype=float)
+    lower, upper = bounds[:, 0], bounds[:, 1]
     rng = np.random.default_rng(seed)
-    atoms = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n, bounds.shape[0]))
+    atoms = rng.uniform(lower, upper, size=(n, bounds.shape[0]))
     alpha = np.full(n, 1.0 / n)
-    opt_alpha = make_optimizer(config.method, config.lr_weights, [alpha])
-    opt_atoms = make_optimizer(config.method, config.lr_atoms, [atoms])
+    floor = min(1e-6, 0.1 / n)
+    # one optimizer state over the packed vector (alpha, atoms)
+    lr = np.repeat([config.lr_weights, config.lr_atoms], [n, atoms.size])
+    state = make_optimizer(config.method, lr, [lr])
     trace = np.empty(config.steps)
     log_v = None
     for step in range(config.steps):
@@ -292,10 +292,12 @@ def minimize_sinkhorn(prior_weights, type_atoms, cost: CostOracle, lam: float,
         result = step_solve(alpha, matrix, prior_weights, lam, log_v)
         log_v = result.log_v
         trace[step] = result.loss
-        (alpha,) = optimizer_step(opt_alpha, [alpha], [result.grad_alpha])
-        alpha = project_simplex(alpha, floor=min(1e-6, 0.1 / n))
-        (atoms,) = optimizer_step(opt_atoms, [atoms], [adjoint(result.plan)])
-        atoms = project_box(atoms, bounds[:, 0], bounds[:, 1])
+        grad = np.concatenate((result.grad_alpha,
+                               adjoint(result.plan).ravel()))
+        (packed,) = optimizer_step(
+            state, [np.concatenate((alpha, atoms.ravel()))], [grad])
+        alpha = project_simplex(packed[:n], floor=floor)
+        atoms = project_box(packed[n:].reshape(atoms.shape), lower, upper)
     matrix, _ = cost_with_adjoint(cost, atoms, type_atoms_arr)
     result = solve_sinkhorn(SinkhornProblem(alpha, prior_weights, matrix, lam),
                             log_v)

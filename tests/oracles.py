@@ -124,11 +124,11 @@ def grid_minimize_objective(cost, prior, div_name, lam, base_resolution=6,
 # entropic-transport value by grid search over couplings with both marginals
 
 def coupling_loss(plan, alpha, beta, cost, lam) -> float:
+    """Transport cost plus lam * KL(plan || alpha x beta), with 0 log 0 := 0."""
     mask = plan > 0.0
     ref = np.outer(alpha, beta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = np.where(mask, plan * np.log(plan / ref), 0.0)
-    return float((cost * plan).sum() + lam * np.nan_to_num(ent).sum())
+    logs = np.log(np.where(mask, plan, 1.0)) - np.log(np.where(mask, ref, 1.0))
+    return float((cost * plan).sum() + lam * (plan * logs)[mask].sum())
 
 
 def _complete_coupling(blocks, alpha, beta):
@@ -211,6 +211,71 @@ def sinkhorn_scaling(alpha, beta, cost, lam, tol=1e-13, max_iter=1_000_000):
         raise RuntimeError("scaling iteration did not converge")
     f = -np.log(kernel @ v)
     return u[:, None] * kernel * v[None, :], lam * (f - f @ alpha - 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the finish of a Sinkhorn solve, by logsumexp passes from its row potential
+
+def sinkhorn_finish(log_u, alpha, beta, cost, lam):
+    """Plan, loss and envelope gradient in alpha from the row potential.
+
+    The last two of the three logsumexp passes a scaling solve ends with:
+    the column update psi = log beta - lse_i(log K + phi), the plan
+    exp(phi + psi + log K), its loss by `coupling_loss`, and the gradient
+    lam * (f - <f, alpha> - 1) with f = -lse_j(log K + psi).
+    """
+    from scipy.special import logsumexp
+
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    log_kernel = -np.asarray(cost, dtype=float) / lam
+    with np.errstate(divide="ignore"):
+        psi = np.log(beta) - logsumexp(log_kernel + log_u[:, None], axis=0)
+    plan = np.exp(log_u[:, None] + psi + log_kernel)
+    f = -logsumexp(log_kernel + psi, axis=1)
+    return (plan, coupling_loss(plan, alpha, beta, cost, lam),
+            lam * (f - f @ alpha - 1.0))
+
+
+# ---------------------------------------------------------------------------
+# column projection by rank search
+
+def project_columns_rank_search(matrix, totals) -> np.ndarray:
+    """Columnwise simplex projection that finds the rank of the threshold.
+
+    rho is the last rank j with u_j > (S_j - total) / j over the decreasing
+    sort u and its partial sums S, and theta = (S_rho - total) / rho.
+    """
+    m = np.asarray(matrix, dtype=float)
+    totals = np.asarray(totals, dtype=float)
+    n, cols = m.shape
+    u = -np.sort(-m, axis=0)
+    cumulative = np.cumsum(u, axis=0) - totals[None, :]
+    ranks = np.arange(1, n + 1)[:, None]
+    cond = u - cumulative / ranks > 0.0
+    rho = n - 1 - np.argmax(cond[::-1, :], axis=0)
+    theta = cumulative[rho, np.arange(cols)] / (rho + 1.0)
+    w = np.maximum(m - theta[None, :], 0.0)
+    s = w.sum(axis=0)
+    safe = s > 0.0
+    scale = np.where(safe, totals / np.where(safe, s, 1.0), 0.0)
+    w = w * scale[None, :]
+    if not safe.all():
+        w[:, ~safe] = totals[~safe] / n
+    return w
+
+
+def project_column_exact(v, total) -> np.ndarray:
+    """Simplex projection of one column in rational arithmetic, then rounded."""
+    from fractions import Fraction
+
+    v = [Fraction(x) for x in v]
+    partial, theta = Fraction(0), None
+    for j, x in enumerate(sorted(v, reverse=True), start=1):
+        partial += x
+        c = (partial - Fraction(total)) / j
+        theta = c if theta is None else max(theta, c)
+    return np.array([float(max(x - theta, 0)) for x in v])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prp import seeds, toy
 from prp.direct import kl_plan_objective, minimize_direct
 from prp.divergences import kl_divergence, total_variation
 from prp.measures import (DiscreteDistribution, TransportPlan,
@@ -135,3 +136,32 @@ def test_final_plan_is_feasible():
     assert plan.gamma.min() >= 0.0
     assert np.abs(plan.gamma.sum(axis=0) - prior).max() < 1e-12
     assert np.abs(np.asarray(plan.action_atoms)).max() <= 1.0 + 1e-12
+
+
+def test_returns_the_best_iterate_when_the_last_step_is_worse():
+    # benchmark toy instance (CLI toy seed 1587083764, d=2, K=5, lam=0.1,
+    # 100 iterations): the final rmsprop iterate scores -0.24169, above
+    # the non-revealing plan, while an earlier iterate reached -0.74783
+    result = toy.run_benchmark(2, 5, 0.1, ["prp-adam", "prp-rms"], runs=1,
+                               iterations=100, seed=1587083764)
+    instance = toy.sample_instance(
+        2, 5, seeds.rng_for(1587083764, seeds.INSTANCE, 0))
+    non_revealing = -np.abs(instance.prior_weights
+                            @ instance.type_atoms).sum()
+    assert non_revealing == pytest.approx(-0.34819, abs=1e-5)
+    final = result.finals["prp-rms"][0]
+    assert final == pytest.approx(-0.74783, abs=1e-5)
+    assert final < non_revealing
+
+
+def test_best_iterate_is_the_trace_minimum_and_the_trace_is_per_step():
+    rng = np.random.default_rng(9)
+    y, prior = random_instance(rng, k=4)
+    cost = linear_cost(BOUNDS)
+    config = DescentConfig(method="rmsprop", steps=60, lr_weights=0.3)
+    plan, trace = minimize_direct(prior, y, cost, lam=0.1, config=config,
+                                  seed=2)
+    value = prp_objective(plan, cost, kl_divergence(), 0.1)
+    assert len(trace) == 60
+    assert value <= trace.min() + 1e-12
+    assert np.diff(trace).max() > 0.0   # the descent did go uphill

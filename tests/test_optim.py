@@ -83,6 +83,82 @@ def test_column_projection_matches_per_column():
                            atol=1e-12)
 
 
+def test_column_projection_equals_rank_search_on_continuous_inputs():
+    # the closed-form threshold max_j (S_j - total) / j picks the same
+    # value as the rank search, so the results agree bit for bit
+    rng = np.random.default_rng(21)
+    for _ in range(10_000):
+        n, k = rng.integers(1, 9), rng.integers(1, 6)
+        m = rng.normal(size=(n, k)) * rng.choice([0.01, 1.0, 100.0])
+        totals = rng.dirichlet(np.ones(k)) * rng.choice([1e-3, 1.0, 10.0])
+        assert np.array_equal(project_columns(m, totals),
+                              oracles.project_columns_rank_search(m, totals))
+
+
+def tied_columns(rng, scale):
+    n, k = rng.integers(2, 9), rng.integers(1, 6)
+    m = rng.integers(-3, 4, size=(n, k)) * scale
+    if rng.random() < 0.3:
+        m[rng.integers(n)] = m[rng.integers(n)]              # equal rows
+    if rng.random() < 0.3:
+        m[:, rng.integers(k)] = -np.abs(m[:, rng.integers(k)]) - 1.0
+    return m, rng.choice([0.1, 0.25, 1.0], size=k)
+
+
+def test_column_projection_agrees_with_rank_search_on_ties():
+    # exact ties, equal rows and all-negative columns: within an ulp of the
+    # total (in fact equal, since the sums of tied entries are exact)
+    rng = np.random.default_rng(22)
+    for _ in range(3_000):
+        m, totals = tied_columns(rng, rng.choice([0.25, 0.5, 1.0]))
+        out = project_columns(m, totals)
+        ref = oracles.project_columns_rank_search(m, totals)
+        assert (np.abs(out - ref) <= np.finfo(float).eps * totals).all()
+
+
+def test_column_projection_is_exact_to_rounding_on_near_ties():
+    # entries like 0.1 and 1/3 make near ties, where the threshold candidates
+    # agree only to rounding and neither threshold is exact: each entry is
+    # within an ulp per row of the rational projection, as with rank search
+    rng = np.random.default_rng(24)
+    for _ in range(1_000):
+        m, totals = tied_columns(rng, rng.choice([0.1, 1.0 / 3.0]))
+        out = project_columns(m, totals)
+        for c in range(m.shape[1]):
+            exact = oracles.project_column_exact(m[:, c], totals[c])
+            ulp = np.finfo(float).eps * max(np.abs(m[:, c]).max(), totals[c])
+            assert np.abs(out[:, c] - exact).max() <= m.shape[0] * ulp
+
+
+def test_total_below_the_resolution_goes_to_the_largest_entries():
+    # 1e20 - 1 rounds to 1e20, so the clipped column vanishes in floating
+    # point; the projection's limit puts the whole total on the maxima
+    m = np.array([[1e20, 3.0], [0.0, 3.0], [1e20, -1.0]])
+    out = project_columns(m, np.array([1.0, 0.5]))
+    assert np.array_equal(out, [[0.5, 0.25], [0.0, 0.25], [0.5, 0.0]])
+    assert np.array_equal(project_simplex([2e20, 1.0]), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("method", ["adam", "rmsprop", "pgd"])
+def test_packed_state_with_array_lr_equals_separate_states(method):
+    rng = np.random.default_rng(23)
+    gamma, atoms = rng.normal(size=(7, 5)), rng.normal(size=(7, 2))
+    first = make_optimizer(method, 0.05, [gamma])
+    second = make_optimizer(method, 0.01, [atoms])
+    lr = np.repeat([0.05, 0.01], [gamma.size, atoms.size])
+    packed = np.concatenate((gamma.ravel(), atoms.ravel()))
+    both = make_optimizer(method, lr, [packed])
+    for _ in range(20):
+        g_gamma = rng.normal(size=gamma.shape)
+        g_atoms = rng.normal(size=atoms.shape)
+        (gamma,) = optimizer_step(first, [gamma], [g_gamma])
+        (atoms,) = optimizer_step(second, [atoms], [g_atoms])
+        grad = np.concatenate((g_gamma.ravel(), g_atoms.ravel()))
+        (packed,) = optimizer_step(both, [packed], [grad])
+        assert np.array_equal(packed,
+                              np.concatenate((gamma.ravel(), atoms.ravel())))
+
+
 def test_zero_gradient_leaves_parameters_unchanged():
     for method in ("adam", "rmsprop", "pgd"):
         p = np.array([1.0, -2.0])

@@ -334,6 +334,32 @@ def test_zero_weight_column_gets_no_mass_and_the_reduced_loss():
                            atol=1e-12)
 
 
+@pytest.mark.parametrize("lam", [0.5, 1e-3])
+def test_finish_matches_the_logsumexp_passes(lam):
+    # the finish from the last Newton state against the column update, the
+    # KL loss and the dual potential f recomputed by logsumexp passes from
+    # the solve's row potential, on supports with zero rows and columns
+    rng = np.random.default_rng(31)
+    for zero_rows, zero_cols in (([], []), ([1], []), ([], [0, 2]),
+                                 ([0, 3], [1])):
+        alpha, beta = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(4))
+        alpha[zero_rows] = 0.0
+        beta[zero_cols] = 0.0
+        alpha, beta = alpha / alpha.sum(), beta / beta.sum()
+        cost = rng.uniform(-1.0, 1.0, size=(5, 4))
+        result = solve_sinkhorn(SinkhornProblem(alpha, beta, cost, lam))
+        plan, loss, grad = oracles.sinkhorn_finish(result.log_u, alpha, beta,
+                                                   cost, lam)
+        assert np.abs(result.plan - plan).max() <= 1e-12 * plan.max()
+        assert result.loss == pytest.approx(loss, rel=1e-12)
+        assert result.loss == pytest.approx(
+            oracles.coupling_loss(result.plan, alpha, beta, cost, lam),
+            rel=1e-12)
+        assert np.isfinite(result.grad_alpha).all()
+        assert (np.abs(result.grad_alpha - grad).max()
+                <= 1e-12 * np.abs(grad).max())
+
+
 def hard_instance():
     # |C|/lam = 637: plain-domain scaling stalls here at marginal error 7.4e-3
     rng = np.random.default_rng(303)
