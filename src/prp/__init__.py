@@ -34,7 +34,6 @@ from .gridsolve import solve_grid
 from .auctions import (AuctionModel, BidPolicy, DominantActionMap,
                        StrategyEvaluation, SweepResult, SweepRow,
                        dominant_action_map, evaluate_strategy, random_policy,
-                       revenue, revenue_grad, sample_values, stats_grad,
                        sweep_lambda, train_strategy)
 from .toy import ToyInstance, run_benchmark, sample_instance
 

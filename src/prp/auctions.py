@@ -13,32 +13,26 @@ indicator and G do not depend on the type, the revenue is affine in y:
 r(beta, y) = y * A(beta) - B(beta), which keeps training and evaluation on
 K types cheap.
 
-Two gradients of the statistics A and B are provided, and they answer
-different questions:
+Training and evaluation price policies with the same exact statistics.  A
+ReLU policy is piecewise linear, so E[A] and E[B] are sums of (degree <= 2
+polynomial) * e^(-v) integrals between its kinks and the points where beta
+crosses 0, 1 and beta'.  `expected_stats` computes them in closed form.
 
-* `revenue_grad` is the pathwise gradient of the Monte-Carlo average on one
-  fixed sample set, with the indicator and the ReLU activation pattern held
-  constant.  It is exact for those draws, but it is not an unbiased
-  gradient of the expected revenue.
-* `stats_grad`, which `train_strategy` uses, estimates the gradient of the
-  expected A and B.  The integrand jumps where the indicator switches
-  (A jumps by v*G(beta) there) and at the ReLU kinks -c_j/w_j (beta'
-  jumps), and those jump points move with the parameters.  It therefore
-  adds the exact Leibniz boundary terms under the Exp(1) density to the
-  pathwise sample average.  Without them the estimate can have the wrong
-  sign, and revenue ascent then lowers the revenue.
+The adjoint that `expected_stats` returns differentiates them exactly.
+Between those points the derivatives of the integrands in the intercept
+and slope of the linear piece are again polynomials of degree <= 2
+against the same e^(-v) moments.  The points also move with the
+parameters.  Where the integrand is continuous (beta = 0, beta = 1, and
+h = 0 for B) that adds nothing; at its jumps, the crossing beta = beta'
+for A (a jump of v*G) and every ReLU kink -c_j/w_j (beta' jumps), it
+adds the Leibniz boundary terms under the Exp(1) density
+(`_boundary_grads`).
 
 Training descends the entropic-OT loss of the induced (policy, type)
 coupling.  Each step solves it once, warm started from the previous step,
 and takes the envelope gradients of that solve: dL/dalpha in closed form
 and dL/dC = P, which reaches the policies through the adjoint of the cost
 matrix C_ik = 1 - (y_k A_i - B_i).
-
-Evaluation needs no sampling.  A ReLU policy is piecewise linear, so the
-expected A and B are sums of (degree <= 2 polynomial) * e^(-v) integrals
-between its kinks and the points where beta crosses 0, 1 and beta'.
-`expected_stats` computes them in closed form, and `evaluate_strategy`
-prices a plan with them exactly.
 """
 
 from __future__ import annotations
@@ -54,36 +48,20 @@ from .measures import DiscreteDistribution, TransportPlan
 from .optim import DescentConfig, make_optimizer, optimizer_step, project_simplex
 from .sinkhorn import SinkhornProblem, solve_sinkhorn, step_solve
 
-_CHUNK = 50_000  # Monte-Carlo batch size; the value stream is chunk invariant
-
 
 @dataclass(frozen=True)
 class BidPolicy:
-    """b + sum_j a_j relu(w_j v + c_j), with its exact a.e. derivative."""
+    """b + sum_j a_j relu(w_j v + c_j)."""
 
     weights: np.ndarray      # (W,) hidden slopes
     biases: np.ndarray       # (W,)
     out_weights: np.ndarray  # (W,)
     out_bias: float
 
-    def _activation(self, v) -> np.ndarray:
+    def __call__(self, v) -> np.ndarray:
         act = np.multiply.outer(np.asarray(v, dtype=float), self.weights)
         act += self.biases
-        return act
-
-    def __call__(self, v) -> np.ndarray:
-        act = np.maximum(self._activation(v), 0.0)
-        return act @ self.out_weights + self.out_bias
-
-    def derivative(self, v) -> np.ndarray:
-        return self.bid_and_slope(v)[1]
-
-    def bid_and_slope(self, v):
-        """(beta(v), beta'(v)) from one evaluation of the activations."""
-        act = self._activation(v)
-        slope = ((act > 0.0) * self.weights) @ self.out_weights
-        np.maximum(act, 0.0, out=act)
-        return act @ self.out_weights + self.out_bias, slope
+        return np.maximum(act, 0.0) @ self.out_weights + self.out_bias
 
 
 def random_policy(rng: np.random.Generator, width: int = 100,
@@ -92,8 +70,8 @@ def random_policy(rng: np.random.Generator, width: int = 100,
 
     Slopes in [0.5, 1.5] and output weights of order scale/width give an
     initial bid curve with slope roughly 0.6 * scale; the small positive
-    output bias keeps bids (and therefore the revenue gradient) alive at
-    low values.
+    output bias keeps bids (and therefore the gradient of the expected
+    statistics) alive at low values.
     """
     return BidPolicy(
         weights=rng.uniform(0.5, 1.5, size=width),
@@ -136,60 +114,12 @@ class AuctionModel:
         return np.clip(x, 0.0, 1.0)
 
 
-def sample_values(seed: int, n_samples: int) -> np.ndarray:
-    """Unit-mean exponential draws via inverse cdf -log(1 - U)."""
-    u = np.random.default_rng(seed).random(n_samples)
-    return -np.log1p(-u)
-
-
 def _stack(policies) -> list:
     """[weights, biases, out_weights, out_bias] stacked over policies."""
     return [np.array([p.weights for p in policies], dtype=float),
             np.array([p.biases for p in policies], dtype=float),
             np.array([p.out_weights for p in policies], dtype=float),
             np.array([p.out_bias for p in policies], dtype=float)]
-
-
-def _forward(params, v):
-    """Per-policy sample means of A = v*G*ind and B = (beta-beta')*G*ind.
-
-    Returns (A, B, cache); the cache holds the per-sample quantities the
-    pathwise backward pass needs.
-    """
-    w, c, a, b = params
-    act = v[None, :, None] * w[:, None, :] + c[:, None, :]   # (n, S, W)
-    active = act > 0.0
-    hidden = np.where(active, act, 0.0)
-    beta = np.einsum("isw,iw->is", hidden, a) + b[:, None]
-    beta_prime = np.einsum("isw,iw->is", active, a * w)
-    h = beta - beta_prime
-    keep = h >= 0.0
-    win = np.clip(beta, 0.0, 1.0)
-    weight = win * keep
-    a_stat = (weight * v[None, :]).mean(axis=1)
-    b_stat = (h * weight).mean(axis=1)
-    return a_stat, b_stat, (v, hidden, active, beta, h, keep, win)
-
-
-def _pathwise_grads(params, cache, coef_a, coef_b) -> list:
-    """Gradient of sum_i coef_a_i A_i + coef_b_i B_i on the fixed sample.
-
-    The indicator 1{beta - beta' >= 0} and the ReLU activation pattern are
-    constants of each sample; everything else is differentiated exactly.
-    """
-    w, c, a, b = params
-    v, hidden, active, beta, h, keep, win = cache
-    slope = keep * ((beta > 0.0) & (beta <= 1.0))   # d(G * ind)/d beta
-    g_beta = (coef_a[:, None] * v[None, :] * slope
-              + coef_b[:, None] * (win * keep + h * slope)) / v.size
-    g_prime = -coef_b[:, None] * win * keep / v.size
-    on_beta = np.einsum("is,isw->iw", g_beta, active)
-    on_prime = np.einsum("is,isw->iw", g_prime, active)
-    return [a * (np.einsum("is,isw->iw", g_beta * v[None, :], active)
-                 + on_prime),
-            a * on_beta,
-            np.einsum("is,isw->iw", g_beta, hidden) + w * on_prime,
-            g_beta.sum(axis=1)]
 
 
 def _kinks(w, c):
@@ -223,26 +153,33 @@ def _pieces(params, kink):
     return starts, ends, mask, p, q
 
 
-def _tail(x, m: int):
-    """T_m(x), the integral of v^m e^(-v) over [x, inf); 0 at x = inf."""
+def _tails(x) -> list:
+    """T_m(x), the integral of v^m e^(-v) over [x, inf), for m = 0, 1, 2.
+
+    T_m(x) = e^(-x) (x^m + ... + m!), and 0 at x = inf.
+    """
     scale = np.exp(-x)
-    poly = (1.0, x + 1.0, x * x + 2.0 * x + 2.0)[m]
-    return np.where(scale > 0.0, scale * poly, 0.0)
+    live = scale > 0.0
+    return [np.where(live, scale * poly, 0.0)
+            for poly in (1.0, x + 1.0, x * x + 2.0 * x + 2.0)]
 
 
-def expected_stats(params):
-    """Exact E[A] = E[v G(beta) 1{h >= 0}] and E[B] = E[h G(beta) 1{h >= 0}].
+def _sub_intervals(params):
+    """Every policy's kinks, linear pieces and their kept sub-intervals.
 
-    Per policy of the stacked `params`, under v ~ Exp(1), with h = beta -
-    beta'.  On a linear piece beta = q + p v, the cuts where beta = 0,
-    beta = 1 and h = 0 split it into sub-intervals on which G(beta) is 0,
-    beta or 1 and the indicator is constant.  There both integrands are
-    polynomials of degree <= 2 in v, and the integral of v^m e^(-v) over
-    [u, t] is T_m(u) - T_m(t) with T_m(x) = e^(-x) (x^m + ... + m!).
-    Vectorized over (policy, piece, sub-interval).  Returns (A, B).
+    The cuts where beta = 0, beta = 1 and h = beta - beta' = 0 split a
+    linear piece beta = q + p v of `_pieces` into sub-intervals [u, t] on
+    which G(beta) is 0, beta or 1 and the indicator 1{h >= 0} is constant.
+    Returns (kink, valid, pieces, sat, moments): the `_kinks` and `_pieces`
+    of `params`, `sat` marking the sub-intervals with beta >= 1, and
+    moments[m] the integral T_m(u) - T_m(t) of v^m e^(-v) over each kept
+    sub-interval (G > 0 and h >= 0), 0 on the others; `sat` and the moments
+    are (n, W + 1, 4).
     """
     w, c, _, _ = params
-    starts, ends, _, p, q = _pieces(params, _kinks(w, c)[0])
+    kink, valid = _kinks(w, c)
+    pieces = _pieces(params, kink)
+    starts, ends, _, p, q = pieces
     lo, hi = starts[..., None], ends[..., None]
     p, q = p[..., None], q[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -255,31 +192,76 @@ def expected_stats(params):
         mid = np.where(np.isfinite(t), 0.5 * (u + t), u + 1.0)
         beta = q + p * mid
         keep = (t > u) & (beta > 0.0) & (beta - p >= 0.0)
-        # G = g0 + g1 v and h = h0 + h1 v on every kept sub-interval
-        sat = beta >= 1.0
-        g0, g1 = np.where(sat, 1.0, q), np.where(sat, 0.0, p)
-        h0, h1 = q - p, p
-        moments = [np.where(keep, _tail(u, m) - _tail(t, m), 0.0)
-                   for m in range(3)]
-    a_stat = (g0 * moments[1] + g1 * moments[2]).sum(axis=(1, 2))
-    b_stat = (h0 * g0 * moments[0] + (h0 * g1 + h1 * g0) * moments[1]
-              + h1 * g1 * moments[2]).sum(axis=(1, 2))
-    return a_stat, b_stat
+        moments = [np.where(keep, tail[..., :-1] - tail[..., 1:], 0.0)
+                   for tail in _tails(edges)]
+    return kink, valid, pieces, beta >= 1.0, moments
 
 
-def _boundary_grads(params, coef_a, coef_b) -> list:
-    """Leibniz terms of the expected statistics that the pathwise pass drops.
+def expected_stats(params):
+    """Exact E[A] = E[v G(beta) 1{h >= 0}], E[B] = E[h G(beta) 1{h >= 0}].
+
+    Per policy of the stacked `params`, under v ~ Exp(1), with h = beta -
+    beta'.  On every kept sub-interval of `_sub_intervals` both integrands
+    are polynomials of degree <= 2 in v, integrated against its moments;
+    vectorized over (policy, piece, sub-interval).
+
+    Returns (A, B, adjoint).  adjoint(coef_a, coef_b) is the exact gradient
+    of sum_i coef_a_i A_i + coef_b_i B_i, as [d/dweights, d/dbiases,
+    d/dout_weights, d/dout_bias] stacked like `params`.  Inside a kept
+    sub-interval of the piece beta = q + p v, with h = q + p (v - 1) and
+    dG/dbeta = 1{beta < 1}:
+
+        d(v G)/dq = v 1{beta < 1}       d(v G)/dp = v^2 1{beta < 1}
+        d(h G)/dq = G + h 1{beta < 1}   d(h G)/dp = (v - 1) G + h v 1{beta < 1}
+
+    again polynomials of degree <= 2 against the same moments.  Unit j
+    enters a piece with activation mask m through p = sum_j m_j a_j w_j and
+    q = sum_j m_j a_j c_j + b.  The moving sub-interval ends add the
+    boundary terms of `_boundary_grads`.
+    """
+    w, c, a, _ = params
+    kink, valid, pieces, sat, (m0, m1, m2) = _sub_intervals(params)
+    _, _, mask, p, q = pieces
+    p, q = p[..., None], q[..., None]
+    # G = g0 + g1 v and h = h0 + h1 v on every kept sub-interval
+    g0, g1 = np.where(sat, 1.0, q), np.where(sat, 0.0, p)
+    h0, h1 = q - p, p
+    a_stat = (g0 * m1 + g1 * m2).sum(axis=(1, 2))
+    b_stat = (h0 * g0 * m0 + (h0 * g1 + h1 * g0) * m1
+              + h1 * g1 * m2).sum(axis=(1, 2))
+
+    def adjoint(coef_a, coef_b) -> list:
+        free = ~sat
+        ca, cb = coef_a[:, None, None], coef_b[:, None, None]
+        dq = (ca * free * m1
+              + cb * (g0 * m0 + g1 * m1 + free * (h0 * m0 + h1 * m1)))
+        dp = (ca * free * m2
+              + cb * (g0 * (m1 - m0) + g1 * (m2 - m1)
+                      + free * (h0 * m1 + h1 * m2)))
+        dq, dp = dq.sum(axis=2), dp.sum(axis=2)
+        on_p = np.einsum("ipl,ip->il", mask, dp)
+        on_q = np.einsum("ipl,ip->il", mask, dq)
+        interior = [a * on_p, a * on_q, w * on_p + c * on_q, dq.sum(axis=1)]
+        boundary = _boundary_grads(params, kink, valid, pieces, coef_a,
+                                   coef_b)
+        return [x + y for x, y in zip(interior, boundary)]
+
+    return a_stat, b_stat, adjoint
+
+
+def _boundary_grads(params, kink, valid, pieces, coef_a, coef_b) -> list:
+    """Leibniz terms of the expected statistics at the integrand's jumps.
 
     The integrand of A and B jumps where the indicator switches inside a
     linear piece of beta (the crossing beta = beta', a jump of v*G for A
     and of 0 for B) and at every ReLU kink v = -c_j/w_j (beta' jumps by
     a_j*w_j).  Moving a jump point s by ds changes the expectation by
     (f(s-) - f(s+)) * exp(-s) * ds; these terms are exact under the Exp(1)
-    density, vectorized over policies, pieces and hidden units.
+    density, vectorized over policies, pieces and hidden units.  `kink`,
+    `valid` and `pieces` are the `_kinks` and `_pieces` of `params`.
     """
     w, c, a, b = params
     n, width = w.shape
-    kink, valid = _kinks(w, c)
 
     # jumps at the kinks: unit j switches on to the right of its kink iff
     # w_j > 0; every other unit keeps its activation state
@@ -304,7 +286,7 @@ def _boundary_grads(params, coef_a, coef_b) -> list:
     # activation mask m, beta(v) = q + p v with p = sum a w m = beta'; the
     # crossing s = (p - q)/p moves by -dh/p, and G(beta(s)) = G(p) vanishes
     # unless p > 0, where h turns from negative to positive
-    starts, ends, mask, p, q = _pieces(params, kink)
+    starts, ends, mask, p, q = pieces
     with np.errstate(divide="ignore", invalid="ignore"):
         s = (p - q) / p
     crossing = (p > 0.0) & (s > starts) & (s < ends)
@@ -321,74 +303,6 @@ def _boundary_grads(params, coef_a, coef_b) -> list:
             scale.sum(axis=1)]
 
 
-def revenue(policy: BidPolicy, y: float, n_samples: int, seed: int) -> float:
-    """Monte-Carlo expected revenue of `policy` at type `y`."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    params = _stack([policy])
-    a_sum = 0.0
-    b_sum = 0.0
-    remaining = n_samples
-    while remaining > 0:
-        take = min(_CHUNK, remaining)
-        v = -np.log1p(-rng.random(take))
-        a_mean, b_mean, _ = _forward(params, v)
-        a_sum += a_mean[0] * take
-        b_sum += b_mean[0] * take
-        remaining -= take
-    return float((y * a_sum - b_sum) / n_samples)
-
-
-def _as_fields(grads) -> dict:
-    """Single-policy stacked gradients keyed by BidPolicy field name."""
-    gw, gc, ga, gb = grads
-    return {"weights": gw[0], "biases": gc[0], "out_weights": ga[0],
-            "out_bias": float(gb[0])}
-
-
-def revenue_grad(policy: BidPolicy, y: float, n_samples: int, seed: int):
-    """Exact gradient of the Monte-Carlo revenue on one fixed sample set.
-
-    Returns (value, grads) where grads maps the policy field names to
-    arrays.  The revenue indicator and the ReLU activation pattern are
-    constants of the sample; everything else is differentiated exactly.
-    This is the derivative of the sample average for these draws only: it
-    omits the jumps of the indicator, so it is not an unbiased gradient of
-    the expected revenue (see `stats_grad` for that).
-    """
-    v = sample_values(seed, n_samples)
-    params = _stack([policy])
-    a_stat, b_stat, cache = _forward(params, v)
-    grads = _pathwise_grads(params, cache, np.array([float(y)]),
-                            np.array([-1.0]))
-    return float(y * a_stat[0] - b_stat[0]), _as_fields(grads)
-
-
-def _stats_grads(params, cache, coef_a, coef_b) -> list:
-    """Unbiased gradient of E[sum_i coef_a_i A_i + coef_b_i B_i]."""
-    pathwise = _pathwise_grads(params, cache, coef_a, coef_b)
-    boundary = _boundary_grads(params, coef_a, coef_b)
-    return [p + q for p, q in zip(pathwise, boundary)]
-
-
-def stats_grad(policy: BidPolicy, v):
-    """Sample statistics (A, B) and the training gradients of E[A], E[B].
-
-    Each gradient is the pathwise average over the draws `v` plus the exact
-    boundary terms of the indicator and ReLU jumps, i.e. an unbiased
-    estimate of the gradient of the expected statistic.  Returns
-    (A, B, grads_A, grads_B) with grads keyed by policy field name.
-    """
-    v = np.asarray(v, dtype=float)
-    params = _stack([policy])
-    a_stat, b_stat, cache = _forward(params, v)
-    one, zero = np.ones(1), np.zeros(1)
-    return (float(a_stat[0]), float(b_stat[0]),
-            _as_fields(_stats_grads(params, cache, one, zero)),
-            _as_fields(_stats_grads(params, cache, zero, one)))
-
-
 AUCTION_TRAINING = DescentConfig(lr_weights=0.02, lr_atoms=3e-4)
 
 
@@ -397,21 +311,21 @@ _unroll_budget = step_solve
 
 
 def train_strategy(model: AuctionModel, lam: float,
-                   n_atoms: Optional[int] = None,
-                   steps: int = 1000, train_samples: int = 1000,
+                   n_atoms: Optional[int] = None, steps: int = 1000,
                    config: Optional[DescentConfig] = None, seed: int = 0,
                    width: int = 100):
     """Jointly descend (atom weights, policy parameters) on the coupling loss.
 
-    Per step, a fresh seeded sample set prices every policy against every
-    type through the cost C_ik = 1 - (y_k A_i - B_i), and the entropic-OT
-    loss L of the induced coupling is solved once, warm started from the
-    previous step.  Its envelope gradients are dL/dalpha and dL/dC = P (see
-    `prp.sinkhorn`).  The policy gradient contracts P_ik with the gradients
-    of the expected statistics, -y_k dA_i + dB_i, each the
-    pathwise sample average plus the exact indicator and kink boundary terms
-    (see `stats_grad`).  Returns the plan recovered from a converged final
-    solve (policies as action atoms) and the loss trace.
+    Per step, the exact statistics of `expected_stats` price every policy
+    against every type through the cost C_ik = 1 - (y_k A_i - B_i), and the
+    entropic-OT loss L of the induced coupling is solved once, warm started
+    from the previous step.  Its envelope gradients are dL/dalpha and dL/dC
+    = P (see `prp.sinkhorn`).  The policy gradient contracts P_ik with the
+    exact gradients of the expected statistics, -y_k dA_i + dB_i (the
+    adjoint of `expected_stats`).  Only the initial policies are random (drawn
+    from `seed`), so the run is deterministic.  Returns the plan recovered
+    from a converged final solve (policies as action atoms) and the loss
+    trace.
     """
     config = config or AUCTION_TRAINING
     n = n_atoms if n_atoms is not None else model.n_types + 2
@@ -425,15 +339,12 @@ def train_strategy(model: AuctionModel, lam: float,
     trace = np.empty(steps)
     log_v = None
     for step in range(steps):
-        v = sample_values(seeds.seed_for(seed, seeds.TRAIN_STEP, step),
-                          train_samples)
-        a_stat, b_stat, cache = _forward(params, v)
+        a_stat, b_stat, adjoint = expected_stats(params)
         cost = 1.0 - (a_stat[:, None] * y[None, :] - b_stat[:, None])
         result = step_solve(alpha, cost, prior_weights, lam, log_v)
         log_v = result.log_v
         trace[step] = result.loss
-        grads = _stats_grads(params, cache, -(result.plan @ y),
-                             result.plan.sum(axis=1))
+        grads = adjoint(-(result.plan @ y), result.plan.sum(axis=1))
         (alpha,) = optimizer_step(opt_alpha, [alpha], [result.grad_alpha])
         # the floor keeps every atom shipping a trickle of mass, so its
         # policy keeps receiving gradient; a policy that bids <= 0 for every
@@ -442,9 +353,7 @@ def train_strategy(model: AuctionModel, lam: float,
         params = optimizer_step(opt_params, params, grads)
     policies = [BidPolicy(params[0][i], params[1][i], params[2][i],
                           float(params[3][i])) for i in range(n)]
-    final_seed = seeds.seed_for(seed, seeds.FINAL_PLAN)
-    a_stat, b_stat, _ = _forward(params, sample_values(final_seed,
-                                                       train_samples))
+    a_stat, b_stat, _ = expected_stats(params)
     cost = 1.0 - (a_stat[:, None] * y[None, :] - b_stat[:, None])
     problem = SinkhornProblem(alpha, prior_weights, cost, lam,
                               max_iter=2000, tol=1e-9)
@@ -468,7 +377,7 @@ def evaluate_strategy(plan: TransportPlan) -> StrategyEvaluation:
     """
     gamma = plan.gamma
     y = np.asarray(plan.type_atoms, dtype=float)
-    a_stat, b_stat = expected_stats(_stack(plan.action_atoms))
+    a_stat, b_stat, _ = expected_stats(_stack(plan.action_atoms))
     utility = (gamma @ y) @ a_stat - plan.row_masses @ b_stat
     privacy = perspective_total(kl_divergence(), gamma, plan.prior.weights)
     return StrategyEvaluation(float(utility), privacy, 0.0)
@@ -499,13 +408,14 @@ class SweepResult:
 
 
 def sweep_lambda(model: AuctionModel, lambdas, runs: int,
-                 steps: int = 1000, train_samples: int = 1000,
-                 config: Optional[DescentConfig] = None, seed: int = 0,
-                 n_atoms: Optional[int] = None,
+                 steps: int = 1000, config: Optional[DescentConfig] = None,
+                 seed: int = 0, n_atoms: Optional[int] = None,
                  width: int = 100) -> SweepResult:
     """Train and evaluate per (lambda, run); aggregate the trade-off table.
 
-    Each run is evaluated exactly (`evaluate_strategy`), so the per-row
+    Run `run` at the `li`-th lambda trains from the seed derived from
+    (`seed`, TRAIN_STEP, li, run), which only draws its initial policies.
+    Training and evaluation (`evaluate_strategy`) are exact, so the per-row
     standard errors, sqrt(var / runs), come from the spread across runs
     alone.
     """
@@ -517,10 +427,8 @@ def sweep_lambda(model: AuctionModel, lambdas, runs: int,
         for run in range(runs):
             train_seed = seeds.seed_for(seed, seeds.TRAIN_STEP, li, run)
             plan, trace = train_strategy(model, lam, n_atoms=n_atoms,
-                                         steps=steps,
-                                         train_samples=train_samples,
-                                         config=config, seed=train_seed,
-                                         width=width)
+                                         steps=steps, config=config,
+                                         seed=train_seed, width=width)
             evaluation = evaluate_strategy(plan)
             utilities.append(evaluation.utility)
             privacies.append(evaluation.privacy)

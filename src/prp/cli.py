@@ -55,9 +55,9 @@ class ExperimentConfig:
     grid_points: int = 3
     # auctions
     steps: int = 1000
+    # no effect since training and evaluation are exact; still accepted
+    # because older manifests and the benchmark's sweep config set them
     train_samples: int = 1000
-    # no effect since evaluation is exact; still accepted because older
-    # manifests and the benchmark's sweep config set it
     eval_samples: int = 100_000
     n_atoms: int | None = None
     width: int = 100
@@ -206,7 +206,6 @@ def run_auctions(config: ExperimentConfig):
     lambdas = config.lambdas if config.lambdas is not None else [config.lam]
     model = AuctionModel(n_types=config.K)
     result = sweep_lambda(model, lambdas, config.runs, steps=config.steps,
-                          train_samples=config.train_samples,
                           config=config.descent(config.steps),
                           seed=config.seed, n_atoms=config.n_atoms,
                           width=config.width)

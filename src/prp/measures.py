@@ -109,7 +109,13 @@ def linear_cost(bounds) -> CostOracle:
 
 
 def cost_matrix(cost: CostOracle, action_atoms, type_atoms) -> np.ndarray:
-    """Dense c(x_i, y_k) matrix from the pointwise oracle."""
+    """Dense c(x_i, y_k) matrix.
+
+    Built by the oracle's ``matrix_and_adjoint`` where it sets one, and
+    from the pointwise ``evaluate`` only for pointwise-only oracles.
+    """
+    if cost.matrix_and_adjoint is not None:
+        return cost_with_adjoint(cost, action_atoms, type_atoms)[0]
     out = np.empty((len(action_atoms), len(type_atoms)))
     for i, x in enumerate(action_atoms):
         for k, y in enumerate(type_atoms):
@@ -186,19 +192,18 @@ def prp_objective(plan: TransportPlan, cost: CostOracle, div: FDivergence,
                   lam: float) -> float:
     """Expected cost plus lam times the expected posterior-vs-prior divergence.
 
-    Rows with zero mass contribute nothing to the privacy term.  When a
-    posterior fails absolute continuity and the divergence diverges, the
-    value is +inf (returned, never raised).
+    The cost is priced through `cost_matrix`; entries with zero mass
+    contribute nothing, even where their cost is infinite.  Rows with zero
+    mass contribute nothing to the privacy term.  When a posterior fails
+    absolute continuity and the divergence diverges, the value is +inf
+    (returned, never raised).
     """
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     gamma = plan.gamma
-    total = 0.0
-    for i in range(plan.n_actions):
-        for k in range(plan.n_types):
-            if gamma[i, k] != 0.0:
-                total += gamma[i, k] * cost.evaluate(plan.action_atoms[i],
-                                                     plan.type_atoms[k])
+    c = cost_matrix(cost, plan.action_atoms, plan.type_atoms)
+    live = gamma != 0.0
+    total = float(gamma[live] @ c[live])
     if lam == 0.0:
         return total
     return total + lam * perspective_total(div, gamma, plan.prior.weights)

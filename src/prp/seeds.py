@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# purpose codes for the seed path; stable across versions
-INSTANCE = 0
-INIT = 1
-TRAIN_STEP = 2
-FINAL_PLAN = 3
-EVAL = 4
+# purpose codes for the seed path; stable across versions (3 and 4, the
+# retired Monte-Carlo final-plan and evaluation draws, stay unassigned)
+INSTANCE = 0     # toy and linear-cost instances
+INIT = 1         # initial atoms and auction policies
+TRAIN_STEP = 2   # the per-run training seed of an auction sweep
 
 
 def rng_for(master_seed: int, *path: int) -> np.random.Generator:

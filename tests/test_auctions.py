@@ -7,7 +7,6 @@ from scipy import integrate
 from prp import auctions, seeds
 from prp.auctions import (AuctionModel, BidPolicy, dominant_action_map,
                           evaluate_strategy, ladder_policies, random_policy,
-                          revenue, revenue_grad, sample_values, stats_grad,
                           sweep_lambda, train_strategy)
 from prp.divergences import kl_divergence
 from prp.measures import DiscreteDistribution, TransportPlan, posterior
@@ -37,37 +36,72 @@ def test_model_types_are_cell_midpoints():
 
 
 def test_bid_curve_derivative_consistency():
+    # the slope p of each linear piece of `_pieces` is the beta' that the
+    # exact statistics integrate; check it, and the piece's intercept q,
+    # against the bid curve itself
     rng = np.random.default_rng(0)
     policy = random_policy(rng)
+    params = auctions._stack([policy])
+    kink = auctions._kinks(params[0], params[1])[0]
+    _, ends, _, p, q = auctions._pieces(params, kink)
     v = rng.uniform(0.0, 4.0, size=1000)
+    piece = np.searchsorted(ends[0], v, side="right")
+    slope, intercept = p[0, piece], q[0, piece]
     h = 1e-7
     act = v[:, None] * policy.weights[None, :] + policy.biases[None, :]
     away = np.abs(act).min(axis=1) > 1e-5  # only test away from kinks
     slope_fd = (policy(v + h) - policy(v - h)) / (2 * h)
-    slope = policy.derivative(v)
     rel = np.abs(slope_fd[away] - slope[away]) / np.maximum(1.0, np.abs(slope[away]))
     assert rel.max() < 1e-6
-    # one shared activation gives the same bits as two separate passes
-    bid, shared_slope = policy.bid_and_slope(v)
-    assert np.array_equal(bid, np.maximum(act, 0.0) @ policy.out_weights
-                          + policy.out_bias)
-    assert np.array_equal(shared_slope, ((act > 0.0) * policy.weights[None, :])
-                          @ policy.out_weights)
+    assert np.abs(policy(v) - (intercept + slope * v)).max() < 1e-12
+
+
+def oracle_stats(policy):
+    return oracles.expected_bid_stats(policy.weights, policy.biases,
+                                      policy.out_weights, policy.out_bias)
+
+
+def exact_stats(policy):
+    a_stat, b_stat, _ = auctions.expected_stats(auctions._stack([policy]))
+    return float(a_stat[0]), float(b_stat[0])
+
+
+FIELDS = ("weights", "biases", "out_weights", "out_bias")
+
+
+def exact_gradient(policy, coef_a, coef_b):
+    """Gradient of coef_a A + coef_b B, keyed by BidPolicy field name."""
+    adjoint = auctions.expected_stats(auctions._stack([policy]))[2]
+    grads = adjoint(np.array([coef_a]), np.array([coef_b]))
+    return {f: g[0] for f, g in zip(FIELDS, grads)}
+
+
+def relu_policy(weights, biases, out_weights, out_bias):
+    return BidPolicy(np.array(weights, dtype=float),
+                     np.array(biases, dtype=float),
+                     np.array(out_weights, dtype=float), float(out_bias))
+
+
+EDGE_CASES = [
+    # kinks at v < 0 and v = 0: both units are on for every v > 0
+    relu_policy([1.0, 2.0], [0.2, 0.0], [0.3, 0.1], 0.05),
+    # w_j = 0: a constant unit that is on and one that is never on
+    relu_policy([0.0, 0.0, 0.6], [0.3, -0.2, -0.3], [0.5, 4.0, 0.7], 0.0),
+    # w_j < 0: bids fall to a flat p = 0 piece beyond the kink at 1.5
+    relu_policy([-0.9], [1.35], [1.0], 0.05),
+    # saturation: beta crosses 1 at v = 0.825 and stays above
+    relu_policy([1.0], [-0.2], [0.8], 0.5),
+    # flat, rising, flat: p = 0 on [0, 0.5] and [1.5, inf), with h = 0 at 1
+    relu_policy([1.0, 1.0], [-0.5, -1.5], [0.4, -0.4], 0.2),
+    # a unit with zero output weight adds a kink that leaves beta unchanged
+    relu_policy([1.0, 1.0], [-0.3, -0.3], [0.5, 0.0], 0.1),
+]
+EDGE_IDS = ["kinks-at-or-below-0", "zero-slopes", "negative-slope",
+            "saturated", "flat-pieces", "idle-kink"]
 
 
 def test_zero_bid_earns_nothing():
-    assert revenue(constant_policy(0.0), 0.5, 10_000, seed=1) == 0.0
-
-
-def test_constant_bid_matches_analytic_expectation():
-    # bidding a constant c against a uniform opponent wins with probability c
-    # and pays c, so the expected revenue at type y is c (y - c)
-    c, y = 0.3, 0.7
-    n = 1_000_000
-    estimate = revenue(constant_policy(c), y, n, seed=2)
-    exact = c * (y - c)
-    mc_se = c * y / math.sqrt(n)  # crude scale bound on the standard error
-    assert abs(estimate - exact) <= 3 * mc_se
+    assert exact_stats(constant_policy(0.0)) == (0.0, 0.0)
 
 
 def test_revenue_matches_adaptive_quadrature():
@@ -85,121 +119,86 @@ def test_revenue_matches_adaptive_quadrature():
                                 points=[0.8, 1.8], limit=200,
                                 epsabs=1e-10, epsrel=1e-10)
     assert err < 1e-8
-    n = 2_000_000
-    estimate = revenue(policy, y, n, seed=3)
-    assert abs(estimate - exact) < 4e-3  # ~4 sigma at this sample size
-
-
-def test_revenue_is_deterministic_and_chunk_invariant():
-    policy = affine_policy(0.8, 0.05)
-    a = revenue(policy, 0.4, 120_001, seed=7)
-    b = revenue(policy, 0.4, 120_001, seed=7)
-    assert a == b
-
-
-def test_monte_carlo_error_scales_with_sample_size():
-    policy = affine_policy(0.6, 0.1)
-    small = np.array([revenue(policy, 0.5, 1000, seed=100 + i)
-                      for i in range(50)])
-    large = np.array([revenue(policy, 0.5, 4000, seed=200 + i)
-                      for i in range(50)])
-    ratio = small.std(ddof=1) / large.std(ddof=1)
-    assert 1.4 <= ratio <= 2.6  # expect about 2, within sampling noise
+    a_stat, b_stat = exact_stats(policy)
+    assert y * a_stat - b_stat == pytest.approx(exact, abs=1e-10)
 
 
 def test_constant_policy_bias_gradient_is_analytic():
+    # the revenue b (y - b) of a constant bid b has d/db = y - 2b
     b, y = 0.25, 0.6
-    n = 100_000
-    policy = constant_policy(b)
-    value, grads = revenue_grad(policy, y, n, seed=4)
-    v_mean = sample_values(4, n).mean()
-    assert value == pytest.approx(b * (y * v_mean - b), abs=1e-12)
-    assert grads["out_bias"] == pytest.approx(y * v_mean - 2 * b, abs=1e-10)
-    # against the infinite-sample analytic value y - 2b
-    assert grads["out_bias"] == pytest.approx(y - 2 * b, abs=0.02)
+    grads = exact_gradient(constant_policy(b), y, -1.0)
+    assert grads["out_bias"] == pytest.approx(y - 2 * b, abs=1e-15)
+    # the units have zero output weight, so their slopes and biases are idle
+    assert not grads["weights"].any() and not grads["biases"].any()
 
 
 def test_zero_output_weights_reduce_to_constant_policy_gradient():
+    # the units' kinks split beta into pieces, but beta' never jumps there
     rng = np.random.default_rng(5)
     policy = BidPolicy(weights=rng.uniform(0.5, 1.5, 8),
                        biases=rng.uniform(-0.5, 0.5, 8),
                        out_weights=np.zeros(8), out_bias=0.2)
-    _, grads = revenue_grad(policy, 0.5, 50_000, seed=6)
-    v_mean = sample_values(6, 50_000).mean()
-    assert grads["out_bias"] == pytest.approx(0.5 * v_mean - 0.4, abs=1e-10)
+    grads = exact_gradient(policy, 0.5, -1.0)
+    assert grads["out_bias"] == pytest.approx(0.5 - 2 * 0.2, abs=1e-15)
 
 
-def test_revenue_gradient_matches_finite_differences_on_same_samples():
-    rng = np.random.default_rng(8)
-    policy = random_policy(rng, width=12)
-    y, n, seed = 0.45, 2000, 9
-    _, grads = revenue_grad(policy, y, n, seed=seed)
-
-    def value_with(p):
-        return revenue(p, y, n, seed=seed)
-
-    h = 1e-6
+def central_difference_error(policy, coef_a, coef_b, rng, stats, eps):
+    """Worst relative error of the exact directional derivative of
+    coef_a A + coef_b B against central differences of `stats`."""
+    grads = exact_gradient(policy, coef_a, coef_b)
     worst = 0.0
-    for field in ("weights", "biases", "out_weights"):
-        base = getattr(policy, field)
-        for j in range(base.size):
-            hi = {f: getattr(policy, f).copy() for f in
-                  ("weights", "biases", "out_weights")}
-            lo = {f: v.copy() for f, v in hi.items()}
-            hi[field][j] += h
-            lo[field][j] -= h
-            up = BidPolicy(hi["weights"], hi["biases"], hi["out_weights"],
-                           policy.out_bias)
-            dn = BidPolicy(lo["weights"], lo["biases"], lo["out_weights"],
-                           policy.out_bias)
-            fd = (value_with(up) - value_with(dn)) / (2 * h)
-            err = abs(grads[field][j] - fd) / max(1.0, abs(fd))
-            worst = max(worst, err)
-    assert worst < 1e-3
+    for _ in range(2):
+        step = {f: rng.standard_normal(np.shape(getattr(policy, f)))
+                for f in FIELDS}
+
+        def value_at(sign):
+            a_stat, b_stat = stats(*(getattr(policy, f) + sign * eps * step[f]
+                                     for f in FIELDS))
+            return coef_a * a_stat + coef_b * b_stat
+
+        fd = (value_at(1.0) - value_at(-1.0)) / (2 * eps)
+        directional = sum(float(np.sum(grads[f] * step[f])) for f in FIELDS)
+        worst = max(worst, abs(directional - fd) / max(1.0, abs(fd)))
+    return worst
+
+
+def exact_stats_of(*fields):
+    return exact_stats(relu_policy(*fields))
+
+
+@pytest.mark.parametrize("policy", [
+    random_policy(np.random.default_rng(8), width=12), *EDGE_CASES,
+], ids=["random", *EDGE_IDS])
+def test_exact_gradient_matches_central_differences(policy):
+    rng = np.random.default_rng(9)
+    for coef_a, coef_b in ((0.45, -1.0), (1.0, 0.0), (0.0, 1.0)):
+        assert central_difference_error(policy, coef_a, coef_b, rng,
+                                        exact_stats_of, 1e-6) < 1e-6
+
+
+def test_exact_gradient_matches_central_differences_on_random_policies():
+    rng = np.random.default_rng(22)
+    policies = [relu_policy(rng.normal(size=width), rng.normal(size=width),
+                            rng.normal(size=width) / np.sqrt(width),
+                            rng.uniform(-0.1, 0.5))
+                for width in rng.integers(1, 31, size=20)]
+    policies += ladder_policies(seeds.rng_for(1, seeds.INIT), 12, 40)
+    for policy in policies:
+        assert central_difference_error(policy, rng.normal(), rng.normal(),
+                                        rng, exact_stats_of, 1e-6) < 1e-6
 
 
 @pytest.mark.parametrize("index", [0, 8, 11])
 def test_training_gradient_matches_expected_statistics(index):
     # the indicator 1{beta - beta' >= 0} jumps where it switches, so the
-    # gradient of E[A] needs boundary terms beyond the pathwise average;
+    # gradient of E[A] needs boundary terms beyond the interior integral;
     # without them policy 0 gets the wrong sign along the first direction
     policy = ladder_policies(seeds.rng_for(1, seeds.INIT), 12, 40)[index]
-    n = 20_000
-    v = -np.log((np.arange(n) + 0.5) / n)  # stratified Exp(1) draws
-    _, _, grads_a, grads_b = stats_grad(policy, v)
-    fields = ("weights", "biases", "out_weights", "out_bias")
     rng = np.random.default_rng(index)
-    eps = 1e-5
-    for _ in range(2):
-        step = {f: rng.standard_normal(np.shape(getattr(policy, f)))
-                for f in fields}
-
-        def stats_at(sign):
-            return oracles.expected_bid_stats(
-                *(getattr(policy, f) + sign * eps * step[f] for f in fields))
-
-        hi, lo = stats_at(1.0), stats_at(-1.0)
-        for which, grads in enumerate((grads_a, grads_b)):
-            fd = (hi[which] - lo[which]) / (2 * eps)
-            directional = sum(float(np.sum(grads[f] * step[f]))
-                              for f in fields)
-            assert abs(directional - fd) <= 0.01 * max(1.0, abs(fd))
-
-
-def oracle_stats(policy):
-    return oracles.expected_bid_stats(policy.weights, policy.biases,
-                                      policy.out_weights, policy.out_bias)
-
-
-def exact_stats(policy):
-    a_stat, b_stat = auctions.expected_stats(auctions._stack([policy]))
-    return float(a_stat[0]), float(b_stat[0])
-
-
-def relu_policy(weights, biases, out_weights, out_bias):
-    return BidPolicy(np.array(weights, dtype=float),
-                     np.array(biases, dtype=float),
-                     np.array(out_weights, dtype=float), float(out_bias))
+    for coef_a, coef_b in ((1.0, 0.0), (0.0, 1.0)):
+        assert central_difference_error(policy, coef_a, coef_b, rng,
+                                        oracles.expected_bid_stats,
+                                        1e-5) < 1e-6
 
 
 def test_dead_policy_has_exactly_zero_statistics():
@@ -217,21 +216,7 @@ def test_constant_bid_statistics_are_analytic():
     assert y * a_stat - b_stat == pytest.approx(c * (y - c), abs=1e-15)
 
 
-@pytest.mark.parametrize("policy", [
-    # kinks at v < 0 and v = 0: both units are on for every v > 0
-    relu_policy([1.0, 2.0], [0.2, 0.0], [0.3, 0.1], 0.05),
-    # w_j = 0: a constant unit that is on and one that is never on
-    relu_policy([0.0, 0.0, 0.6], [0.3, -0.2, -0.3], [0.5, 4.0, 0.7], 0.0),
-    # w_j < 0: bids fall to a flat p = 0 piece beyond the kink at 1.5
-    relu_policy([-0.9], [1.35], [1.0], 0.05),
-    # saturation: beta crosses 1 at v = 0.825 and stays above
-    relu_policy([1.0], [-0.2], [0.8], 0.5),
-    # flat, rising, flat: p = 0 on [0, 0.5] and [1.5, inf), with h = 0 at 1
-    relu_policy([1.0, 1.0], [-0.5, -1.5], [0.4, -0.4], 0.2),
-    # a unit with zero output weight adds a kink that leaves beta unchanged
-    relu_policy([1.0, 1.0], [-0.3, -0.3], [0.5, 0.0], 0.1),
-], ids=["kinks-at-or-below-0", "zero-slopes", "negative-slope",
-        "saturated", "flat-pieces", "idle-kink"])
+@pytest.mark.parametrize("policy", EDGE_CASES, ids=EDGE_IDS)
 def test_expected_statistics_match_quadrature_on_edge_cases(policy):
     assert exact_stats(policy) == pytest.approx(oracle_stats(policy),
                                                 abs=1e-12)
@@ -303,7 +288,7 @@ def test_dominant_map_constant_on_product_plan():
 
 def test_training_with_huge_privacy_weight_stays_non_revealing():
     model = AuctionModel(n_types=10)
-    plan, trace = train_strategy(model, lam=1e3, steps=120, train_samples=400,
+    plan, trace = train_strategy(model, lam=1e3, steps=120,
                                  config=DescentConfig(), seed=0, width=40)
     assert np.isfinite(trace).all()
     prior = model.prior.weights
@@ -322,7 +307,7 @@ def test_training_with_tiny_privacy_weight_specializes():
     # reference optimum over t + s1 v + s2 relu(v - k) policies has
     # TV >= 0.69 on those rows; see CHANGES.md)
     model = AuctionModel(n_types=10)
-    plan, _ = train_strategy(model, lam=1e-3, steps=250, train_samples=400,
+    plan, _ = train_strategy(model, lam=1e-3, steps=250,
                              config=DescentConfig(), seed=1, width=40)
     prior = model.prior.weights
     masses = plan.row_masses
@@ -349,14 +334,14 @@ def test_tiny_privacy_weight_step_solves_all_converge(monkeypatch):
 
     monkeypatch.setattr(auctions, "step_solve", recorded)
     train_strategy(AuctionModel(n_types=10), lam=1e-3, steps=250,
-                   train_samples=400, config=DescentConfig(), seed=1, width=40)
+                   config=DescentConfig(), seed=1, width=40)
     assert len(errors) == 250
     assert max(errors) < 1e-7
 
 
 def test_single_type_training_has_identically_zero_privacy():
     model = AuctionModel(n_types=1)
-    plan, trace = train_strategy(model, lam=0.5, steps=60, train_samples=300,
+    plan, trace = train_strategy(model, lam=0.5, steps=60,
                                  config=DescentConfig(), seed=2, width=20)
     result = evaluate_strategy(plan)
     assert result.privacy == pytest.approx(0.0, abs=1e-12)
@@ -368,7 +353,6 @@ def test_training_is_deterministic():
 
     def run():
         plan, trace = train_strategy(model, lam=0.1, steps=25,
-                                     train_samples=200,
                                      config=DescentConfig(), seed=5, width=10)
         return plan.gamma.copy(), np.array(trace)
 
@@ -380,10 +364,10 @@ def test_training_is_deterministic():
 
 def test_sweep_handles_empty_and_single_grids():
     model = AuctionModel(n_types=3)
-    empty = sweep_lambda(model, [], runs=1, steps=5, train_samples=100,
+    empty = sweep_lambda(model, [], runs=1, steps=5,
                          seed=6, width=8)
     assert empty.rows == []
-    single = sweep_lambda(model, [0.5], runs=2, steps=5, train_samples=100,
+    single = sweep_lambda(model, [0.5], runs=2, steps=5,
                           seed=6, width=8)
     assert len(single.rows) == 1
     assert single.rows[0].lam == 0.5

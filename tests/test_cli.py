@@ -46,6 +46,20 @@ def test_sweep_manifest_reproduces_every_csv(tmp_path):
         assert first == (tmp_path / "second" / name).read_bytes()
 
 
+def test_sweep_ignores_the_retired_sample_counts(tmp_path):
+    # training and evaluation are exact, so train_samples and eval_samples
+    # are accepted for older manifests but change nothing
+    sweep = {"kind": "sweep", "K": 3, "lambdas": [0.1], "runs": 1,
+             "steps": 5, "width": 8, "seed": 4}
+    assert run(tmp_path, {**sweep, "train_samples": 100}, "few") == 0
+    assert run(tmp_path, {**sweep, "train_samples": 400,
+                          "eval_samples": 10}, "many") == 0
+    for name in ("bidcurves_lam0.1.csv", "heatmap_lam0.1.csv",
+                 "tradeoff.csv"):
+        few = (tmp_path / "few" / name).read_bytes()
+        assert few == (tmp_path / "many" / name).read_bytes()
+
+
 @pytest.mark.parametrize("doc", [
     {**TOY, "unroll_iters": 100},
     {"kind": "toy", "methods": ["prp-adam"], "divergence": "reverse_kl"},

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from prp.divergences import kl_divergence, perspective_h, total_variation
 from prp.measures import (CostOracle, DiscreteDistribution, TransportPlan,
-                          ZeroMassRow, linear_cost, merge_duplicate_atoms,
+                          ZeroMassRow, cost_matrix, linear_cost,
+                          merge_duplicate_atoms,
                           plan_from_json, plan_to_json, posterior,
                           prp_objective, validate_plan)
 
@@ -152,6 +153,32 @@ def test_zero_mass_rows_contribute_nothing():
     prior = np.array([0.5, 0.5])
     plan = make_plan([[0.5, 0.5], [0.0, 0.0]], prior)
     assert prp_objective(plan, ZERO_COST, KL, 1.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cost_builders_agree_on_linear_cost():
+    # the matrix builder of `linear_cost` and its pointwise oracle alone
+    rng = np.random.default_rng(3)
+    atoms, types = rng.normal(size=(5, 3)), rng.normal(size=(4, 3))
+    cost = linear_cost(np.tile([-1.0, 1.0], (3, 1)))
+    pointwise = CostOracle(evaluate=cost.evaluate, bounds=cost.bounds)
+    assert np.abs(cost_matrix(cost, atoms, types)
+                  - cost_matrix(pointwise, atoms, types)).max() <= 1e-15
+
+
+def test_zero_mass_entries_ignore_infinite_costs():
+    prior = np.array([0.5, 0.5])
+    plan = make_plan(np.diag(prior), prior)
+
+    def matrix_and_adjoint(atoms, types):
+        c = np.where(np.eye(2) > 0.0, 1.0, np.inf)
+        return c, lambda p: p @ types
+
+    cost = CostOracle(evaluate=lambda x, y: 1.0 if x[0] == y[0] else math.inf,
+                      matrix_and_adjoint=matrix_and_adjoint)
+    with np.errstate(all="raise"):
+        assert prp_objective(plan, cost, KL, 0.0) == 1.0
+    pointwise = CostOracle(evaluate=cost.evaluate)
+    assert prp_objective(plan, pointwise, KL, 0.0) == 1.0
 
 
 @settings(max_examples=30, deadline=None)
