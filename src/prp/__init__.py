@@ -26,7 +26,8 @@ from .optim import (DescentConfig, OptimizerState, make_optimizer,
                     project_simplex)
 from .sinkhorn import (SinkhornProblem, SinkhornResult, minimize_sinkhorn,
                        sinkhorn_loss, sinkhorn_loss_grad, solve_sinkhorn)
-from .direct import kl_plan_objective, minimize_direct
+from .direct import (kl_plan_objective, minimize_direct,
+                     minimize_direct_starts)
 from .dca import (DCAResult, DCAState, DCProgram, DegenerateBox, build_dc,
                   concave_part_subgradient, convex_subproblem, dc_objective,
                   dca_solve, recover_actions)

@@ -7,6 +7,13 @@ KL form sum_ik gamma_ik log(gamma_ik / (p0_k m_i)), whose gradients have
 closed forms: C_ik + lam log(gamma_ik / (p0_k m_i)) in the plan and the
 cost oracle's adjoint applied to gamma in the atoms (gamma @ Y for the
 linear cost x . y).  Other divergences are rejected.
+
+`minimize_direct_starts` descends a stack of B independent starts in one
+loop: the plans form a (B, n, K) array, the atoms a (B, n, d) array, and
+each start keeps its own optimizer method, learning rates, random atoms
+and best iterate.  Every operation of the loop acts on each start alone,
+so a start's trace and plan are bit for bit those of a run on its own;
+`minimize_direct` is the stack of one.
 """
 
 from __future__ import annotations
@@ -33,34 +40,37 @@ def kl_plan_objective(gamma, cost_matrix, prior_weights, lam: float):
         s_i = sum_k gamma_ik p0_k / (m_i p0_k + eps),
 
     which is C + lam log(gamma / (p0 m)) on positive entries and stays
-    finite on the exact zeros that `project_columns` leaves.
+    finite on the exact zeros that `project_columns` leaves.  A (B, n, K)
+    stack of plans and cost matrices gives B values and B gradients.
     """
     gamma = np.asarray(gamma, dtype=float)
     cost_matrix = np.asarray(cost_matrix, dtype=float)
     prior_weights = np.asarray(prior_weights, dtype=float)
-    ref = gamma.sum(axis=1)[:, None] * prior_weights[None, :] + _EPS
+    ref = gamma.sum(axis=-1, keepdims=True) * prior_weights + _EPS
     shifted = gamma + _EPS
     log_ratio = np.log(shifted / ref)
-    privacy = (gamma * log_ratio).sum()
-    row_term = (gamma * prior_weights[None, :] / ref).sum(axis=1)
-    grad = cost_matrix + lam * (log_ratio + gamma / shifted
-                                - row_term[:, None])
-    return float((gamma * cost_matrix).sum() + privacy * lam), grad
+    entries = (-2, -1)
+    privacy = (gamma * log_ratio).sum(axis=entries)
+    row_term = (gamma * prior_weights / ref).sum(axis=-1, keepdims=True)
+    grad = cost_matrix + lam * (log_ratio + gamma / shifted - row_term)
+    return (gamma * cost_matrix).sum(axis=entries) + privacy * lam, grad
 
 
-def minimize_direct(prior_weights, type_atoms, cost: CostOracle, lam: float,
-                    n_atoms: int | None = None,
-                    divergence: FDivergence | None = None,
-                    config: DescentConfig | None = None,
-                    seed: int = 0):
-    """Descend the plan objective jointly in (gamma, atoms).
+def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
+                           lam: float, starts,
+                           n_atoms: int | None = None,
+                           divergence: FDivergence | None = None) -> list:
+    """Descend the plan objective jointly in (gamma, atoms) from B starts.
 
-    Starts from the non-revealing product coupling with uniformly random
-    atoms in the cost box.  Returns a feasible plan and the per-step
-    objective trace: trace[t] is the objective of the iterate that step t
-    starts from, so the trace keeps every step even where the descent goes
-    uphill.  The plan is the final iterate unless an earlier iterate of the
-    trace has a lower objective, in which case it is the best of those.
+    `starts` is a sequence of (DescentConfig, seed) pairs that share
+    `steps`.  Start b begins at the non-revealing product coupling with
+    atoms uniform in the cost box, drawn from default_rng(seed[b]), and
+    steps by its config's method and learning rates.  Returns one
+    (plan, trace) per start: trace[t] is the objective of the iterate that
+    step t starts from, so the trace keeps every step even where the
+    descent goes uphill.  The plan is the final iterate unless an earlier
+    iterate of the trace has a lower objective, in which case it is the
+    best of those.
     """
     divergence = divergence or kl_divergence()
     if divergence.name != "kl":
@@ -68,37 +78,69 @@ def minimize_direct(prior_weights, type_atoms, cost: CostOracle, lam: float,
             "the direct scheme only differentiates the KL privacy term")
     if cost.bounds is None:
         raise ValueError("minimize_direct needs a cost oracle with box bounds")
-    config = config or DescentConfig()
+    starts = list(starts)
+    configs = [config for config, _ in starts]
+    steps = {config.steps for config in configs}
+    if len(steps) != 1:
+        raise ValueError("need one or more starts that share their steps")
+    (steps,) = steps
     prior_weights = np.asarray(prior_weights, dtype=float)
     type_atoms_arr = np.asarray(type_atoms, dtype=float)
     k = prior_weights.size
     n = n_atoms if n_atoms is not None else k + 2
     bounds = np.asarray(cost.bounds, dtype=float)
     lower, upper = bounds[:, 0], bounds[:, 1]
-    rng = np.random.default_rng(seed)
-    atoms = rng.uniform(lower, upper, size=(n, bounds.shape[0]))
-    gamma = np.tile(prior_weights / n, (n, 1))
-    # one optimizer state over the packed vector (gamma, atoms)
-    split = gamma.size
-    lr = np.repeat([config.lr_weights, config.lr_atoms], [split, atoms.size])
-    state = make_optimizer(config.method, lr, [lr])
-    trace = np.empty(config.steps)
-    best_value, best = np.inf, None
-    for step in range(config.steps):
+    atoms = np.stack([np.random.default_rng(seed).uniform(
+        lower, upper, size=(n, bounds.shape[0])) for _, seed in starts])
+    b = len(configs)
+    gamma = np.tile(prior_weights / n, (b, n, 1))
+    # one optimizer state over the packed rows (gamma_b, atoms_b)
+    split = n * k
+    lr = np.stack([np.repeat([c.lr_weights, c.lr_atoms],
+                             [split, atoms[0].size]) for c in configs])
+    state = make_optimizer([c.method for c in configs], lr, [lr])
+    trace = np.empty((b, steps))
+    best_value = np.full(b, np.inf)
+    best_gamma, best_atoms = gamma, atoms
+    for step in range(steps):
         matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms_arr)
-        trace[step], grad_gamma = kl_plan_objective(gamma, matrix,
-                                                    prior_weights, lam)
-        if trace[step] < best_value:
-            best_value, best = trace[step], (gamma, atoms)
+        value, grad_gamma = kl_plan_objective(gamma, matrix, prior_weights,
+                                              lam)
+        trace[:, step] = value
+        better = value < best_value
+        best_value = np.where(better, value, best_value)
+        best_gamma = np.where(better[:, None, None], gamma, best_gamma)
+        best_atoms = np.where(better[:, None, None], atoms, best_atoms)
         (packed,) = optimizer_step(
-            state, [np.concatenate((gamma.ravel(), atoms.ravel()))],
-            [np.concatenate((grad_gamma.ravel(), adjoint(gamma).ravel()))])
-        gamma = project_columns(packed[:split].reshape(gamma.shape),
+            state, [np.concatenate((gamma.reshape(b, -1),
+                                    atoms.reshape(b, -1)), axis=1)],
+            [np.concatenate((grad_gamma.reshape(b, -1),
+                             adjoint(gamma).reshape(b, -1)), axis=1)])
+        gamma = project_columns(packed[:, :split].reshape(gamma.shape),
                                 prior_weights)
-        atoms = project_box(packed[split:].reshape(atoms.shape), lower, upper)
+        atoms = project_box(packed[:, split:].reshape(atoms.shape),
+                            lower, upper)
     matrix, _ = cost_with_adjoint(cost, atoms, type_atoms_arr)
-    if kl_plan_objective(gamma, matrix, prior_weights, lam)[0] > best_value:
-        gamma, atoms = best
+    final_value, _ = kl_plan_objective(gamma, matrix, prior_weights, lam)
+    worse = final_value > best_value
+    gamma = np.where(worse[:, None, None], best_gamma, gamma)
+    atoms = np.where(worse[:, None, None], best_atoms, atoms)
     prior = DiscreteDistribution(list(type_atoms_arr), prior_weights)
-    plan = TransportPlan(gamma, list(atoms), list(type_atoms_arr), prior)
-    return plan, trace
+    types = list(type_atoms_arr)
+    return [(TransportPlan(gamma[i], list(atoms[i]), types, prior), trace[i])
+            for i in range(b)]
+
+
+def minimize_direct(prior_weights, type_atoms, cost: CostOracle, lam: float,
+                    n_atoms: int | None = None,
+                    divergence: FDivergence | None = None,
+                    config: DescentConfig | None = None,
+                    seed: int = 0):
+    """Descend the plan objective jointly in (gamma, atoms) from one start.
+
+    The stack of one of `minimize_direct_starts`: returns its (plan, trace).
+    """
+    (result,) = minimize_direct_starts(
+        prior_weights, type_atoms, cost, lam,
+        [(config or DescentConfig(), seed)], n_atoms, divergence)
+    return result

@@ -72,9 +72,10 @@ class CostOracle:
 
     ``bounds`` is the per-coordinate action box, shape (d, 2), when the
     action space is a hyperrectangle.  A cost that admits gradients in the
-    action sets ``matrix_and_adjoint``: it maps stacked actions (n, d) and
-    the type atoms (m, d) to the cost matrix C (n, m) and the adjoint map
-    P -> d<C, P>/dx of shape (n, d).
+    action sets ``matrix_and_adjoint``: it maps stacked actions (..., n, d)
+    and the type atoms (m, d) to the cost matrix C (..., n, m) and the
+    adjoint map P -> d<C, P>/dx of shape (..., n, d); the leading axes
+    index independent starts, as in `direct.minimize_direct_starts`.
     """
 
     evaluate: Callable[[Any, Any], float]

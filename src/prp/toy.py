@@ -15,7 +15,7 @@ import numpy as np
 
 from . import seeds
 from .dca import build_dc, dca_solve
-from .direct import minimize_direct
+from .direct import minimize_direct, minimize_direct_starts
 from .divergences import kl_divergence
 from .measures import linear_cost, prp_objective
 from .optim import DescentConfig
@@ -51,8 +51,17 @@ class MethodRun:
     final_objective: float
 
 
-def _optimizer_of(method: str) -> str:
-    return {"adam": "adam", "rms": "rmsprop"}[method.split("-", 1)[1]]
+def _config(method: str, iterations: int, lr_weights: float,
+            lr_atoms: float) -> DescentConfig:
+    optimizer = {"adam": "adam", "rms": "rmsprop"}[method.split("-", 1)[1]]
+    return DescentConfig(method=optimizer, steps=iterations,
+                         lr_weights=lr_weights, lr_atoms=lr_atoms)
+
+
+def _scored(method: str, plan, trace, cost, lam: float) -> MethodRun:
+    final = prp_objective(plan, cost, kl_divergence(), lam)
+    return MethodRun(method=method, trace=np.asarray(trace, dtype=float),
+                     final_objective=final)
 
 
 def run_method(method: str, instance: ToyInstance, lam: float,
@@ -60,23 +69,18 @@ def run_method(method: str, instance: ToyInstance, lam: float,
                lr_weights: float = 0.05, lr_atoms: float = 0.01) -> MethodRun:
     """One solve; the trace reports the scheme's own objective per iteration."""
     cost = linear_cost(instance.bounds)
-    kl = kl_divergence()
     if method == "dca":
         program = build_dc(instance.type_atoms, instance.prior_weights,
                            instance.bounds[:, 0], instance.bounds[:, 1],
-                           kl, lam)
+                           kl_divergence(), lam)
         result = dca_solve(program, max_outer=min(200, iterations))
-        trace = result.trace + program.constant
-        plan = result.plan
-    else:
-        config = DescentConfig(method=_optimizer_of(method), steps=iterations,
-                               lr_weights=lr_weights, lr_atoms=lr_atoms)
-        solver = minimize_direct if method.startswith("prp") else minimize_sinkhorn
-        plan, trace = solver(instance.prior_weights, instance.type_atoms, cost,
-                             lam, config=config, seed=seed)
-    final = prp_objective(plan, cost, kl, lam)
-    return MethodRun(method=method, trace=np.asarray(trace, dtype=float),
-                     final_objective=final)
+        return _scored(method, result.plan, result.trace + program.constant,
+                       cost, lam)
+    config = _config(method, iterations, lr_weights, lr_atoms)
+    solver = minimize_direct if method.startswith("prp") else minimize_sinkhorn
+    plan, trace = solver(instance.prior_weights, instance.type_atoms, cost,
+                         lam, config=config, seed=seed)
+    return _scored(method, plan, trace, cost, lam)
 
 
 def pad_trace(trace: np.ndarray, length: int) -> np.ndarray:
@@ -104,10 +108,24 @@ def run_benchmark(d: int, k: int, lam: float, methods, runs: int,
     finals = {m: np.empty(runs) for m in methods}
     for run in range(runs):
         instance = sample_instance(d, k, seeds.rng_for(seed, seeds.INSTANCE, run))
+        init = [seeds.seed_for(seed, seeds.INIT, run, mi)
+                for mi in range(len(methods))]
+        # the direct methods of a run descend as one stack of starts
+        direct = [mi for mi, m in enumerate(methods) if m.startswith("prp")]
+        cost = linear_cost(instance.bounds)
+        stacked = {}
+        if direct:
+            starts = [(_config(methods[mi], iterations, lr_weights, lr_atoms),
+                       init[mi]) for mi in direct]
+            stacked = dict(zip(direct, minimize_direct_starts(
+                instance.prior_weights, instance.type_atoms, cost, lam,
+                starts)))
         for mi, method in enumerate(methods):
-            out = run_method(method, instance, lam, iterations,
-                             seed=seeds.seed_for(seed, seeds.INIT, run, mi),
-                             lr_weights=lr_weights, lr_atoms=lr_atoms)
+            if mi in stacked:
+                out = _scored(method, *stacked[mi], cost, lam)
+            else:
+                out = run_method(method, instance, lam, iterations, init[mi],
+                                 lr_weights=lr_weights, lr_atoms=lr_atoms)
             traces[method][run] = pad_trace(out.trace, iterations)
             finals[method][run] = out.final_objective
     mean = {m: traces[m].mean(axis=0) for m in methods}

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from prp import seeds, toy
-from prp.direct import kl_plan_objective, minimize_direct
+from prp.direct import (kl_plan_objective, minimize_direct,
+                        minimize_direct_starts)
 from prp.divergences import kl_divergence, total_variation
 from prp.measures import (DiscreteDistribution, TransportPlan,
                           cost_with_adjoint, linear_cost, prp_objective)
@@ -165,3 +166,36 @@ def test_best_iterate_is_the_trace_minimum_and_the_trace_is_per_step():
     assert len(trace) == 60
     assert value <= trace.min() + 1e-12
     assert np.diff(trace).max() > 0.0   # the descent did go uphill
+
+
+def test_stacked_starts_match_separate_runs_bit_for_bit():
+    # the benchmark instance above: the rmsprop start and the adam start at
+    # lr_atoms=0.03 fall back to their iterates of steps 55 and 30, the
+    # first start ends at its best iterate
+    instance = toy.sample_instance(
+        2, 5, seeds.rng_for(1587083764, seeds.INSTANCE, 0))
+    cost = linear_cost(instance.bounds)
+    args = (instance.prior_weights, instance.type_atoms, cost, 0.1)
+    starts = [(DescentConfig(method="adam", steps=100), 5),
+              (DescentConfig(method="rmsprop", steps=100), 5),
+              (DescentConfig(method="adam", steps=100, lr_atoms=0.03), 6)]
+    stacked = minimize_direct_starts(*args, starts)
+    assert len(stacked) == 3
+    fell_back = []
+    for (config, seed), (plan, trace) in zip(starts, stacked):
+        alone, alone_trace = minimize_direct(*args, config=config, seed=seed)
+        assert np.array_equal(trace, alone_trace)
+        assert np.array_equal(plan.gamma, alone.gamma)
+        assert np.array_equal(np.asarray(plan.action_atoms),
+                              np.asarray(alone.action_atoms))
+        value = prp_objective(plan, cost, kl_divergence(), 0.1)
+        fell_back.append(value == pytest.approx(trace.min(), abs=1e-12))
+    assert fell_back == [False, True, True]
+
+
+def test_stacked_starts_must_share_their_steps():
+    cost = linear_cost(BOUNDS)
+    starts = [(DescentConfig(steps=10), 0), (DescentConfig(steps=11), 1)]
+    with pytest.raises(ValueError, match="steps"):
+        minimize_direct_starts(np.array([1.0]), np.array([[1.0, 0.0]]), cost,
+                               0.1, starts)

@@ -81,6 +81,14 @@ def test_column_projection_matches_per_column():
     for k in range(3):
         assert np.allclose(out[:, k], project_simplex(m[:, k], totals[k]),
                            atol=1e-12)
+    # a (B, n, K) stack projects plan by plan, bit for bit; the last plan
+    # has a column below the resolution of its largest entry
+    stack = rng.normal(size=(4, 5, 3))
+    stack[3, :, 0] = [1e20, 0.0, 1e20, -1.0, 2.0]
+    out = project_columns(stack, totals)
+    for b in range(4):
+        assert np.array_equal(out[b], project_columns(stack[b], totals))
+    assert np.array_equal(out[3, :, 0], [0.1, 0.0, 0.1, 0.0, 0.0])
 
 
 def test_column_projection_equals_rank_search_on_continuous_inputs():
@@ -139,24 +147,41 @@ def test_total_below_the_resolution_goes_to_the_largest_entries():
     assert np.array_equal(project_simplex([2e20, 1.0]), [1.0, 0.0])
 
 
-@pytest.mark.parametrize("method", ["adam", "rmsprop", "pgd"])
+@pytest.mark.parametrize("method", ["adam", "rmsprop", "pgd", "mixed"])
 def test_packed_state_with_array_lr_equals_separate_states(method):
+    # one state over packed (gamma, atoms) rows, with a method per row in
+    # the mixed case, steps each row as separate per-piece states would
     rng = np.random.default_rng(23)
-    gamma, atoms = rng.normal(size=(7, 5)), rng.normal(size=(7, 2))
-    first = make_optimizer(method, 0.05, [gamma])
-    second = make_optimizer(method, 0.01, [atoms])
-    lr = np.repeat([0.05, 0.01], [gamma.size, atoms.size])
-    packed = np.concatenate((gamma.ravel(), atoms.ravel()))
-    both = make_optimizer(method, lr, [packed])
+    stacked = method == "mixed"
+    names = ["rmsprop", "adam", "pgd", "adam"] if stacked else [method]
+    pieces = [[rng.normal(size=(7, 5)), rng.normal(size=(7, 2))]
+              for _ in names]
+    separate = [(make_optimizer(name, 0.05, [gamma]),
+                 make_optimizer(name, 0.01, [atoms]))
+                for name, (gamma, atoms) in zip(names, pieces)]
+    lr = np.repeat([0.05, 0.01], [35, 14])
+    packed = np.stack([np.concatenate((gamma.ravel(), atoms.ravel()))
+                       for gamma, atoms in pieces])
+    both = make_optimizer(names if stacked else method, lr, [packed])
     for _ in range(20):
-        g_gamma = rng.normal(size=gamma.shape)
-        g_atoms = rng.normal(size=atoms.shape)
-        (gamma,) = optimizer_step(first, [gamma], [g_gamma])
-        (atoms,) = optimizer_step(second, [atoms], [g_atoms])
-        grad = np.concatenate((g_gamma.ravel(), g_atoms.ravel()))
-        (packed,) = optimizer_step(both, [packed], [grad])
-        assert np.array_equal(packed,
-                              np.concatenate((gamma.ravel(), atoms.ravel())))
+        grads = [[rng.normal(size=(7, 5)), rng.normal(size=(7, 2))]
+                 for _ in names]
+        for piece, states, grad in zip(pieces, separate, grads):
+            for i in range(2):
+                (piece[i],) = optimizer_step(states[i], [piece[i]], [grad[i]])
+        (packed,) = optimizer_step(
+            both, [packed], [np.stack([np.concatenate((g.ravel(), a.ravel()))
+                                       for g, a in grads])])
+        assert np.array_equal(packed, np.stack(
+            [np.concatenate((gamma.ravel(), atoms.ravel()))
+             for gamma, atoms in pieces]))
+
+
+def test_stacked_state_rejects_unknown_methods():
+    with pytest.raises(ValueError):
+        make_optimizer(["adam", "sgd"], 0.1, [np.zeros((2, 3))])
+    with pytest.raises(ValueError):
+        make_optimizer([], 0.1, [np.zeros((0, 3))])
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
