@@ -28,7 +28,7 @@ from .sinkhorn import (SinkhornProblem, SinkhornResult, minimize_sinkhorn,
                        sinkhorn_loss, sinkhorn_loss_grad, solve_sinkhorn)
 from .direct import (kl_plan_objective, minimize_direct,
                      minimize_direct_starts)
-from .dca import (DCAResult, DCAState, DCProgram, DegenerateBox, build_dc,
+from .dca import (DCAResult, DCProgram, DegenerateBox, build_dc,
                   concave_part_subgradient, convex_subproblem, dc_objective,
                   dca_solve, recover_actions)
 from .gridsolve import solve_grid

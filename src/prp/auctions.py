@@ -28,25 +28,25 @@ for A (a jump of v*G) and every ReLU kink -c_j/w_j (beta' jumps), it
 adds the Leibniz boundary terms under the Exp(1) density
 (`_boundary_grads`).
 
-Training descends the entropic-OT loss of the induced (policy, type)
-coupling.  Each step solves it once, warm started from the previous step,
-and takes the envelope gradients of that solve: dL/dalpha in closed form
-and dL/dC = P, which reaches the policies through the adjoint of the cost
-matrix C_ik = 1 - (y_k A_i - B_i).
+Training is the Sinkhorn descent of `prp.sinkhorn` on a cost oracle
+whose action atoms are policies: each policy is packed as one parameter
+row [w, c, a, b] of length 3W + 1, the cost matrix is C_ik = 1 - (y_k A_i
+- B_i), and the adjoint takes dL/dC = P to the rows through the adjoint of
+`expected_stats`.  Only `_pack` and `_unpack` know the row layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import seeds
 from .divergences import kl_divergence, perspective_total
-from .measures import DiscreteDistribution, TransportPlan
-from .optim import DescentConfig, make_optimizer, optimizer_step, project_simplex
-from .sinkhorn import SinkhornProblem, solve_sinkhorn, step_solve
+from .measures import CostOracle, DiscreteDistribution, TransportPlan
+from .optim import DescentConfig
+from .sinkhorn import _descend, step_solve
 
 
 @dataclass(frozen=True)
@@ -303,6 +303,35 @@ def _boundary_grads(params, kink, valid, pieces, coef_a, coef_b) -> list:
             scale.sum(axis=1)]
 
 
+def _pack(params) -> np.ndarray:
+    """Stacked `params` as one row [w, c, a, b] of length 3W + 1 per policy."""
+    w, c, a, b = params
+    return np.concatenate((w, c, a, b[:, None]), axis=1)
+
+
+def _unpack(rows) -> list:
+    """The stacked [weights, biases, out_weights, out_bias] of `_pack` rows."""
+    width = (rows.shape[1] - 1) // 3
+    w, c, a, b = np.split(rows, [width, 2 * width, 3 * width], axis=1)
+    return [np.ascontiguousarray(x) for x in (w, c, a, b[:, 0])]
+
+
+def _revenue_cost(rows, y):
+    """C_ik = 1 - (y_k A_i - B_i) of packed policy rows, and its adjoint.
+
+    The adjoint maps a plan P to the gradient of <C, P> in the rows: the
+    adjoint of `expected_stats` at coefficients -P y on A and P 1 on B.
+    """
+    a_stat, b_stat, adjoint = expected_stats(_unpack(rows))
+    matrix = 1.0 - (a_stat[:, None] * y[None, :] - b_stat[:, None])
+    return matrix, lambda plan: _pack(adjoint(-(plan @ y), plan.sum(axis=1)))
+
+
+_REVENUE_COST = CostOracle(
+    evaluate=lambda x, y: float(_revenue_cost(np.atleast_2d(x),
+                                              np.atleast_1d(y))[0][0, 0]),
+    matrix_and_adjoint=_revenue_cost)
+
 AUCTION_TRAINING = DescentConfig(lr_weights=0.02, lr_atoms=3e-4)
 
 
@@ -316,50 +345,25 @@ def train_strategy(model: AuctionModel, lam: float,
                    width: int = 100):
     """Jointly descend (atom weights, policy parameters) on the coupling loss.
 
-    Per step, the exact statistics of `expected_stats` price every policy
-    against every type through the cost C_ik = 1 - (y_k A_i - B_i), and the
-    entropic-OT loss L of the induced coupling is solved once, warm started
-    from the previous step.  Its envelope gradients are dL/dalpha and dL/dC
-    = P (see `prp.sinkhorn`).  The policy gradient contracts P_ik with the
-    exact gradients of the expected statistics, -y_k dA_i + dB_i (the
-    adjoint of `expected_stats`).  Only the initial policies are random (drawn
-    from `seed`), so the run is deterministic.  Returns the plan recovered
-    from a converged final solve (policies as action atoms) and the loss
-    trace.
+    The Sinkhorn descent of `prp.sinkhorn` with the policies as packed
+    action atoms under the cost C_ik = 1 - (y_k A_i - B_i) of
+    `_revenue_cost`.  Only the initial policies are random (drawn from
+    `seed`), so the run is deterministic.  Returns the plan of the
+    converged final solve (policies as action atoms) and the loss trace.
     """
-    config = config or AUCTION_TRAINING
     n = n_atoms if n_atoms is not None else model.n_types + 2
     y = model.type_atoms
-    prior_weights = model.prior.weights
-    init_rng = seeds.rng_for(seed, seeds.INIT)
-    params = _stack(ladder_policies(init_rng, n, width))
-    alpha = np.full(n, 1.0 / n)
-    opt_alpha = make_optimizer(config.method, config.lr_weights, [alpha])
-    opt_params = make_optimizer(config.method, config.lr_atoms, params)
-    trace = np.empty(steps)
-    log_v = None
-    for step in range(steps):
-        a_stat, b_stat, adjoint = expected_stats(params)
-        cost = 1.0 - (a_stat[:, None] * y[None, :] - b_stat[:, None])
-        result = step_solve(alpha, cost, prior_weights, lam, log_v)
-        log_v = result.log_v
-        trace[step] = result.loss
-        grads = adjoint(-(result.plan @ y), result.plan.sum(axis=1))
-        (alpha,) = optimizer_step(opt_alpha, [alpha], [result.grad_alpha])
-        # the floor keeps every atom shipping a trickle of mass, so its
-        # policy keeps receiving gradient; a policy that bids <= 0 for every
-        # value has zero gradient and stays dead regardless
-        alpha = project_simplex(alpha, floor=min(1e-4, 0.1 / n))
-        params = optimizer_step(opt_params, params, grads)
-    policies = [BidPolicy(params[0][i], params[1][i], params[2][i],
-                          float(params[3][i])) for i in range(n)]
-    a_stat, b_stat, _ = expected_stats(params)
-    cost = 1.0 - (a_stat[:, None] * y[None, :] - b_stat[:, None])
-    problem = SinkhornProblem(alpha, prior_weights, cost, lam,
-                              max_iter=2000, tol=1e-9)
-    result = solve_sinkhorn(problem, log_v)
-    plan = TransportPlan(result.plan, policies, list(y), model.prior)
-    return plan, trace
+    rows = _pack(_stack(ladder_policies(seeds.rng_for(seed, seeds.INIT), n,
+                                        width)))
+    # the weight floor keeps every atom shipping a trickle of mass, so its
+    # policy keeps receiving gradient; a policy that bids <= 0 for every
+    # value has zero gradient and stays dead regardless
+    rows, gamma, trace = _descend(
+        rows, model.prior.weights, y, _REVENUE_COST, lam,
+        replace(config or AUCTION_TRAINING, steps=steps), min(1e-4, 0.1 / n))
+    w, c, a, b = _unpack(rows)
+    policies = [BidPolicy(w[i], c[i], a[i], float(b[i])) for i in range(n)]
+    return TransportPlan(gamma, policies, list(y), model.prior), trace
 
 
 @dataclass(frozen=True)

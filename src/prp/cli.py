@@ -25,7 +25,7 @@ from .auctions import AuctionModel, dominant_action_map, sweep_lambda
 from .dca import build_dc, dca_solve
 from .gridsolve import solve_grid
 from .measures import linear_cost, plan_to_json, prp_objective
-from .optim import DescentConfig
+from .optim import RULES, DescentConfig
 from .reporting import read_config_document, write_csv, write_manifest
 
 KINDS = ("toy", "grid", "dca", "auctions", "sweep")
@@ -105,7 +105,7 @@ def _validate(config: ExperimentConfig) -> None:
         divergences.from_name(config.divergence)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if config.method not in ("adam", "rmsprop", "pgd"):
+    if config.method not in RULES:
         raise ConfigError(f"unknown optimizer {config.method!r}")
     if config.kind == "toy":
         bad = [m for m in config.methods if m not in toy.METHODS]

@@ -15,7 +15,7 @@ kept as ``constant`` so full plan objectives can be reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,20 +43,10 @@ class DCProgram:
     constant: float            # affine cost part dropped by the reduction
 
 
-@dataclass
-class DCAState:
-    """Current iterate of the outer loop."""
-
-    gamma: np.ndarray
-    trace: list = field(default_factory=list)
-    subgradient: np.ndarray | None = None
-
-
 @dataclass(frozen=True)
 class DCAResult:
     plan: TransportPlan
     trace: np.ndarray
-    state: DCAState
     outer_iterations: int
     inner_max_iter_hit: bool
 
@@ -153,23 +143,20 @@ def dca_solve(program: DCProgram, init=None, outer_tol: float = 1e-9,
                        + product_coupling(program.prior, n_rows))
     else:
         gamma = np.asarray(init, dtype=float)
-    state = DCAState(gamma=gamma)
-    state.trace.append(dc_objective(program, gamma))
+    trace = [dc_objective(program, gamma)]
     inner_hit = False
     outer = 0
     for outer in range(1, max_outer + 1):
-        state.subgradient = concave_part_subgradient(program, state.gamma)
-        inner = convex_subproblem(program, state.subgradient, state.gamma,
+        subgradient = concave_part_subgradient(program, gamma)
+        inner = convex_subproblem(program, subgradient, gamma,
                                   max_steps=inner_max_steps, tol=inner_tol)
         inner_hit = inner_hit or not inner.converged
-        state.gamma = inner.x
-        value = dc_objective(program, state.gamma)
-        state.trace.append(value)
-        if state.trace[-2] - value < outer_tol:
+        gamma = inner.x
+        trace.append(dc_objective(program, gamma))
+        if trace[-2] - trace[-1] < outer_tol:
             break
-    actions = recover_actions(program, state.gamma)
+    actions = recover_actions(program, gamma)
     prior = DiscreteDistribution(list(program.type_atoms), program.prior)
-    plan = TransportPlan(state.gamma, list(actions), list(program.type_atoms),
-                         prior)
-    return DCAResult(plan=plan, trace=np.asarray(state.trace), state=state,
+    plan = TransportPlan(gamma, list(actions), list(program.type_atoms), prior)
+    return DCAResult(plan=plan, trace=np.asarray(trace),
                      outer_iterations=outer, inner_max_iter_hit=inner_hit)

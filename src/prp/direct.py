@@ -98,7 +98,7 @@ def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
     split = n * k
     lr = np.stack([np.repeat([c.lr_weights, c.lr_atoms],
                              [split, atoms[0].size]) for c in configs])
-    state = make_optimizer([c.method for c in configs], lr, [lr])
+    state = make_optimizer([c.method for c in configs], lr, lr)
     trace = np.empty((b, steps))
     best_value = np.full(b, np.inf)
     best_gamma, best_atoms = gamma, atoms
@@ -111,11 +111,11 @@ def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
         best_value = np.where(better, value, best_value)
         best_gamma = np.where(better[:, None, None], gamma, best_gamma)
         best_atoms = np.where(better[:, None, None], atoms, best_atoms)
-        (packed,) = optimizer_step(
-            state, [np.concatenate((gamma.reshape(b, -1),
-                                    atoms.reshape(b, -1)), axis=1)],
-            [np.concatenate((grad_gamma.reshape(b, -1),
-                             adjoint(gamma).reshape(b, -1)), axis=1)])
+        packed = optimizer_step(
+            state, np.concatenate((gamma.reshape(b, -1),
+                                   atoms.reshape(b, -1)), axis=1),
+            np.concatenate((grad_gamma.reshape(b, -1),
+                            adjoint(gamma).reshape(b, -1)), axis=1))
         gamma = project_columns(packed[:, :split].reshape(gamma.shape),
                                 prior_weights)
         atoms = project_box(packed[:, split:].reshape(atoms.shape),

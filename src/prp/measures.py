@@ -75,7 +75,9 @@ class CostOracle:
     action sets ``matrix_and_adjoint``: it maps stacked actions (..., n, d)
     and the type atoms (m, d) to the cost matrix C (..., n, m) and the
     adjoint map P -> d<C, P>/dx of shape (..., n, d); the leading axes
-    index independent starts, as in `direct.minimize_direct_starts`.
+    index independent starts, as in `direct.minimize_direct_starts`.  The
+    atoms need not be points of a box: the auction cost takes packed
+    bid-policy parameter rows and sets no ``bounds``.
     """
 
     evaluate: Callable[[Any, Any], float]

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class DescentConfig:
 #     p <- p - lr m_hat / (sqrt(v_hat) + eps)
 # RMSProp is the rule with b1 = 0 and no bias correction (its 0.1 is the
 # literal, as in the classic update), pgd also has b2 = 0 and eps = 1
-_RULES = {
+RULES = {
     "adam": (0.9, 1.0 - 0.9, 0.999, 1.0 - 0.999, 1e-8, True),
     "rmsprop": (0.0, 1.0, 0.9, 0.1, 1e-8, False),
     "pgd": (0.0, 1.0, 0.0, 0.0, 1.0, False),
@@ -90,79 +90,69 @@ _RULES = {
 
 @dataclass
 class OptimizerState:
-    """First-order update state; accumulators mirror the parameter shapes.
+    """First-order update state of one parameter array.
 
-    `coefficients` holds (b1, 1 - b1, b2, 1 - b2, eps) of `_RULES`, as
-    scalars for one method and as arrays over the leading axis of the
-    parameters for a method per start.
+    The leading axis of the array stacks starts, one method per start;
+    `coefficients` holds (b1, 1 - b1, b2, 1 - b2, eps) of `RULES` as arrays
+    over that axis, and the accumulators `m`, `v` have the array's shape.
     """
 
-    method: str | tuple            # adam | rmsprop | pgd, or one per start
+    method: tuple                  # adam | rmsprop | pgd, one per start
     lr: float | np.ndarray
-    coefficients: tuple = ()
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    coefficients: tuple
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
-def make_optimizer(method, lr, params: Sequence[np.ndarray]) -> OptimizerState:
-    """Fresh state for `optimizer_step` on parameters shaped like `params`.
+def make_optimizer(method, lr, param) -> OptimizerState:
+    """Fresh state for `optimizer_step` on an array shaped like `param`.
 
-    `lr` is a scalar or an array that broadcasts against every parameter.
+    `method` is a name, or a sequence of B names for a `param` that stacks
+    B starts along its leading axis; start b then steps by method[b], bit
+    for bit as a state of its own would.  A single name is the one-start
+    case.  `lr` is a scalar or an array that broadcasts against `param`.
     All three updates are elementwise, so one state over a concatenated
     vector with a per-entry `lr` takes bit for bit the steps of separate
     states over the pieces; the descent loops pack their weights and atoms
-    that way to make one update call per step.  With a sequence of B method
-    names, every parameter stacks B starts along its leading axis and start
-    b steps by method[b], again bit for bit as a separate state would.
+    that way to make one update call per step.
     """
-    stacked = not isinstance(method, str)
-    names = tuple(method) if stacked else (method,)
-    if not names or any(name not in _RULES for name in names):
+    names = (method,) if isinstance(method, str) else tuple(method)
+    if not names or any(name not in RULES for name in names):
         raise ValueError(f"unknown optimizer {method!r}")
-    coefficients = _RULES[names[0]][:5]
-    if stacked:
-        shape = (-1,) + (1,) * (np.ndim(params[0]) - 1)
-        coefficients = tuple(np.array(c).reshape(shape) for c in
-                             zip(*(_RULES[name][:5] for name in names)))
-    zeros = [np.zeros_like(np.asarray(p, dtype=float)) for p in params]
-    return OptimizerState(method=names if stacked else method, lr=lr,
-                          coefficients=coefficients,
-                          m=[z.copy() for z in zeros], v=zeros)
+    shape = (len(names),) + (1,) * (np.ndim(param) - 1)
+    coefficients = tuple(np.array(c).reshape(shape) for c in
+                         zip(*(RULES[name][:5] for name in names)))
+    zeros = np.zeros_like(np.asarray(param, dtype=float))
+    return OptimizerState(method=names, lr=lr, coefficients=coefficients,
+                          m=zeros.copy(), v=zeros)
 
 
 def _bias_corrections(state: OptimizerState):
     """1 - b1^t and 1 - b2^t of the bias-corrected rules, 1.0 otherwise."""
-    stacked = not isinstance(state.method, str)
     pairs = []
-    for name in state.method if stacked else (state.method,):
-        b1, _, b2, _, _, corrected = _RULES[name]
+    for name in state.method:
+        b1, _, b2, _, _, corrected = RULES[name]
         pairs.append((1.0 - b1 ** state.t, 1.0 - b2 ** state.t)
                      if corrected else (1.0, 1.0))
-    if not stacked:
-        return pairs[0]
     return np.array(pairs).T.reshape((2,) + state.coefficients[0].shape)
 
 
-def optimizer_step(state: OptimizerState, params: Sequence[np.ndarray],
-                   grads: Sequence[np.ndarray]) -> list:
-    """One deterministic update; returns the new parameter list.
+def optimizer_step(state: OptimizerState, param, grad) -> np.ndarray:
+    """One deterministic update; returns the new parameter array.
 
     ADAM uses beta1=0.9, beta2=0.999, eps=1e-8; RMSProp uses decay 0.9,
     eps=1e-8; pgd is a plain gradient step.  All three are one elementwise
-    rule with the coefficients of `_RULES`.
+    rule with the coefficients of `RULES`.
     """
     state.t += 1
     b1, c1, b2, c2, eps = state.coefficients
     bc1, bc2 = _bias_corrections(state)
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + c1 * g
-        state.v[i] = b2 * state.v[i] + c2 * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + eps))
-    return out
+    state.m = b1 * state.m + c1 * grad
+    state.v = b2 * state.v + c2 * grad * grad
+    m_hat = state.m / bc1
+    v_hat = state.v / bc2
+    return param - state.lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 @dataclass(frozen=True)

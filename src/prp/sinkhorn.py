@@ -34,9 +34,9 @@ psi - log beta), so the loss is
     L = lam (<rowsum(plan), phi - log alpha> + <beta, psi - log beta>)
 
 with no logarithm of the plan.  Zero-weight rows and columns stay out of
-the Newton system.  The solve works on potentials only, so it runs at any
-lam (the u and v it returns may overflow).  A solve may start from the
-log v of an earlier solve; the descent loops pass it on from step to step.
+the Newton system.  The solve works on potentials only and returns them
+as log u and log v, so it runs at any lam.  A solve may start from the
+log v of an earlier solve; the descent loop passes it on from step to step.
 
 Gradients come from the envelope theorem at the converged coupling, with
 no differentiation through the iterations (Feydy et al., AISTATS 2019;
@@ -53,6 +53,9 @@ either way.  Since f does not involve log(alpha), a row with zero weight
 keeps a finite gradient.  The gradient in the action atoms is the cost
 oracle's adjoint map applied to P (`measures.cost_with_adjoint`); for the
 linear cost x . y that is P @ Y.
+
+One descent loop, `_descend`, serves every cost: box atoms under x . y in
+`minimize_sinkhorn`, packed bid policies in `auctions.train_strategy`.
 """
 
 from __future__ import annotations
@@ -106,9 +109,7 @@ class SinkhornProblem:
 
 @dataclass
 class SinkhornResult:
-    plan: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
+    plan: np.ndarray         # diag(exp(log_u)) K diag(exp(log_v))
     log_u: np.ndarray
     log_v: np.ndarray
     loss: float
@@ -172,9 +173,11 @@ def _newton(log_kernel, alpha, beta, psi, max_iter: int, tol: float):
 def solve_sinkhorn(problem: SinkhornProblem, init_log_v=None) -> SinkhornResult:
     """Solve the instance by damped Newton ascent of the semi-dual.
 
-    `init_log_v` warm-starts psi = log v, e.g. with the `log_v` of the
-    previous solve in a descent loop.  A solve that stops short of `tol`
-    (at `max_iter`, or where rounding stalls it) warns.
+    Returns the plan, the potentials log u = phi and log v = psi (-inf on
+    zero-weight rows and columns), the loss and the envelope gradient in
+    alpha.  `init_log_v` warm-starts psi = log v, e.g. with the `log_v` of
+    the previous solve in a descent loop.  A solve that stops short of
+    `tol` (at `max_iter`, or where rounding stalls it) warns.
     """
     alpha, beta, lam = problem.alpha, problem.beta, problem.lam
     log_kernel = -problem.cost_matrix / lam
@@ -207,9 +210,7 @@ def solve_sinkhorn(problem: SinkhornProblem, init_log_v=None) -> SinkhornResult:
         warnings.warn(f"Sinkhorn solve at lam={lam:g} stopped after {steps} "
                       f"Newton steps with marginal error {error:.3g}",
                       RuntimeWarning, stacklevel=2)
-    with np.errstate(over="ignore"):
-        u, v = np.exp(phi), np.exp(log_v)
-    return SinkhornResult(plan, u, v, phi, log_v, float(loss), steps, error,
+    return SinkhornResult(plan, phi, log_v, float(loss), steps, error,
                           lam * (f - f @ alpha - 1.0))
 
 
@@ -257,55 +258,68 @@ def sinkhorn_loss_grad(alpha, atoms, nu, cost: CostOracle, lam: float):
     return result.grad_alpha, adjoint(result.plan), result.loss
 
 
+def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lam: float,
+             config: DescentConfig, floor: float):
+    """Descend the entropic-OT loss over (weights, atoms) from `atoms`.
+
+    Each step solves the instance once with `step_solve`, warm started from
+    the previous step's log v, and takes one packed optimizer step with its
+    envelope gradients.  The weights start uniform and are projected onto
+    {w >= floor, sum w = 1}, the atoms onto the oracle's box if it has
+    `bounds`.  Returns the final atoms, the plan of a final solve to tol
+    1e-9 (its column sums equal the prior) and the per-step loss trace.
+    """
+    n = atoms.shape[0]
+    alpha = np.full(n, 1.0 / n)
+    lr = np.repeat([config.lr_weights, config.lr_atoms], [n, atoms.size])
+    state = make_optimizer(config.method, lr, lr)
+    box = None if cost.bounds is None else np.asarray(cost.bounds, float).T
+    trace = np.empty(config.steps)
+    log_v = None
+    for step in range(config.steps):
+        matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms)
+        result = step_solve(alpha, matrix, prior_weights, lam, log_v)
+        log_v = result.log_v
+        trace[step] = result.loss
+        grad = np.concatenate((result.grad_alpha,
+                               adjoint(result.plan).ravel()))
+        packed = optimizer_step(
+            state, np.concatenate((alpha, atoms.ravel())), grad)
+        alpha = project_simplex(packed[:n], floor=floor)
+        atoms = packed[n:].reshape(atoms.shape)
+        if box is not None:
+            atoms = project_box(atoms, *box)
+    matrix, _ = cost_with_adjoint(cost, atoms, type_atoms)
+    result = solve_sinkhorn(SinkhornProblem(alpha, prior_weights, matrix, lam),
+                            log_v)
+    return atoms, result.plan, trace
+
+
 def minimize_sinkhorn(prior_weights, type_atoms, cost: CostOracle, lam: float,
                       n_atoms: int | None = None,
                       config: DescentConfig | None = None,
                       seed: int = 0):
     """First-order descent of the entropic-OT loss over (weights, atoms).
 
-    Atom locations start uniform in the cost box and the weight vector starts
-    uniform; after every step the weights are projected back onto the simplex
-    and the atoms onto the box.  Each step solves the instance once with
-    `step_solve`, a Newton solve warm started from the previous step's
-    log v, and takes the envelope gradients of that solve.  Returns the plan
-    of a final solve to tol 1e-9 (its column sums equal the prior exactly)
-    along with the per-step loss trace.  The trace is recorded for
-    benchmarking and is not guaranteed to be monotone.
+    Atom locations start uniform in the cost box, drawn from `seed`, and
+    the descent is `_descend` with weight floor min(1e-6, 0.1/n).  Returns
+    the plan of its final solve along with the per-step loss trace.  The
+    trace is recorded for benchmarking and is not guaranteed to be
+    monotone.
     """
     if cost.bounds is None:
         raise ValueError("minimize_sinkhorn needs a cost oracle with box bounds")
-    config = config or DescentConfig()
     prior_weights = np.asarray(prior_weights, dtype=float)
     type_atoms_arr = np.asarray(type_atoms, dtype=float)
-    k = prior_weights.size
-    n = n_atoms if n_atoms is not None else k + 2
+    n = n_atoms if n_atoms is not None else prior_weights.size + 2
     if n < 1:
         raise ValueError("need at least one action atom")
     bounds = np.asarray(cost.bounds, dtype=float)
-    lower, upper = bounds[:, 0], bounds[:, 1]
     rng = np.random.default_rng(seed)
-    atoms = rng.uniform(lower, upper, size=(n, bounds.shape[0]))
-    alpha = np.full(n, 1.0 / n)
-    floor = min(1e-6, 0.1 / n)
-    # one optimizer state over the packed vector (alpha, atoms)
-    lr = np.repeat([config.lr_weights, config.lr_atoms], [n, atoms.size])
-    state = make_optimizer(config.method, lr, [lr])
-    trace = np.empty(config.steps)
-    log_v = None
-    for step in range(config.steps):
-        matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms_arr)
-        result = step_solve(alpha, matrix, prior_weights, lam, log_v)
-        log_v = result.log_v
-        trace[step] = result.loss
-        grad = np.concatenate((result.grad_alpha,
-                               adjoint(result.plan).ravel()))
-        (packed,) = optimizer_step(
-            state, [np.concatenate((alpha, atoms.ravel()))], [grad])
-        alpha = project_simplex(packed[:n], floor=floor)
-        atoms = project_box(packed[n:].reshape(atoms.shape), lower, upper)
-    matrix, _ = cost_with_adjoint(cost, atoms, type_atoms_arr)
-    result = solve_sinkhorn(SinkhornProblem(alpha, prior_weights, matrix, lam),
-                            log_v)
+    atoms = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n, bounds.shape[0]))
+    atoms, gamma, trace = _descend(atoms, prior_weights, type_atoms_arr, cost,
+                                   lam, config or DescentConfig(),
+                                   min(1e-6, 0.1 / n))
     prior = DiscreteDistribution(list(type_atoms_arr), prior_weights)
-    plan = TransportPlan(result.plan, list(atoms), list(type_atoms_arr), prior)
+    plan = TransportPlan(gamma, list(atoms), list(type_atoms_arr), prior)
     return plan, trace

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from prp import auctions, seeds
+from prp import auctions, seeds, sinkhorn
 from prp.auctions import (AuctionModel, BidPolicy, dominant_action_map,
                           evaluate_strategy, ladder_policies, random_policy,
                           sweep_lambda, train_strategy)
 from prp.divergences import kl_divergence
-from prp.measures import DiscreteDistribution, TransportPlan, posterior
+from prp.measures import (DiscreteDistribution, TransportPlan,
+                          cost_with_adjoint, posterior)
 from prp.optim import DescentConfig
 
 import oracles
@@ -201,6 +202,30 @@ def test_training_gradient_matches_expected_statistics(index):
                                         1e-5) < 1e-6
 
 
+def test_revenue_cost_adjoint_matches_central_differences():
+    # the training cost prices packed policy rows; its adjoint contracts a
+    # plan P with -y dA + dB and packs the result in the rows' layout
+    model = AuctionModel(n_types=5)
+    y = model.type_atoms
+    rows = auctions._pack(auctions._stack(
+        ladder_policies(seeds.rng_for(1, seeds.INIT), 7, 40)))
+    rng = np.random.default_rng(31)
+    plan = rng.uniform(size=(7, 5))
+    cost = auctions._REVENUE_COST
+    matrix, adjoint = cost_with_adjoint(cost, rows, y)
+    assert cost.evaluate(rows[3], y[2]) == matrix[3, 2]
+    grad = adjoint(plan)
+    assert grad.shape == rows.shape
+    eps = 1e-6
+    for _ in range(3):
+        step = rng.standard_normal(rows.shape)
+        value = [np.sum(cost_with_adjoint(cost, rows + sign * eps * step,
+                                          y)[0] * plan)
+                 for sign in (1.0, -1.0)]
+        fd = (value[0] - value[1]) / (2 * eps)
+        assert abs(np.sum(grad * step) - fd) < 1e-6 * max(1.0, abs(fd))
+
+
 def test_dead_policy_has_exactly_zero_statistics():
     # beta <= 0 on [0, inf): one unit pulls down, the other is never on
     dead = relu_policy([1.0, -1.0], [0.0, -0.5], [-0.3, 2.0], -0.01)
@@ -325,14 +350,14 @@ def test_training_with_tiny_privacy_weight_specializes():
 def test_tiny_privacy_weight_step_solves_all_converge(monkeypatch):
     # the instance above; with a 3000-iteration scaling loop, 33 of its 250
     # step solves ended at the cap with marginal error up to 6.4e-4
-    step_solve, errors = auctions.step_solve, []
+    step_solve, errors = sinkhorn.step_solve, []
 
     def recorded(*args, **kwargs):
         result = step_solve(*args, **kwargs)
         errors.append(result.marginal_error)
         return result
 
-    monkeypatch.setattr(auctions, "step_solve", recorded)
+    monkeypatch.setattr(sinkhorn, "step_solve", recorded)
     train_strategy(AuctionModel(n_types=10), lam=1e-3, steps=250,
                    config=DescentConfig(), seed=1, width=40)
     assert len(errors) == 250

@@ -63,7 +63,8 @@ def test_sweep_ignores_the_retired_sample_counts(tmp_path):
 @pytest.mark.parametrize("doc", [
     {**TOY, "unroll_iters": 100},
     {"kind": "toy", "methods": ["prp-adam"], "divergence": "reverse_kl"},
-], ids=["unknown-key", "non-kl-toy"])
+    {"kind": "toy", "method": "sgd"},
+], ids=["unknown-key", "non-kl-toy", "unknown-optimizer"])
 def test_config_errors_exit_with_2(tmp_path, capsys, doc):
     assert run(tmp_path, doc) == 2
     assert "config error" in capsys.readouterr().err

@@ -156,22 +156,22 @@ def test_packed_state_with_array_lr_equals_separate_states(method):
     names = ["rmsprop", "adam", "pgd", "adam"] if stacked else [method]
     pieces = [[rng.normal(size=(7, 5)), rng.normal(size=(7, 2))]
               for _ in names]
-    separate = [(make_optimizer(name, 0.05, [gamma]),
-                 make_optimizer(name, 0.01, [atoms]))
+    separate = [(make_optimizer(name, 0.05, gamma),
+                 make_optimizer(name, 0.01, atoms))
                 for name, (gamma, atoms) in zip(names, pieces)]
     lr = np.repeat([0.05, 0.01], [35, 14])
     packed = np.stack([np.concatenate((gamma.ravel(), atoms.ravel()))
                        for gamma, atoms in pieces])
-    both = make_optimizer(names if stacked else method, lr, [packed])
+    both = make_optimizer(names if stacked else method, lr, packed)
     for _ in range(20):
         grads = [[rng.normal(size=(7, 5)), rng.normal(size=(7, 2))]
                  for _ in names]
         for piece, states, grad in zip(pieces, separate, grads):
             for i in range(2):
-                (piece[i],) = optimizer_step(states[i], [piece[i]], [grad[i]])
-        (packed,) = optimizer_step(
-            both, [packed], [np.stack([np.concatenate((g.ravel(), a.ravel()))
-                                       for g, a in grads])])
+                piece[i] = optimizer_step(states[i], piece[i], grad[i])
+        packed = optimizer_step(
+            both, packed, np.stack([np.concatenate((g.ravel(), a.ravel()))
+                                    for g, a in grads]))
         assert np.array_equal(packed, np.stack(
             [np.concatenate((gamma.ravel(), atoms.ravel()))
              for gamma, atoms in pieces]))
@@ -179,24 +179,24 @@ def test_packed_state_with_array_lr_equals_separate_states(method):
 
 def test_stacked_state_rejects_unknown_methods():
     with pytest.raises(ValueError):
-        make_optimizer(["adam", "sgd"], 0.1, [np.zeros((2, 3))])
+        make_optimizer(["adam", "sgd"], 0.1, np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        make_optimizer([], 0.1, [np.zeros((0, 3))])
+        make_optimizer([], 0.1, np.zeros((0, 3)))
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
     for method in ("adam", "rmsprop", "pgd"):
         p = np.array([1.0, -2.0])
-        state = make_optimizer(method, 0.1, [p])
-        (out,) = optimizer_step(state, [p], [np.zeros(2)])
+        state = make_optimizer(method, 0.1, p)
+        out = optimizer_step(state, p, np.zeros(2))
         assert np.allclose(out, p)
 
 
 def test_single_adam_step_matches_reference():
     p = np.array([1.0])
     g = np.array([1.0])
-    state = make_optimizer("adam", 0.1, [p])
-    (out,) = optimizer_step(state, [p], [g])
+    state = make_optimizer("adam", 0.1, p)
+    out = optimizer_step(state, p, g)
     ref, _, _ = oracles.adam_step_reference(p, g, np.zeros(1), np.zeros(1),
                                             t=1, lr=0.1)
     assert np.allclose(out, ref, atol=1e-15)
@@ -206,13 +206,13 @@ def test_single_adam_step_matches_reference():
 def test_multi_step_adam_matches_reference():
     rng = np.random.default_rng(5)
     p = rng.normal(size=4)
-    state = make_optimizer("adam", 0.05, [p])
+    state = make_optimizer("adam", 0.05, p)
     m = np.zeros(4)
     v = np.zeros(4)
     ref = p.copy()
     for t in range(1, 8):
         g = rng.normal(size=4)
-        (p,) = optimizer_step(state, [p], [g])
+        p = optimizer_step(state, p, g)
         ref, m, v = oracles.adam_step_reference(ref, g, m, v, t=t, lr=0.05)
         assert np.allclose(p, ref, atol=1e-14)
 
@@ -220,16 +220,16 @@ def test_multi_step_adam_matches_reference():
 def test_rmsprop_step_formula():
     p = np.array([2.0])
     g = np.array([0.5])
-    state = make_optimizer("rmsprop", 0.2, [p])
-    (out,) = optimizer_step(state, [p], [g])
+    state = make_optimizer("rmsprop", 0.2, p)
+    out = optimizer_step(state, p, g)
     expected = 2.0 - 0.2 * 0.5 / (np.sqrt(0.1 * 0.25) + 1e-8)
     assert out[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_pgd_step_then_projection_stays_feasible():
     p = project_simplex(np.array([0.4, 0.6]))
-    state = make_optimizer("pgd", 0.5, [p])
-    (out,) = optimizer_step(state, [p], [np.array([1.0, -1.0])])
+    state = make_optimizer("pgd", 0.5, p)
+    out = optimizer_step(state, p, np.array([1.0, -1.0]))
     w = project_simplex(out)
     assert w.min() >= 0.0
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
@@ -239,10 +239,10 @@ def test_optimizer_trajectories_are_deterministic():
     def run():
         rng = np.random.default_rng(6)
         p = rng.normal(size=3)
-        state = make_optimizer("adam", 0.1, [p])
+        state = make_optimizer("adam", 0.1, p)
         out = []
         for _ in range(5):
-            (p,) = optimizer_step(state, [p], [rng.normal(size=3)])
+            p = optimizer_step(state, p, rng.normal(size=3))
             out.append(p.copy())
         return np.stack(out)
 

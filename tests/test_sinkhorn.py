@@ -90,8 +90,9 @@ def test_plan_factorizes_through_scalings():
     for _ in range(5):
         problem = random_problem(rng, 3, 3, lam=1.0)
         result = solve_sinkhorn(problem)
-        kernel = np.exp(-problem.cost_matrix / problem.lam)
-        rebuilt = (result.u[:, None] * kernel) * result.v[None, :]
+        log_kernel = -problem.cost_matrix / problem.lam
+        rebuilt = np.exp(result.log_u[:, None] + log_kernel
+                         + result.log_v[None, :])
         assert np.abs(rebuilt - result.plan).max() < 1e-8
 
 
