@@ -25,7 +25,7 @@ from .optim import (DescentConfig, OptimizerState, make_optimizer,
                     optimizer_step, project_box, project_columns,
                     project_simplex)
 from .sinkhorn import (SinkhornProblem, SinkhornResult, minimize_sinkhorn,
-                       sinkhorn_loss, sinkhorn_loss_grad, solve_sinkhorn)
+                       solve_sinkhorn)
 from .direct import (kl_plan_objective, minimize_direct,
                      minimize_direct_starts)
 from .dca import (DCAResult, DCProgram, DegenerateBox, build_dc,

@@ -29,10 +29,11 @@ adds the Leibniz boundary terms under the Exp(1) density
 (`_boundary_grads`).
 
 Training is the Sinkhorn descent of `prp.sinkhorn` on a cost oracle
-whose action atoms are policies: each policy is packed as one parameter
-row [w, c, a, b] of length 3W + 1, the cost matrix is C_ik = 1 - (y_k A_i
+whose action atoms are policies: every policy is one parameter row [w, c,
+a, b] of length 3W + 1 (`_stack`), the cost matrix is C_ik = 1 - (y_k A_i
 - B_i), and the adjoint takes dL/dC = P to the rows through the adjoint of
-`expected_stats`.  Only `_pack` and `_unpack` know the row layout.
+`expected_stats`, which takes rows and returns a gradient of their shape.
+`_unpack` is the only code that splits a row.
 """
 
 from __future__ import annotations
@@ -114,12 +115,18 @@ class AuctionModel:
         return np.clip(x, 0.0, 1.0)
 
 
-def _stack(policies) -> list:
-    """[weights, biases, out_weights, out_bias] stacked over policies."""
-    return [np.array([p.weights for p in policies], dtype=float),
-            np.array([p.biases for p in policies], dtype=float),
-            np.array([p.out_weights for p in policies], dtype=float),
-            np.array([p.out_bias for p in policies], dtype=float)]
+def _stack(policies) -> np.ndarray:
+    """The policies as rows [weights, biases, out_weights, out_bias]."""
+    return np.array([np.concatenate((p.weights, p.biases, p.out_weights,
+                                     [p.out_bias])) for p in policies],
+                    dtype=float)
+
+
+def _unpack(rows) -> list:
+    """The [weights, biases, out_weights, out_bias] of `_stack` rows."""
+    width = (rows.shape[1] - 1) // 3
+    w, c, a, b = np.split(rows, [width, 2 * width, 3 * width], axis=1)
+    return [np.ascontiguousarray(x) for x in (w, c, a, b[:, 0])]
 
 
 def _kinks(w, c):
@@ -197,28 +204,29 @@ def _sub_intervals(params):
     return kink, valid, pieces, beta >= 1.0, moments
 
 
-def expected_stats(params):
+def expected_stats(rows):
     """Exact E[A] = E[v G(beta) 1{h >= 0}], E[B] = E[h G(beta) 1{h >= 0}].
 
-    Per policy of the stacked `params`, under v ~ Exp(1), with h = beta -
-    beta'.  On every kept sub-interval of `_sub_intervals` both integrands
-    are polynomials of degree <= 2 in v, integrated against its moments;
+    Per policy row of `_stack`, under v ~ Exp(1), with h = beta - beta'.
+    On every kept sub-interval of `_sub_intervals` both integrands are
+    polynomials of degree <= 2 in v, integrated against its moments;
     vectorized over (policy, piece, sub-interval).
 
     Returns (A, B, adjoint).  adjoint(coef_a, coef_b) is the exact gradient
-    of sum_i coef_a_i A_i + coef_b_i B_i, as [d/dweights, d/dbiases,
-    d/dout_weights, d/dout_bias] stacked like `params`.  Inside a kept
-    sub-interval of the piece beta = q + p v, with h = q + p (v - 1) and
-    dG/dbeta = 1{beta < 1}:
+    of sum_i coef_a_i A_i + coef_b_i B_i in the rows, an array of their
+    shape.  Inside a kept sub-interval of the piece beta = q + p v, with
+    h = q + p (v - 1) and dG/dbeta = 1{beta < 1}:
 
         d(v G)/dq = v 1{beta < 1}       d(v G)/dp = v^2 1{beta < 1}
         d(h G)/dq = G + h 1{beta < 1}   d(h G)/dp = (v - 1) G + h v 1{beta < 1}
 
-    again polynomials of degree <= 2 against the same moments.  Unit j
-    enters a piece with activation mask m through p = sum_j m_j a_j w_j and
-    q = sum_j m_j a_j c_j + b.  The moving sub-interval ends add the
-    boundary terms of `_boundary_grads`.
+    again polynomials of degree <= 2 against the same moments.  The
+    crossings of `_boundary_grads` add their per-piece terms to these.
+    Unit j enters a piece with activation mask m through p = sum_j m_j a_j
+    w_j and q = sum_j m_j a_j c_j + b; the kinks add their terms in the
+    unit's own w_j and c_j.
     """
+    params = _unpack(rows)
     w, c, a, _ = params
     kink, valid, pieces, sat, (m0, m1, m2) = _sub_intervals(params)
     _, _, mask, p, q = pieces
@@ -230,7 +238,7 @@ def expected_stats(params):
     b_stat = (h0 * g0 * m0 + (h0 * g1 + h1 * g0) * m1
               + h1 * g1 * m2).sum(axis=(1, 2))
 
-    def adjoint(coef_a, coef_b) -> list:
+    def adjoint(coef_a, coef_b) -> np.ndarray:
         free = ~sat
         ca, cb = coef_a[:, None, None], coef_b[:, None, None]
         dq = (ca * free * m1
@@ -238,93 +246,77 @@ def expected_stats(params):
         dp = (ca * free * m2
               + cb * (g0 * (m1 - m0) + g1 * (m2 - m1)
                       + free * (h0 * m1 + h1 * m2)))
-        dq, dp = dq.sum(axis=2), dp.sum(axis=2)
+        gw, gc, dq_cross, dp_cross = _boundary_grads(
+            params, kink, valid, pieces, coef_a, coef_b)
+        dq = dq.sum(axis=2) + dq_cross
+        dp = dp.sum(axis=2) + dp_cross
         on_p = np.einsum("ipl,ip->il", mask, dp)
         on_q = np.einsum("ipl,ip->il", mask, dq)
-        interior = [a * on_p, a * on_q, w * on_p + c * on_q, dq.sum(axis=1)]
-        boundary = _boundary_grads(params, kink, valid, pieces, coef_a,
-                                   coef_b)
-        return [x + y for x, y in zip(interior, boundary)]
+        return np.concatenate((a * on_p + gw, a * on_q + gc,
+                               w * on_p + c * on_q,
+                               dq.sum(axis=1, keepdims=True)), axis=1)
 
     return a_stat, b_stat, adjoint
 
 
-def _boundary_grads(params, kink, valid, pieces, coef_a, coef_b) -> list:
+def _boundary_grads(params, kink, valid, pieces, coef_a, coef_b):
     """Leibniz terms of the expected statistics at the integrand's jumps.
 
-    The integrand of A and B jumps where the indicator switches inside a
-    linear piece of beta (the crossing beta = beta', a jump of v*G for A
-    and of 0 for B) and at every ReLU kink v = -c_j/w_j (beta' jumps by
-    a_j*w_j).  Moving a jump point s by ds changes the expectation by
-    (f(s-) - f(s+)) * exp(-s) * ds; these terms are exact under the Exp(1)
-    density, vectorized over policies, pieces and hidden units.  `kink`,
-    `valid` and `pieces` are the `_kinks` and `_pieces` of `params`.
-    """
-    w, c, a, b = params
-    n, width = w.shape
+    The integrand of A and B jumps at every ReLU kink s = -c_j/w_j (beta'
+    jumps by a_j |w_j|) and where the indicator switches inside a linear
+    piece of beta (the crossing beta = beta', a jump of v*G for A and of 0
+    for B).  Moving a jump point s by ds changes the expectation by
+    (f(s-) - f(s+)) * exp(-s) * ds, exact under the Exp(1) density.
+    `kink`, `valid` and `pieces` are the `_kinks` and `_pieces` of
+    `params`.  Kink j ends the piece r_j, its stable rank among the row's
+    kinks, so beta(s) = q + p s there, with beta' = p to its left and
+    p + a_j |w_j| to its right.
 
-    # jumps at the kinks: unit j switches on to the right of its kink iff
-    # w_j > 0; every other unit keeps its activation state
-    act = kink[:, :, None] * w[:, None, :] + c[:, None, :]   # (n, kink, unit)
-    others = (act > 0.0) & ~np.eye(width, dtype=bool)[None]
-    beta = np.einsum("ijl,il->ij", np.where(others, act, 0.0), a) + b[:, None]
-    prime = np.einsum("ijl,il->ij", others, a * w)
-    own = a * w
-    win = np.clip(beta, 0.0, 1.0)
-    jump = np.zeros((n, width))
-    for side, sign in ((w < 0.0, 1.0), (w > 0.0, -1.0)):   # left, right
-        h = beta - (prime + own * side)
-        inside = win * (h >= 0.0)
-        jump += sign * (coef_a[:, None] * kink + coef_b[:, None] * h) * inside
-    jump = np.where(valid, jump * np.exp(-kink), 0.0)
+    Returns (gw, gc, dq, dp): the kink terms in the units' own w and c,
+    and the crossing terms per piece in its intercept q and slope p.
+    """
+    w, _, a, _ = params
+    starts, ends, _, p, q = pieces
+
+    # jumps at the kinks: h = beta - beta' falls by a_j |w_j| across kink j
+    rank = np.argsort(np.argsort(kink, axis=1, kind="stable"), axis=1,
+                      kind="stable")
+    left = np.take_along_axis(p, rank, axis=1)
+    beta = np.take_along_axis(q, rank, axis=1) + left * kink
+    h = beta - left
+    right = h - a * np.abs(w)
+    kept = np.subtract(h >= 0.0, right >= 0.0, dtype=float)
+    jump = (coef_a[:, None] * kink * kept
+            + coef_b[:, None] * (np.maximum(h, 0.0) - np.maximum(right, 0.0)))
+    jump = np.where(valid, jump * np.clip(beta, 0.0, 1.0) * np.exp(-kink),
+                    0.0)
+    # s = -c_j/w_j: ds/dc_j = -1/w_j and ds/dw_j = s ds/dc_j
     with np.errstate(divide="ignore", invalid="ignore"):
         ds_dc = np.where(valid, -1.0 / w, 0.0)
-    gw = jump * ds_dc * kink
     gc = jump * ds_dc
 
-    # crossings of beta = beta' inside each linear piece: on a piece with
-    # activation mask m, beta(v) = q + p v with p = sum a w m = beta'; the
-    # crossing s = (p - q)/p moves by -dh/p, and G(beta(s)) = G(p) vanishes
-    # unless p > 0, where h turns from negative to positive
-    starts, ends, mask, p, q = pieces
+    # crossings of beta = beta' inside each linear piece beta = q + p v:
+    # s = (p - q)/p moves by -dh/p, and G(beta(s)) = G(p) vanishes unless
+    # p > 0, where h turns from negative to positive; dh/dq = 1 and
+    # dh/dp = s - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         s = (p - q) / p
     crossing = (p > 0.0) & (s > starts) & (s < ends)
     s = np.where(crossing, s, 0.0)
     scale = (crossing * coef_a[:, None] * s * np.minimum(p, 1.0) * np.exp(-s)
              / np.where(crossing, p, 1.0))
-    # dh/dtheta at the crossing, contracted with the per-piece scale
-    ms = mask * scale[:, :, None]
-    on_units = ms.sum(axis=1)
-    on_s = np.einsum("ipl,ip->il", ms, s - 1.0)
-    return [gw + a * on_s,
-            gc + a * on_units,
-            w * on_s + c * on_units,
-            scale.sum(axis=1)]
-
-
-def _pack(params) -> np.ndarray:
-    """Stacked `params` as one row [w, c, a, b] of length 3W + 1 per policy."""
-    w, c, a, b = params
-    return np.concatenate((w, c, a, b[:, None]), axis=1)
-
-
-def _unpack(rows) -> list:
-    """The stacked [weights, biases, out_weights, out_bias] of `_pack` rows."""
-    width = (rows.shape[1] - 1) // 3
-    w, c, a, b = np.split(rows, [width, 2 * width, 3 * width], axis=1)
-    return [np.ascontiguousarray(x) for x in (w, c, a, b[:, 0])]
+    return gc * kink, gc, scale, scale * (s - 1.0)
 
 
 def _revenue_cost(rows, y):
-    """C_ik = 1 - (y_k A_i - B_i) of packed policy rows, and its adjoint.
+    """C_ik = 1 - (y_k A_i - B_i) of policy rows, and its adjoint.
 
     The adjoint maps a plan P to the gradient of <C, P> in the rows: the
     adjoint of `expected_stats` at coefficients -P y on A and P 1 on B.
     """
-    a_stat, b_stat, adjoint = expected_stats(_unpack(rows))
+    a_stat, b_stat, adjoint = expected_stats(rows)
     matrix = 1.0 - (a_stat[:, None] * y[None, :] - b_stat[:, None])
-    return matrix, lambda plan: _pack(adjoint(-(plan @ y), plan.sum(axis=1)))
+    return matrix, lambda plan: adjoint(-(plan @ y), plan.sum(axis=1))
 
 
 _REVENUE_COST = CostOracle(
@@ -345,16 +337,15 @@ def train_strategy(model: AuctionModel, lam: float,
                    width: int = 100):
     """Jointly descend (atom weights, policy parameters) on the coupling loss.
 
-    The Sinkhorn descent of `prp.sinkhorn` with the policies as packed
-    action atoms under the cost C_ik = 1 - (y_k A_i - B_i) of
+    The Sinkhorn descent of `prp.sinkhorn` with the policy rows as action
+    atoms under the cost C_ik = 1 - (y_k A_i - B_i) of
     `_revenue_cost`.  Only the initial policies are random (drawn from
     `seed`), so the run is deterministic.  Returns the plan of the
     converged final solve (policies as action atoms) and the loss trace.
     """
     n = n_atoms if n_atoms is not None else model.n_types + 2
     y = model.type_atoms
-    rows = _pack(_stack(ladder_policies(seeds.rng_for(seed, seeds.INIT), n,
-                                        width)))
+    rows = _stack(ladder_policies(seeds.rng_for(seed, seeds.INIT), n, width))
     # the weight floor keeps every atom shipping a trickle of mass, so its
     # policy keeps receiving gradient; a policy that bids <= 0 for every
     # value has zero gradient and stays dead regardless

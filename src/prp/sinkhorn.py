@@ -65,8 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (CostOracle, DiscreteDistribution,
-                       NonDifferentiableCost, TransportPlan, cost_with_adjoint)
+from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
+                       cost_with_adjoint)
 from .optim import (DescentConfig, make_optimizer, optimizer_step,
                     project_box, project_simplex)
 
@@ -221,11 +221,6 @@ def needs_log_domain(cost_matrix, lam: float) -> bool:
     return bool(c / lam > _LOG_DOMAIN_EXPONENT)
 
 
-def sinkhorn_loss(problem: SinkhornProblem) -> float:
-    """Entropic-OT value of the instance (solved to the problem's tolerance)."""
-    return solve_sinkhorn(problem).loss
-
-
 # bench/tracing.py reads the `cap` default, through prp.auctions._unroll_budget
 def step_solve(alpha, cost_matrix, beta, lam: float, log_v=None,
                cap: int = 3000) -> SinkhornResult:
@@ -242,20 +237,6 @@ def step_solve(alpha, cost_matrix, beta, lam: float, log_v=None,
     problem = SinkhornProblem(alpha, beta, cost_matrix, lam, max_iter=cap,
                               tol=1e-8)
     return solve_sinkhorn(problem, log_v)
-
-
-def sinkhorn_loss_grad(alpha, atoms, nu, cost: CostOracle, lam: float):
-    """Loss plus its envelope gradients in (alpha, atoms), from `step_solve`.
-
-    `nu` is the fixed type-side marginal as a pair (weights, atoms).  The
-    gradients are the closed forms of the module docstring; the gradient in
-    the atoms is the cost oracle's adjoint applied to the plan.  Raises
-    `NonDifferentiableCost` for an oracle without an adjoint.
-    """
-    beta, type_atoms = nu
-    matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms)
-    result = step_solve(alpha, matrix, beta, lam)
-    return result.grad_alpha, adjoint(result.plan), result.loss
 
 
 def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lam: float,

@@ -42,7 +42,7 @@ def test_bid_curve_derivative_consistency():
     # against the bid curve itself
     rng = np.random.default_rng(0)
     policy = random_policy(rng)
-    params = auctions._stack([policy])
+    params = auctions._unpack(auctions._stack([policy]))
     kink = auctions._kinks(params[0], params[1])[0]
     _, ends, _, p, q = auctions._pieces(params, kink)
     v = rng.uniform(0.0, 4.0, size=1000)
@@ -74,7 +74,7 @@ def exact_gradient(policy, coef_a, coef_b):
     """Gradient of coef_a A + coef_b B, keyed by BidPolicy field name."""
     adjoint = auctions.expected_stats(auctions._stack([policy]))[2]
     grads = adjoint(np.array([coef_a]), np.array([coef_b]))
-    return {f: g[0] for f, g in zip(FIELDS, grads)}
+    return {f: g[0] for f, g in zip(FIELDS, auctions._unpack(grads))}
 
 
 def relu_policy(weights, biases, out_weights, out_bias):
@@ -183,7 +183,8 @@ def test_exact_gradient_matches_central_differences_on_random_policies():
                             rng.normal(size=width) / np.sqrt(width),
                             rng.uniform(-0.1, 0.5))
                 for width in rng.integers(1, 31, size=20)]
-    policies += ladder_policies(seeds.rng_for(1, seeds.INIT), 12, 40)
+    for width in (40, 100):   # 100 is the CLI default
+        policies += ladder_policies(seeds.rng_for(1, seeds.INIT), 12, width)
     for policy in policies:
         assert central_difference_error(policy, rng.normal(), rng.normal(),
                                         rng, exact_stats_of, 1e-6) < 1e-6
@@ -203,12 +204,12 @@ def test_training_gradient_matches_expected_statistics(index):
 
 
 def test_revenue_cost_adjoint_matches_central_differences():
-    # the training cost prices packed policy rows; its adjoint contracts a
-    # plan P with -y dA + dB and packs the result in the rows' layout
+    # the training cost prices policy rows; its adjoint contracts a plan P
+    # with -y dA + dB and returns the result in the rows' layout
     model = AuctionModel(n_types=5)
     y = model.type_atoms
-    rows = auctions._pack(auctions._stack(
-        ladder_policies(seeds.rng_for(1, seeds.INIT), 7, 40)))
+    rows = auctions._stack(ladder_policies(seeds.rng_for(1, seeds.INIT), 7,
+                                           40))
     rng = np.random.default_rng(31)
     plan = rng.uniform(size=(7, 5))
     cost = auctions._REVENUE_COST

@@ -5,12 +5,12 @@ import pytest
 
 from prp.direct import minimize_direct
 from prp.divergences import kl_divergence
-from prp.measures import (CostOracle, DiscreteDistribution, TransportPlan,
-                          linear_cost, prp_objective)
+from prp.measures import (CostOracle, DiscreteDistribution,
+                          NonDifferentiableCost, TransportPlan,
+                          cost_with_adjoint, linear_cost, prp_objective)
 from prp.optim import DescentConfig
-from prp.sinkhorn import (NonDifferentiableCost, SinkhornProblem,
-                          minimize_sinkhorn, needs_log_domain, sinkhorn_loss,
-                          sinkhorn_loss_grad, solve_sinkhorn)
+from prp.sinkhorn import (SinkhornProblem, minimize_sinkhorn,
+                          needs_log_domain, solve_sinkhorn, step_solve)
 from prp import sinkhorn
 from prp.toy import sample_instance
 
@@ -22,6 +22,15 @@ def random_problem(rng, n, m, lam, cost_scale=1.0):
     beta = rng.dirichlet(np.ones(m))
     cost = rng.uniform(-1.0, 1.0, size=(n, m)) * cost_scale
     return SinkhornProblem(alpha, beta, cost, lam)
+
+
+def step_gradients(alpha, atoms, nu, cost, lam):
+    """The envelope gradients in (alpha, atoms) and the loss, from the two
+    calls of one descent step: the cost oracle and the step solve."""
+    beta, type_atoms = nu
+    matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms)
+    result = step_solve(alpha, matrix, beta, lam)
+    return result.grad_alpha, adjoint(result.plan), result.loss
 
 
 def test_single_atom_plan_is_forced():
@@ -45,12 +54,12 @@ def test_two_by_two_matches_coupling_grid_oracle():
     alpha = np.array([0.5, 0.5])
     cost = np.array([[0.0, 1.0], [1.0, 0.0]])
     problem = SinkhornProblem(alpha, alpha, cost, 1.0)
-    value = sinkhorn_loss(problem)
+    value = solve_sinkhorn(problem).loss
     reference = oracles.grid_minimize_coupling(alpha, alpha, cost, 1.0)
     assert value == pytest.approx(reference, abs=1e-5)
 
 
-def test_log_domain_agrees_with_plain_iteration():
+def test_newton_solve_matches_the_scaling_oracle():
     # the log-domain Newton solve against the textbook plain-domain scaling
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -66,7 +75,7 @@ def test_log_domain_agrees_with_plain_iteration():
             problem.lam), abs=1e-12)
 
 
-def test_plain_iteration_underflows_and_log_domain_survives():
+def test_underflowing_kernel_row_matches_the_row_shifted_scaling():
     # top row of the kernel is entirely below the double range, so plain
     # scaling divides by zero; subtracting each row's minimum cost gives
     # the same plan and shifts the loss by <alpha, row minima>
@@ -150,7 +159,7 @@ def test_loss_equals_constrained_plan_objective():
         beta = rng.dirichlet(np.ones(2))
         cost = rng.uniform(-1.0, 1.0, size=(2, 2))
         lam = float(rng.uniform(0.3, 2.0))
-        value = sinkhorn_loss(SinkhornProblem(alpha, beta, cost, lam))
+        value = solve_sinkhorn(SinkhornProblem(alpha, beta, cost, lam)).loss
 
         # oracle: scan couplings, evaluating the plan objective instead
         best = np.inf
@@ -180,7 +189,7 @@ def converged_loss(alpha, beta, cost, lam):
     """Reference value for central differences: the loss of a tight solve."""
     problem = SinkhornProblem(alpha, beta, cost, lam, max_iter=50_000,
                               tol=1e-13)
-    return sinkhorn_loss(problem)
+    return solve_sinkhorn(problem).loss
 
 
 # (n, m, lam, centre and spread of the action atoms, scale of the types).
@@ -202,8 +211,8 @@ def test_envelope_gradients_match_central_differences(n, m, lam, centre,
     y = rng.uniform(-scale, scale, size=(m, 2))
     matrix = x @ y.T
     assert needs_log_domain(matrix, lam) == (lam < 0.01)
-    grad_alpha, grad_x, value = sinkhorn_loss_grad(alpha, x, (beta, y), cost,
-                                                   lam)
+    grad_alpha, grad_x, value = step_gradients(alpha, x, (beta, y), cost,
+                                               lam)
     assert value == pytest.approx(converged_loss(alpha, beta, matrix, lam),
                                   abs=1e-9)
     plan = solve_sinkhorn(SinkhornProblem(alpha, beta, matrix, lam)).plan
@@ -240,7 +249,7 @@ def agreement_instance():
     return alpha, beta, cost
 
 
-def assert_log_and_plain_paths_agree(alpha, beta, cost):
+def assert_agrees_with_the_scaling_oracle(alpha, beta, cost):
     log = solve_sinkhorn(SinkhornProblem(alpha, beta, cost, 0.5, tol=1e-13))
     plan, grad_alpha = oracles.sinkhorn_scaling(alpha, beta, cost, 0.5)
     assert np.isfinite(log.grad_alpha).all()
@@ -250,19 +259,19 @@ def assert_log_and_plain_paths_agree(alpha, beta, cost):
     assert np.allclose(log.plan, plan, rtol=0.0, atol=1e-12)
 
 
-def test_unrolled_loss_log_and_plain_paths_agree():
-    # the name predates the envelope gradients; the log-domain solve and the
-    # plain-domain scaling must give the same loss, plan and gradient
-    assert_log_and_plain_paths_agree(*agreement_instance())
+def test_loss_plan_and_alpha_gradient_match_the_scaling_oracle():
+    # the Newton solve and the plain-domain scaling must give the same
+    # loss, plan and gradient
+    assert_agrees_with_the_scaling_oracle(*agreement_instance())
 
 
-def test_unrolled_log_path_matches_plain_path_at_zero_weight():
+def test_scaling_oracle_agreement_survives_a_zero_weight_row():
     # the instance of the agreement test above with the middle weight
     # zeroed; the zero row's exponents there exceed the column shift
     alpha, beta, cost = agreement_instance()
     alpha[1] = 0.0
     alpha /= alpha.sum()
-    assert_log_and_plain_paths_agree(alpha, beta, cost)
+    assert_agrees_with_the_scaling_oracle(alpha, beta, cost)
 
 
 def test_gradient_stays_finite_when_zero_row_dominates():
@@ -302,7 +311,7 @@ def test_warm_start_reaches_the_cold_start_plan(lam):
     assert warm.iterations < cold.iterations
 
 
-def test_plain_path_accepts_a_warm_start_beyond_the_double_range():
+def test_warm_start_beyond_the_double_range_gives_the_cold_plan():
     # log v can exceed log(max double); only differences of log v matter
     # to the plan
     rng = np.random.default_rng(12)
@@ -421,7 +430,7 @@ def test_gradient_single_atom_reduces_to_cost_gradient():
     y = np.array([[0.3, -0.4]])
     cost = linear_cost(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
     x = np.array([[0.2, 0.1]])
-    grad_alpha, grad_x, loss = sinkhorn_loss_grad(
+    grad_alpha, grad_x, loss = step_gradients(
         np.array([1.0]), x, (np.array([1.0]), y), cost, lam=1.0)
     assert np.allclose(grad_x, y, atol=1e-12)
     assert loss == pytest.approx(float(x[0] @ y[0]), abs=1e-12)
@@ -431,7 +440,7 @@ def test_gradient_single_atom_reduces_to_cost_gradient():
 def test_gradient_vanishes_for_zero_cost():
     y = np.zeros((2, 2))
     cost = linear_cost(np.array([[-1.0, 1.0], [-1.0, 1.0]]))
-    grad_alpha, grad_x, _ = sinkhorn_loss_grad(
+    grad_alpha, grad_x, _ = step_gradients(
         np.array([0.4, 0.6]), np.array([[0.1, 0.2], [-0.3, 0.4]]),
         (np.array([0.5, 0.5]), y), cost, lam=1.0)
     assert np.abs(grad_x).max() < 1e-12
@@ -442,10 +451,9 @@ ONE, ORIGIN = np.array([1.0]), np.zeros((1, 1))
 
 
 @pytest.mark.parametrize("solve", [
-    lambda: sinkhorn_loss_grad(ONE, ORIGIN, (ONE, ORIGIN), BLOB, 1.0),
     lambda: minimize_sinkhorn(ONE, ORIGIN, BLOB, 1.0),
     lambda: minimize_direct(ONE, ORIGIN, BLOB, 1.0),
-], ids=["sinkhorn_loss_grad", "minimize_sinkhorn", "minimize_direct"])
+], ids=["minimize_sinkhorn", "minimize_direct"])
 def test_nondifferentiable_cost_is_rejected(solve):
     with pytest.raises(NonDifferentiableCost):
         solve()
