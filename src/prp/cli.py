@@ -101,6 +101,10 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError("runs, iterations and steps must be positive")
     if config.d < 1 or config.K < 1:
         raise ConfigError("d and K must be positive")
+    if config.grid_points < 1 or config.width < 1:
+        raise ConfigError("grid_points and width must be positive")
+    if config.n_atoms is not None and config.n_atoms < 1:
+        raise ConfigError("n_atoms must be positive when set")
     try:
         divergences.from_name(config.divergence)
     except ValueError as exc:
@@ -135,17 +139,16 @@ def run_toy_benchmark(config: ExperimentConfig):
                                lr_atoms=config.lr_atoms)
     rows = []
     for method in result.methods:
-        mean = result.mean_trace[method]
-        err = result.stderr_trace[method]
-        rows.extend((method, i, mean[i], err[i])
-                    for i in range(config.iterations))
+        rows.extend(zip(itertools.repeat(method), range(config.iterations),
+                        result.mean_trace[method].tolist(),
+                        result.stderr_trace[method].tolist()))
     csv_path = write_csv(out / "toy_benchmark.csv",
                          ("method", "iteration", "mean_objective", "stderr"),
                          rows)
     finals_path = write_csv(
         out / "toy_finals.csv", ("method", "run", "final_objective"),
-        [(m, r, result.finals[m][r]) for m in result.methods
-         for r in range(config.runs)])
+        [(m, r, final) for m in result.methods
+         for r, final in enumerate(result.finals[m].tolist())])
     write_manifest(out / "manifest.json", config.as_dict(),
                    [csv_path, finals_path], time.perf_counter() - started)
     return result
@@ -193,7 +196,7 @@ def run_dca(config: ExperimentConfig):
     plan_path.write_text(plan_to_json(result.plan) + "\n")
     trace = result.trace + program.constant
     trace_path = write_csv(out / "trace.csv", ("iteration", "objective"),
-                           list(enumerate(trace)))
+                           list(enumerate(trace.tolist())))
     write_manifest(out / "manifest.json", config.as_dict(),
                    [plan_path, trace_path], time.perf_counter() - started)
     return result
@@ -221,13 +224,14 @@ def run_auctions(config: ExperimentConfig):
         header = ["atom"] + [f"type_{k}" for k in range(gamma.shape[1])]
         outputs.append(write_csv(
             out / f"heatmap_lam{lam:.6g}.csv", header,
-            [[i, *gamma[i]] for i in range(gamma.shape[0])]))
+            [[i, *row] for i, row in enumerate(gamma.tolist())]))
         amap = dominant_action_map(first.plan)
         curve_rows = []
         for k in range(gamma.shape[1]):
             curve_rows.extend(
                 (k, int(amap.row_for_type[k]), v, b)
-                for v, b in zip(amap.value_grid, amap.curves[k]))
+                for v, b in zip(amap.value_grid.tolist(),
+                                amap.curves[k].tolist()))
         outputs.append(write_csv(out / f"bidcurves_lam{lam:.6g}.csv",
                                  ("type", "row", "v", "beta"), curve_rows))
     write_manifest(out / "manifest.json", config.as_dict(), outputs,

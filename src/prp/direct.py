@@ -84,6 +84,8 @@ def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
     if len(steps) != 1:
         raise ValueError("need one or more starts that share their steps")
     (steps,) = steps
+    if steps < 1:
+        raise ValueError("need at least one descent step")
     prior_weights = np.asarray(prior_weights, dtype=float)
     type_atoms_arr = np.asarray(type_atoms, dtype=float)
     k = prior_weights.size
@@ -100,31 +102,34 @@ def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
                              [split, atoms[0].size]) for c in configs])
     state = make_optimizer([c.method for c in configs], lr, lr)
     trace = np.empty((b, steps))
-    best_value = np.full(b, np.inf)
-    best_gamma, best_atoms = gamma, atoms
+    # rows[t] holds the packed iterates step t starts from, rows[t, :, :split]
+    # the plans and rows[t, :, split:] the atoms
+    rows = np.empty((steps, b, lr.shape[1]))
+    grad = np.empty((b, lr.shape[1]))
     for step in range(steps):
         matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms_arr)
         value, grad_gamma = kl_plan_objective(gamma, matrix, prior_weights,
                                               lam)
         trace[:, step] = value
-        better = value < best_value
-        best_value = np.where(better, value, best_value)
-        best_gamma = np.where(better[:, None, None], gamma, best_gamma)
-        best_atoms = np.where(better[:, None, None], atoms, best_atoms)
-        packed = optimizer_step(
-            state, np.concatenate((gamma.reshape(b, -1),
-                                   atoms.reshape(b, -1)), axis=1),
-            np.concatenate((grad_gamma.reshape(b, -1),
-                            adjoint(gamma).reshape(b, -1)), axis=1))
+        row = rows[step]
+        row[:, :split] = gamma.reshape(b, -1)
+        row[:, split:] = atoms.reshape(b, -1)
+        grad[:, :split] = grad_gamma.reshape(b, -1)
+        grad[:, split:] = adjoint(gamma).reshape(b, -1)
+        packed = optimizer_step(state, row, grad)
         gamma = project_columns(packed[:, :split].reshape(gamma.shape),
                                 prior_weights)
         atoms = project_box(packed[:, split:].reshape(atoms.shape),
                             lower, upper)
     matrix, _ = cost_with_adjoint(cost, atoms, type_atoms_arr)
     final_value, _ = kl_plan_objective(gamma, matrix, prior_weights, lam)
-    worse = final_value > best_value
-    gamma = np.where(worse[:, None, None], best_gamma, gamma)
-    atoms = np.where(worse[:, None, None], best_atoms, atoms)
+    # argmin picks the first of tied minima, as a running strict minimum would
+    first = trace.argmin(axis=1)
+    starts_index = np.arange(b)
+    best = rows[first, starts_index]
+    worse = (final_value > trace[starts_index, first])[:, None, None]
+    gamma = np.where(worse, best[:, :split].reshape(gamma.shape), gamma)
+    atoms = np.where(worse, best[:, split:].reshape(atoms.shape), atoms)
     prior = DiscreteDistribution(list(type_atoms_arr), prior_weights)
     types = list(type_atoms_arr)
     return [(TransportPlan(gamma[i], list(atoms[i]), types, prior), trace[i])

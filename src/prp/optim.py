@@ -22,7 +22,7 @@ def project_simplex(v, total: float = 1.0, floor: float = 0.0) -> np.ndarray:
         slack = total - v.size * floor
         if slack <= 0.0:
             raise ValueError("floor leaves no mass to distribute")
-        return floor + slack * project_simplex((v - floor) / slack)
+        return floor + slack * project_columns((v - floor) / slack, 1.0)
     return project_columns(v, total)
 
 

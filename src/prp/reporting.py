@@ -19,12 +19,22 @@ def format_value(x) -> str:
     return format(float(x), ".17g")
 
 
+# keyed by exact type, so bool and the numpy scalars go to format_value
+_FORMATS = {float: "{:.17g}".format, int: str, str: str}
+
+
 def write_csv(path, header, rows) -> Path:
+    """Write a header and rows of cells in the format of `format_value`.
+
+    Python float, int and str cells take a direct formatter, so callers
+    pass numpy columns through `.tolist()`.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_value(x) for x in row))
+        lines.append(",".join([_FORMATS.get(type(x), format_value)(x)
+                               for x in row]))
     path.write_text("\n".join(lines) + "\n")
     return path
 

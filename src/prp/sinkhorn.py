@@ -12,9 +12,10 @@ exact, and psi maximizes the concave semi-dual
 
     G(psi) = <beta, psi> - sum_i alpha_i lse_j(-C_ij/lam + psi_j)
 
-(Peyre & Cuturi, Computational Optimal Transport, section 4).  With P the
-row-exact plan at psi and Q = P with each row divided by alpha_i, the
-gradient is g = beta - colsum(P), and a damped Newton step solves
+(Peyre & Cuturi, Computational Optimal Transport, section 4).  With Q the
+kernel rows at psi normalized to sum 1 and P = diag(alpha) Q the
+row-exact plan, the gradient is g = beta - colsum(P), and a damped Newton
+step solves
 
     (diag(colsum P) - P'Q + mean(colsum P)/K 11' + 0.1 |g|_inf I) d = g
 
@@ -33,10 +34,13 @@ psi - log beta), so the loss is
 
     L = lam (<rowsum(plan), phi - log alpha> + <beta, psi - log beta>)
 
-with no logarithm of the plan.  Zero-weight rows and columns stay out of
-the Newton system.  The solve works on potentials only and returns them
-as log u and log v, so it runs at any lam.  A solve may start from the
-log v of an earlier solve; the descent loop passes it on from step to step.
+with no logarithm of the plan.  Zero-weight columns stay out of the
+Newton system.  Zero-weight rows stay in it: their rows of P are exactly
+0, so they change neither G, colsum(P) nor the system, and the last
+Newton state holds their log-sums too.  The solve works on potentials
+only and returns them as log u and log v, so it runs at any lam.  A
+solve may start from the log v of an earlier solve; the descent loop
+passes it on from step to step.
 
 Gradients come from the envelope theorem at the converged coupling, with
 no differentiation through the iterations (Feydy et al., AISTATS 2019;
@@ -45,8 +49,11 @@ Peyre & Cuturi, Computational Optimal Transport, section 9.1):
     dL/dC     = P
     dL/dalpha = lam * (f - <f, alpha> - 1),   f = -lse_j(log K_ij + psi_j)
 
-f is the action-side dual potential in units of lam.  On the simplex it
-matters only up to a constant; the constant chosen here gives
+f is the action-side dual potential in units of lam.  The finish reads
+it off the last Newton state, with no second pass over the kernel: the
+column update multiplies v by r, so K v = exp(lse) Q r row by row and
+f = -(lse + log(Q r)), finite on zero-weight rows as well.  On the
+simplex f matters only up to a constant; the constant chosen here gives
 <dL/dalpha, alpha> = -lam, the gradient that differentiating the scaling
 updates themselves converges to, so momentum optimizers see the same steps
 either way.  Since f does not involve log(alpha), a row with zero weight
@@ -135,12 +142,12 @@ def _semi_dual(log_kernel, alpha, beta, psi):
 
 
 def _newton(log_kernel, alpha, beta, psi, max_iter: int, tol: float):
-    """Damped Newton ascent of G from psi, all weights positive.
+    """Damped Newton ascent of G from psi, all column weights positive.
 
     Stops at |g|_inf < tol, after max_iter steps, when no step gains, or
     after _STALL accepted steps without a new lowest |g|_inf.  Returns the
-    last psi, the row-exact plan P, the row log-sums and colsum(P) there,
-    the number of steps taken and whether |g|_inf fell below tol.
+    last psi, the row-exact plan P, Q, the row log-sums and colsum(P)
+    there, the number of steps taken and whether |g|_inf fell below tol.
     """
     value, g, p, q, lse, col, size = _semi_dual(log_kernel, alpha, beta, psi)
     k = col.size
@@ -149,8 +156,7 @@ def _newton(log_kernel, alpha, beta, psi, max_iter: int, tol: float):
     while (steps < max_iter and size >= tol and size > 0.0
            and since < _STALL):
         system = -(p.T @ q)
-        diagonal = np.einsum("ii->i", system)   # a writable view
-        diagonal += col + _DAMPING * size
+        system.ravel()[::k + 1] += col + _DAMPING * size
         system += col.sum() / k / k
         d = np.linalg.solve(system, g)
         slope = g @ d
@@ -167,7 +173,7 @@ def _newton(log_kernel, alpha, beta, psi, max_iter: int, tol: float):
         value, g, p, q, lse, col, size = state
         steps += 1
         best, since = (size, 0) if size < best else (best, since + 1)
-    return psi, p, lse, col, steps, size < tol
+    return psi, p, q, lse, col, steps, size < tol
 
 
 def solve_sinkhorn(problem: SinkhornProblem, init_log_v=None) -> SinkhornResult:
@@ -180,14 +186,14 @@ def solve_sinkhorn(problem: SinkhornProblem, init_log_v=None) -> SinkhornResult:
     `tol` (at `max_iter`, or where rounding stalls it) warns.
     """
     alpha, beta, lam = problem.alpha, problem.beta, problem.lam
-    log_kernel = -problem.cost_matrix / lam
-    rows, cols = (alpha > 0.0).nonzero()[0], (beta > 0.0).nonzero()[0]
-    support = rows[:, None], cols
-    a, b = alpha[rows], beta[cols]
+    cols = (beta > 0.0).nonzero()[0]
+    b = beta[cols]
     start = (np.zeros(beta.size) if init_log_v is None
              else np.asarray(init_log_v, dtype=float))
-    psi, p, lse, col, steps, converged = _newton(
-        log_kernel[support], a, b, start[cols], problem.max_iter, problem.tol)
+    # zero-weight rows stay in the system: their rows of P are exactly 0
+    psi, p, q, lse, col, steps, converged = _newton(
+        -problem.cost_matrix[:, cols] / lam, alpha, b, start[cols],
+        problem.max_iter, problem.tol)
     # the column update from the row-exact plan P: plan = P r, psi + log r
     r = b / col
     core = p * r
@@ -195,17 +201,15 @@ def solve_sinkhorn(problem: SinkhornProblem, init_log_v=None) -> SinkhornResult:
     row_mass = core.sum(axis=1)
     # C + lam log(plan / (alpha x beta)) = lam (phi - log a + psi - log b)
     loss = lam * (row_mass @ -lse + b @ (psi - np.log(b)))
-    error = float(max(np.abs(row_mass - a).max(),
+    error = float(max(np.abs(row_mass - alpha).max(),
                       np.abs(core.sum(axis=0) - b).max()))
     plan = np.zeros(problem.cost_matrix.shape)
-    plan[support] = core
-    phi = np.full(alpha.size, -np.inf)
-    phi[rows] = np.log(a) - lse
+    plan[:, cols] = core
+    with np.errstate(divide="ignore"):
+        phi = np.log(alpha) - lse
     log_v = np.full(beta.size, -np.inf)
     log_v[cols] = psi
-    m = log_kernel[:, cols] + psi
-    shift = m.max(axis=1)
-    f = -np.log(np.exp(m - shift[:, None]).sum(axis=1)) - shift  # -log(K v)
+    f = -(lse + np.log(q @ r))   # -log(K v) at the updated psi
     if not converged:
         warnings.warn(f"Sinkhorn solve at lam={lam:g} stopped after {steps} "
                       f"Newton steps with marginal error {error:.3g}",
@@ -231,8 +235,8 @@ def step_solve(alpha, cost_matrix, beta, lam: float, log_v=None,
     `marginal_error` is the row error after the final column update, which
     can exceed it slightly (up to about 1.6e-8 has been seen at lam=1e-3).
     On the toy benchmark panels of seeds 1 to 5 (10,000 warm-started step
-    solves at lam=0.1) a step solve took 5.7 Newton steps on average,
-    median 6, at most 12.
+    solves at lam=0.1) a step solve took 5.75 Newton steps on average
+    (57,471 in all), median 6, at most 12.
     """
     problem = SinkhornProblem(alpha, beta, cost_matrix, lam, max_iter=cap,
                               tol=1e-8)

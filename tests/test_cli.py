@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -64,11 +66,28 @@ def test_sweep_ignores_the_retired_sample_counts(tmp_path):
     {**TOY, "unroll_iters": 100},
     {"kind": "toy", "methods": ["prp-adam"], "divergence": "reverse_kl"},
     {"kind": "toy", "method": "sgd"},
-], ids=["unknown-key", "non-kl-toy", "unknown-optimizer"])
+    {"kind": "grid", "grid_points": 0},
+    {"kind": "auctions", "width": 0},
+    {"kind": "auctions", "n_atoms": 0},
+], ids=["unknown-key", "non-kl-toy", "unknown-optimizer", "no-grid-points",
+        "zero-width", "no-atoms"])
 def test_config_errors_exit_with_2(tmp_path, capsys, doc):
     assert run(tmp_path, doc) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, monkeypatch):
+    config = tmp_path / "toy.json"
+    config.write_text(json.dumps({**TOY, "methods": ["dca"], "runs": 1}))
+    monkeypatch.setattr(sys, "argv", ["prp", "toy", "--config", str(config),
+                                      "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("prp", run_name="__main__")
+    assert exit_info.value.code == 0
+    finals = (tmp_path / "out" / "toy_finals.csv").read_text().split()
+    assert finals[0] == "method,run,final_objective"
+    assert [line.split(",")[0] for line in finals[1:]] == ["dca"]
 
 
 @pytest.mark.parametrize("error", [ArithmeticError, FloatingPointError])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prp import seeds, toy
+from prp import direct, seeds, toy
 from prp.direct import (kl_plan_objective, minimize_direct,
                         minimize_direct_starts)
 from prp.divergences import kl_divergence, total_variation
@@ -191,6 +191,37 @@ def test_stacked_starts_match_separate_runs_bit_for_bit():
         value = prp_objective(plan, cost, kl_divergence(), 0.1)
         fell_back.append(value == pytest.approx(trace.min(), abs=1e-12))
     assert fell_back == [False, True, True]
+
+
+def test_best_iterate_is_the_first_tied_minimum_and_a_tied_final_is_kept(
+        monkeypatch):
+    # scripted values for the 5 iterates and the final one: start 0 ties
+    # its minimum at steps 2 and 4 and ends above it, start 1 ends level
+    # with its minimum of step 1
+    script = np.array([[3.0, 2.0, 1.0, 2.0, 1.0, 5.0],
+                       [3.0, 1.0, 2.0, 2.0, 2.0, 1.0]])
+    seen = []
+
+    def scripted(gamma, cost_matrix, prior_weights, lam):
+        _, grad = kl_plan_objective(gamma, cost_matrix, prior_weights, lam)
+        seen.append(gamma.copy())
+        return script[:, len(seen) - 1].copy(), grad
+
+    monkeypatch.setattr(direct, "kl_plan_objective", scripted)
+    y, prior = random_instance(np.random.default_rng(4))
+    starts = [(DescentConfig(method="adam", steps=5), 1),
+              (DescentConfig(method="rmsprop", steps=5), 2)]
+    results = minimize_direct_starts(prior, y, linear_cost(BOUNDS), 0.1,
+                                     starts)
+    assert len(seen) == 6
+    for b, ((plan, trace), step) in enumerate(zip(results, (2, 5))):
+        assert np.array_equal(trace, script[b, :5])
+        expected = TransportPlan(seen[step][b], plan.action_atoms,
+                                 plan.type_atoms, plan.prior)
+        assert np.array_equal(plan.gamma, expected.gamma)
+    # the tied iterates are distinct plans
+    assert not np.array_equal(seen[2][0], seen[4][0])
+    assert not np.array_equal(seen[1][1], seen[5][1])
 
 
 def test_stacked_starts_must_share_their_steps():
