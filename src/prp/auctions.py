@@ -38,7 +38,7 @@ a, b] of length 3W + 1 (`_stack`), the cost matrix is C_ik = 1 - (y_k A_i
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -48,6 +48,8 @@ from .divergences import kl_divergence, perspective_total
 from .measures import CostOracle, DiscreteDistribution, TransportPlan
 from .optim import DescentConfig
 from .sinkhorn import _descend, step_solve
+
+WIDTH = 100   # hidden units of a bid policy
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class BidPolicy:
         return np.maximum(act, 0.0) @ self.out_weights + self.out_bias
 
 
-def random_policy(rng: np.random.Generator, width: int = 100,
+def random_policy(rng: np.random.Generator, width: int = WIDTH,
                   scale: float = 0.5) -> BidPolicy:
     """Near-linear increasing start with an adjustable bid level.
 
@@ -83,7 +85,7 @@ def random_policy(rng: np.random.Generator, width: int = 100,
 
 
 def ladder_policies(rng: np.random.Generator, n_atoms: int,
-                    width: int = 100) -> list:
+                    width: int = WIDTH) -> list:
     """Initial policies with bid levels spread over a deterministic ladder.
 
     The types prefer different bid levels, so spreading the starting levels
@@ -324,24 +326,23 @@ _REVENUE_COST = CostOracle(
                                               np.atleast_1d(y))[0][0, 0]),
     matrix_and_adjoint=_revenue_cost)
 
-AUCTION_TRAINING = DescentConfig(lr_weights=0.02, lr_atoms=3e-4)
-
 
 # read only by bench/tracing.py, for the `cap` default of the step solve
 _unroll_budget = step_solve
 
 
 def train_strategy(model: AuctionModel, lam: float,
-                   n_atoms: Optional[int] = None, steps: int = 1000,
+                   n_atoms: Optional[int] = None,
                    config: Optional[DescentConfig] = None, seed: int = 0,
-                   width: int = 100):
+                   width: int = WIDTH):
     """Jointly descend (atom weights, policy parameters) on the coupling loss.
 
     The Sinkhorn descent of `prp.sinkhorn` with the policy rows as action
     atoms under the cost C_ik = 1 - (y_k A_i - B_i) of
-    `_revenue_cost`.  Only the initial policies are random (drawn from
-    `seed`), so the run is deterministic.  Returns the plan of the
-    converged final solve (policies as action atoms) and the loss trace.
+    `_revenue_cost`, for `config.steps` steps (default `DescentConfig()`).
+    Only the initial policies are random (drawn from `seed`), so the run
+    is deterministic.  Returns the plan of the converged final solve
+    (policies as action atoms) and the loss trace.
     """
     n = n_atoms if n_atoms is not None else model.n_types + 2
     y = model.type_atoms
@@ -351,7 +352,7 @@ def train_strategy(model: AuctionModel, lam: float,
     # value has zero gradient and stays dead regardless
     rows, gamma, trace = _descend(
         rows, model.prior.weights, y, _REVENUE_COST, lam,
-        replace(config or AUCTION_TRAINING, steps=steps), min(1e-4, 0.1 / n))
+        config or DescentConfig(), min(1e-4, 0.1 / n))
     w, c, a, b = _unpack(rows)
     policies = [BidPolicy(w[i], c[i], a[i], float(b[i])) for i in range(n)]
     return TransportPlan(gamma, policies, list(y), model.prior), trace
@@ -403,13 +404,14 @@ class SweepResult:
 
 
 def sweep_lambda(model: AuctionModel, lambdas, runs: int,
-                 steps: int = 1000, config: Optional[DescentConfig] = None,
-                 seed: int = 0, n_atoms: Optional[int] = None,
-                 width: int = 100) -> SweepResult:
+                 config: Optional[DescentConfig] = None, seed: int = 0,
+                 n_atoms: Optional[int] = None,
+                 width: int = WIDTH) -> SweepResult:
     """Train and evaluate per (lambda, run); aggregate the trade-off table.
 
-    Run `run` at the `li`-th lambda trains from the seed derived from
-    (`seed`, TRAIN_STEP, li, run), which only draws its initial policies.
+    Every run is a `train_strategy` with `config`.  Run `run` at the
+    `li`-th lambda trains from the seed derived from (`seed`, TRAIN_STEP,
+    li, run), which only draws its initial policies.
     Training and evaluation (`evaluate_strategy`) are exact, so the per-row
     standard errors, sqrt(var / runs), come from the spread across runs
     alone.
@@ -422,8 +424,8 @@ def sweep_lambda(model: AuctionModel, lambdas, runs: int,
         for run in range(runs):
             train_seed = seeds.seed_for(seed, seeds.TRAIN_STEP, li, run)
             plan, trace = train_strategy(model, lam, n_atoms=n_atoms,
-                                         steps=steps, config=config,
-                                         seed=train_seed, width=width)
+                                         config=config, seed=train_seed,
+                                         width=width)
             evaluation = evaluate_strategy(plan)
             utilities.append(evaluation.utility)
             privacies.append(evaluation.privacy)
@@ -447,11 +449,9 @@ class DominantActionMap:
     curves: np.ndarray         # (K, G) dominant bid curve per type
 
 
-def dominant_action_map(plan: TransportPlan,
-                        value_grid=None) -> DominantActionMap:
+def dominant_action_map(plan: TransportPlan) -> DominantActionMap:
     """Per type, the most used action atom and its bid curve (ties: lowest row)."""
-    grid = (np.linspace(0.0, 5.0, 101) if value_grid is None
-            else np.asarray(value_grid, dtype=float))
+    grid = np.linspace(0.0, 5.0, 101)   # base values 0, 0.05, ..., 5
     rows = np.argmax(plan.gamma, axis=0)
     curves = np.empty((plan.n_types, grid.size))
     for k, row in enumerate(rows):

@@ -13,16 +13,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import divergences, seeds, toy
-from .auctions import AuctionModel, dominant_action_map, sweep_lambda
-from .dca import build_dc, dca_solve
+from .auctions import WIDTH, AuctionModel, dominant_action_map, sweep_lambda
 from .gridsolve import solve_grid
 from .measures import linear_cost, plan_to_json, prp_objective
 from .optim import RULES, DescentConfig
@@ -35,40 +34,46 @@ class ConfigError(ValueError):
     """The experiment configuration is malformed."""
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentConfig:
+    """The settings of one run; its manifest holds them all, resolved.
+
+    Besides kind, seed and out, each kind reads only these fields:
+    - toy: d, K, lam, runs, methods, iterations, lr_weights, lr_atoms;
+    - grid: d, K, lam, divergence, grid_points;
+    - dca: d, K, lam, divergence, iterations (the outer-step cap);
+    - auctions, sweep: K, lam or else lambdas, runs, steps, n_atoms,
+      width, method, lr_weights, lr_atoms.
+
+    train_samples and eval_samples have no effect, since training and
+    evaluation are exact; older manifests and the benchmark set them.
+    """
+
     kind: str
     seed: int = 0
     out: str = "results"
     runs: int = 1
-    # problem geometry
     d: int = 2
     K: int = 3
     lam: float = 0.1
     lambdas: list | None = None
     divergence: str = "kl"
-    # toy benchmark
     methods: list = dataclasses.field(
         default_factory=lambda: list(toy.METHODS))
     iterations: int = 500
-    # grid solver
     grid_points: int = 3
-    # auctions
     steps: int = 1000
-    # no effect since training and evaluation are exact; still accepted
-    # because older manifests and the benchmark's sweep config set them
     train_samples: int = 1000
     eval_samples: int = 100_000
     n_atoms: int | None = None
-    width: int = 100
-    # optimizer
-    method: str = "adam"
-    lr_weights: float = 0.05
-    lr_atoms: float = 0.01
+    width: int = WIDTH
+    method: str = DescentConfig.method
+    lr_weights: float = DescentConfig.lr_weights
+    lr_atoms: float = DescentConfig.lr_atoms
 
-    def descent(self, steps: int | None = None) -> DescentConfig:
-        return DescentConfig(method=self.method,
-                             steps=self.iterations if steps is None else steps,
+    def descent(self) -> DescentConfig:
+        """The auction descent: `method`, `steps` and the learning rates."""
+        return DescentConfig(method=self.method, steps=self.steps,
                              lr_weights=self.lr_weights,
                              lr_atoms=self.lr_atoms)
 
@@ -94,17 +99,29 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     return config
 
 
+# the integer fields and their least values; n_atoms may also be null
+_INTEGERS = {"seed": 0, "runs": 1, "iterations": 1, "steps": 1, "d": 1,
+             "K": 1, "grid_points": 1, "width": 1, "n_atoms": 1}
+
+
 def _validate(config: ExperimentConfig) -> None:
     if config.kind not in KINDS:
         raise ConfigError(f"unknown kind {config.kind!r}; expected one of {KINDS}")
-    if config.runs < 1 or config.iterations < 1 or config.steps < 1:
-        raise ConfigError("runs, iterations and steps must be positive")
-    if config.d < 1 or config.K < 1:
-        raise ConfigError("d and K must be positive")
-    if config.grid_points < 1 or config.width < 1:
-        raise ConfigError("grid_points and width must be positive")
-    if config.n_atoms is not None and config.n_atoms < 1:
-        raise ConfigError("n_atoms must be positive when set")
+    for name, least in _INTEGERS.items():
+        value = getattr(config, name)
+        # type(), not isinstance: json reads true and false as bools
+        if (type(value) is not int or value < least) and not (
+                name == "n_atoms" and value is None):
+            raise ConfigError(f"{name} must be an integer >= {least}, "
+                              f"got {value!r}")
+    lambdas = config.lambdas if config.lambdas is not None else [config.lam]
+    if not isinstance(lambdas, list):
+        raise ConfigError("lambdas must be a list of numbers")
+    for value in (config.lam, config.lr_weights, config.lr_atoms, *lambdas):
+        # json reads NaN and Infinity
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ConfigError("lam, lambdas, lr_weights and lr_atoms must be "
+                              f"finite numbers, got {value!r}")
     try:
         divergences.from_name(config.divergence)
     except ValueError as exc:
@@ -112,16 +129,19 @@ def _validate(config: ExperimentConfig) -> None:
     if config.method not in RULES:
         raise ConfigError(f"unknown optimizer {config.method!r}")
     if config.kind == "toy":
+        if not isinstance(config.methods, list):
+            raise ConfigError("toy methods must be a list of method names")
         bad = [m for m in config.methods if m not in toy.METHODS]
         if bad:
             raise ConfigError(f"unknown toy methods {bad}; expected {toy.METHODS}")
+        if len(set(config.methods)) < len(config.methods):
+            raise ConfigError(f"toy methods repeat: {config.methods}")
         if config.lam <= 0.0:
             raise ConfigError("toy benchmark needs lam > 0")
         if config.divergence != "kl":
             # every toy method solves and scores with KL
             raise ConfigError("toy benchmark runs with divergence 'kl'")
     if config.kind in ("auctions", "sweep"):
-        lambdas = config.lambdas if config.lambdas is not None else [config.lam]
         if any(l <= 0.0 for l in lambdas):
             raise ConfigError("auction lambdas must be positive")
     if config.lam < 0.0:
@@ -186,15 +206,12 @@ def run_dca(config: ExperimentConfig):
     started = time.perf_counter()
     instance = toy.sample_instance(config.d, config.K,
                                    seeds.rng_for(config.seed, seeds.INSTANCE))
-    div = divergences.from_name(config.divergence)
-    program = build_dc(instance.type_atoms, instance.prior_weights,
-                       instance.bounds[:, 0], instance.bounds[:, 1],
-                       div, config.lam)
-    result = dca_solve(program, max_outer=min(200, config.iterations))
+    result, trace = toy.solve_dca(instance,
+                                  divergences.from_name(config.divergence),
+                                  config.lam, config.iterations)
     plan_path = out / "plan.json"
     plan_path.parent.mkdir(parents=True, exist_ok=True)
     plan_path.write_text(plan_to_json(result.plan) + "\n")
-    trace = result.trace + program.constant
     trace_path = write_csv(out / "trace.csv", ("iteration", "objective"),
                            list(enumerate(trace.tolist())))
     write_manifest(out / "manifest.json", config.as_dict(),
@@ -208,16 +225,14 @@ def run_auctions(config: ExperimentConfig):
     started = time.perf_counter()
     lambdas = config.lambdas if config.lambdas is not None else [config.lam]
     model = AuctionModel(n_types=config.K)
-    result = sweep_lambda(model, lambdas, config.runs, steps=config.steps,
-                          config=config.descent(config.steps),
+    result = sweep_lambda(model, lambdas, config.runs, config=config.descent(),
                           seed=config.seed, n_atoms=config.n_atoms,
                           width=config.width)
-    outputs = []
-    outputs.append(write_csv(
+    outputs = [write_csv(
         out / "tradeoff.csv",
         ("lambda", "utility", "utility_stderr", "privacy", "privacy_stderr"),
         [(r.lam, r.utility, r.utility_stderr, r.privacy, r.privacy_stderr)
-         for r in result.rows]))
+         for r in result.rows])]
     for li, lam in enumerate(lambdas):
         first = next(r for r in result.runs if r.lam == lam and r.run == 0)
         gamma = first.plan.gamma

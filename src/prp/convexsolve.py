@@ -21,13 +21,13 @@ import numpy as np
 
 from .divergences import (FDivergence, perspective_total,
                           perspective_total_grad)
-from .optim import PGDResult, minimize_columns_pgd
+from .optim import MAX_STEPS, PGDResult, minimize_columns_pgd
 
 
 def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
                                  divergence: FDivergence, lam: float,
-                                 init=None, max_steps: int = 5000,
-                                 tol: float = 1e-8) -> PGDResult:
+                                 init=None,
+                                 max_steps: int = MAX_STEPS) -> PGDResult:
     """Solve from ``init`` (default: the uniform mixture); warn if capped."""
     linear = np.asarray(linear, dtype=float)
     prior = np.asarray(prior_weights, dtype=float)
@@ -43,8 +43,15 @@ def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
     if init is None:
         n = linear.shape[0]
         init = np.tile(prior / n, (n, 1))
-    result = _descend(objective, linear, prior, divergence, lam, init,
-                      max_steps, tol)
+    if divergence.smooth:
+        def gradient(g):
+            return linear + lam * perspective_total_grad(divergence, g, prior)
+
+        result = minimize_columns_pgd(objective, gradient, init, prior,
+                                      max_steps=max_steps, lr0=1.0 / lam)
+    else:
+        result = _annealed(objective, linear, prior, divergence, lam, init,
+                           max_steps)
     # all mass on the best averaged row, the optimum as lam grows, is a
     # fixed point of the multiplicative update: compare it directly
     concentrated = np.zeros_like(linear)
@@ -59,19 +66,7 @@ def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
     return result
 
 
-def _descend(objective, linear, prior, divergence, lam, init, max_steps, tol):
-    if divergence.smooth:
-        def gradient(g):
-            return linear + lam * perspective_total_grad(divergence, g, prior)
-
-        return minimize_columns_pgd(objective, gradient, init, prior,
-                                    max_steps=max_steps, tol=tol,
-                                    lr0=1.0 / lam)
-    return _annealed(objective, linear, prior, divergence, lam, init,
-                     max_steps, tol)
-
-
-def _annealed(objective, linear, prior, divergence, lam, init, max_steps, tol):
+def _annealed(objective, linear, prior, divergence, lam, init, max_steps):
     best = np.asarray(init, dtype=float)
     best_value = objective(best)
     gamma = best
@@ -90,8 +85,7 @@ def _annealed(objective, linear, prior, divergence, lam, init, max_steps, tol):
                     + lam * perspective_total(_d, g, prior))
 
         result = minimize_columns_pgd(smooth_objective, gradient, gamma, prior,
-                                      max_steps=max_steps, tol=tol,
-                                      lr0=1.0 / lam)
+                                      max_steps=max_steps, lr0=1.0 / lam)
         gamma = result.x
         converged = converged and result.converged
         value = objective(gamma)

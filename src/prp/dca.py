@@ -24,6 +24,9 @@ from .divergences import FDivergence, perspective_total
 from .measures import DiscreteDistribution, TransportPlan
 from .optim import PGDResult
 
+MAX_OUTER = 200      # default cap on the outer iterations
+_OUTER_TOL = 1e-9    # outer decrease below which the solve stops
+
 
 class DegenerateBox(ValueError):
     """A box coordinate has zero width; drop it before building the program."""
@@ -89,8 +92,7 @@ def concave_part_subgradient(program: DCProgram, gamma) -> np.ndarray:
     return signs @ program.phi.T                # (n, K)
 
 
-def convex_subproblem(program: DCProgram, s, init, max_steps: int = 5000,
-                      tol: float = 1e-8) -> PGDResult:
+def convex_subproblem(program: DCProgram, s, init) -> PGDResult:
     """Minimize lam * privacy - <s, gamma> over feasible plans.
 
     lam = 0 makes the problem a linear program over scaled simplices whose
@@ -100,8 +102,7 @@ def convex_subproblem(program: DCProgram, s, init, max_steps: int = 5000,
     """
     s = np.asarray(s, dtype=float)
     return minimize_linear_plus_privacy(-s, program.prior, program.divergence,
-                                        program.lam, init=init,
-                                        max_steps=max_steps, tol=tol)
+                                        program.lam, init=init)
 
 
 def recover_actions(program: DCProgram, gamma) -> np.ndarray:
@@ -123,37 +124,32 @@ def product_coupling(prior_weights, n_rows: int) -> np.ndarray:
     return np.tile(prior_weights / n_rows, (n_rows, 1))
 
 
-def dca_solve(program: DCProgram, init=None, outer_tol: float = 1e-9,
-              max_outer: int = 200, inner_max_steps: int = 5000,
-              inner_tol: float = 1e-8) -> DCAResult:
+def dca_solve(program: DCProgram, max_outer: int = MAX_OUTER) -> DCAResult:
     """Alternate linearization and convex subproblem until the decrease stops.
 
-    The default start is half the diagonal plan plus half the product
-    coupling: the product coupling alone is stationary (equal rows stay
+    At most ``max_outer`` outer steps, stopping once one gains below 1e-9,
+    from half the diagonal plan plus half the product coupling on K + 2
+    rows: the product coupling alone is stationary (equal rows stay
     equal), and the inner solver's multiplicative updates keep exact zeros.
 
     The inner solver starts from the current iterate and never increases its
     objective, which makes the outer trace nonincreasing — the defining DCA
-    property.  Inner max-iteration hits are reported through the result flag.
+    property.  Inner step-cap hits are reported through the result flag.
     """
     k = program.prior.size
     n_rows = k + 2
-    if init is None:
-        gamma = 0.5 * (np.eye(n_rows, k) * program.prior
-                       + product_coupling(program.prior, n_rows))
-    else:
-        gamma = np.asarray(init, dtype=float)
+    gamma = 0.5 * (np.eye(n_rows, k) * program.prior
+                   + product_coupling(program.prior, n_rows))
     trace = [dc_objective(program, gamma)]
     inner_hit = False
     outer = 0
     for outer in range(1, max_outer + 1):
         subgradient = concave_part_subgradient(program, gamma)
-        inner = convex_subproblem(program, subgradient, gamma,
-                                  max_steps=inner_max_steps, tol=inner_tol)
+        inner = convex_subproblem(program, subgradient, gamma)
         inner_hit = inner_hit or not inner.converged
         gamma = inner.x
         trace.append(dc_objective(program, gamma))
-        if trace[-2] - trace[-1] < outer_tol:
+        if trace[-2] - trace[-1] < _OUTER_TOL:
             break
     actions = recover_actions(program, gamma)
     prior = DiscreteDistribution(list(program.type_atoms), program.prior)

@@ -6,7 +6,7 @@ scaled simplices and the atoms onto the cost box.  The privacy term is the
 KL form sum_ik gamma_ik log(gamma_ik / (p0_k m_i)), whose gradients have
 closed forms: C_ik + lam log(gamma_ik / (p0_k m_i)) in the plan and the
 cost oracle's adjoint applied to gamma in the atoms (gamma @ Y for the
-linear cost x . y).  Other divergences are rejected.
+linear cost x . y).  The scheme is KL by construction.
 
 `minimize_direct_starts` descends a stack of B independent starts in one
 loop: the plans form a (B, n, K) array, the atoms a (B, n, d) array, and
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .divergences import FDivergence, kl_divergence
 from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
                        cost_with_adjoint)
 from .optim import (DescentConfig, make_optimizer, optimizer_step,
@@ -57,14 +56,12 @@ def kl_plan_objective(gamma, cost_matrix, prior_weights, lam: float):
 
 
 def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
-                           lam: float, starts,
-                           n_atoms: int | None = None,
-                           divergence: FDivergence | None = None) -> list:
+                           lam: float, starts) -> list:
     """Descend the plan objective jointly in (gamma, atoms) from B starts.
 
     `starts` is a sequence of (DescentConfig, seed) pairs that share
-    `steps`.  Start b begins at the non-revealing product coupling with
-    atoms uniform in the cost box, drawn from default_rng(seed[b]), and
+    `steps`.  Start b begins at the non-revealing product coupling on K + 2
+    atoms, uniform in the cost box and drawn from default_rng(seed[b]), and
     steps by its config's method and learning rates.  Returns one
     (plan, trace) per start: trace[t] is the objective of the iterate that
     step t starts from, so the trace keeps every step even where the
@@ -72,10 +69,6 @@ def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
     iterate of the trace has a lower objective, in which case it is the
     best of those.
     """
-    divergence = divergence or kl_divergence()
-    if divergence.name != "kl":
-        raise NotImplementedError(
-            "the direct scheme only differentiates the KL privacy term")
     if cost.bounds is None:
         raise ValueError("minimize_direct needs a cost oracle with box bounds")
     starts = list(starts)
@@ -89,7 +82,7 @@ def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
     prior_weights = np.asarray(prior_weights, dtype=float)
     type_atoms_arr = np.asarray(type_atoms, dtype=float)
     k = prior_weights.size
-    n = n_atoms if n_atoms is not None else k + 2
+    n = k + 2
     bounds = np.asarray(cost.bounds, dtype=float)
     lower, upper = bounds[:, 0], bounds[:, 1]
     atoms = np.stack([np.random.default_rng(seed).uniform(
@@ -137,15 +130,11 @@ def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
 
 
 def minimize_direct(prior_weights, type_atoms, cost: CostOracle, lam: float,
-                    n_atoms: int | None = None,
-                    divergence: FDivergence | None = None,
-                    config: DescentConfig | None = None,
-                    seed: int = 0):
+                    config: DescentConfig | None = None, seed: int = 0):
     """Descend the plan objective jointly in (gamma, atoms) from one start.
 
     The stack of one of `minimize_direct_starts`: returns its (plan, trace).
     """
-    (result,) = minimize_direct_starts(
-        prior_weights, type_atoms, cost, lam,
-        [(config or DescentConfig(), seed)], n_atoms, divergence)
+    (result,) = minimize_direct_starts(prior_weights, type_atoms, cost, lam,
+                                       [(config or DescentConfig(), seed)])
     return result

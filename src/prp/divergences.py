@@ -77,8 +77,8 @@ def total_variation() -> FDivergence:
 
 def alpha_divergence(alpha: float) -> FDivergence:
     """f(t) = (t^alpha - 1)/(alpha - 1) for alpha in (1, inf); alpha=1 is KL."""
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    if not 1.0 <= alpha < _INF:
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
     if alpha == 1.0:
         return kl_divergence()
     return FDivergence(

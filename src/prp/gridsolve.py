@@ -10,8 +10,6 @@ reference the nonconvex schemes are compared against.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .convexsolve import minimize_linear_plus_privacy
 from .divergences import FDivergence
 from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
@@ -19,17 +17,14 @@ from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
 
 
 def solve_grid(action_atoms, type_atoms, prior_weights, cost: CostOracle,
-               divergence: FDivergence, lam: float, max_steps: int = 5000,
-               tol: float = 1e-8):
+               divergence: FDivergence, lam: float):
     """Minimize the plan objective over all couplings of grid x types.
 
-    Returns (plan, objective value).  A solve that stops at ``max_steps``
-    warns (see `convexsolve.minimize_linear_plus_privacy`).
+    Returns (plan, objective value).  A solve that stops at the step cap
+    `optim.MAX_STEPS` warns (see `convexsolve.minimize_linear_plus_privacy`).
     """
-    prior_weights = np.asarray(prior_weights, dtype=float)
     c = cost_matrix(cost, action_atoms, type_atoms)
-    result = minimize_linear_plus_privacy(c, prior_weights, divergence, lam,
-                                          max_steps=max_steps, tol=tol)
+    result = minimize_linear_plus_privacy(c, prior_weights, divergence, lam)
     prior = DiscreteDistribution(list(type_atoms), prior_weights)
     plan = TransportPlan(result.x, list(action_atoms), list(type_atoms), prior)
     return plan, result.value

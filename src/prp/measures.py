@@ -18,6 +18,7 @@ from .divergences import FDivergence, perspective_total
 WEIGHT_SUM_TOL = 1e-6      # acceptable drift before construction fails
 COLUMN_SUM_TOL = 1e-9      # acceptable per-column drift for plans
 NEGATIVITY_TOL = 1e-12     # entries above -this are clamped to zero
+ATOM_TOL = 1e-8            # sup-norm distance of atoms that coincide
 
 
 class ZeroMassRow(ValueError):
@@ -212,8 +213,8 @@ def prp_objective(plan: TransportPlan, cost: CostOracle, div: FDivergence,
     return total + lam * perspective_total(div, gamma, plan.prior.weights)
 
 
-def merge_duplicate_atoms(plan: TransportPlan, atom_tol: float = 1e-8) -> TransportPlan:
-    """Sum rows whose action atoms coincide within ``atom_tol`` in sup-norm.
+def merge_duplicate_atoms(plan: TransportPlan) -> TransportPlan:
+    """Sum rows whose action atoms coincide within ``ATOM_TOL`` in sup-norm.
 
     Column sums are preserved exactly, and by subadditivity of the row-wise
     privacy costs the objective can only decrease.
@@ -224,7 +225,7 @@ def merge_duplicate_atoms(plan: TransportPlan, atom_tol: float = 1e-8) -> Transp
     for i, atom in enumerate(atoms):
         for slot, r in enumerate(reps):
             if atoms[r].shape == atom.shape and np.max(np.abs(atoms[r] - atom),
-                                                       initial=0.0) <= atom_tol:
+                                                       initial=0.0) <= ATOM_TOL:
                 assignment[i] = slot
                 break
         else:

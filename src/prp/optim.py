@@ -63,9 +63,9 @@ def project_columns(matrix, totals) -> np.ndarray:
 
 @dataclass
 class DescentConfig:
-    """Shared knobs for the first-order solvers.
+    """Optimizer, step count and learning rates of one descent run.
 
-    The two learning rates follow the library defaults: 0.05 for
+    The one home of these defaults.  The learning rates are 0.05 for
     simplex-constrained parameters (weights, plan columns) and 0.01 for
     atoms and network weights.
     """
@@ -155,6 +155,11 @@ def optimizer_step(state: OptimizerState, param, grad) -> np.ndarray:
     return param - state.lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+MAX_STEPS = 5000    # default step cap of the convex plan solves
+_TOL = 1e-8         # relative objective decrease that ends a window of steps
+_WINDOW = 25
+
+
 @dataclass(frozen=True)
 class PGDResult:
     x: np.ndarray
@@ -167,10 +172,8 @@ def minimize_columns_pgd(objective: Callable[[np.ndarray], float],
                          gradient: Callable[[np.ndarray], np.ndarray],
                          init: np.ndarray,
                          column_totals: np.ndarray,
-                         max_steps: int = 5000,
-                         tol: float = 1e-8,
-                         lr0: float = 1.0,
-                         window: int = 25) -> PGDResult:
+                         max_steps: int = MAX_STEPS,
+                         lr0: float = 1.0) -> PGDResult:
     """Monotone entropic projected gradient over column-wise scaled simplices.
 
     A step proposes x * exp(-lr * g) rescaled per column onto its total
@@ -179,8 +182,8 @@ def minimize_columns_pgd(objective: Callable[[np.ndarray], float],
     descent step.  The trial lr is twice the last accepted one, within
     [lr0, 1e6 * lr0].  Exact zeros stay zero, so the gradient is read only
     where x > 0.  Termination fires when no step passes the test with a
-    bound below f in floating point, or when a window of steps improved the
-    objective by at most tol * max(1, |f|).
+    bound below f in floating point, or when a window of _WINDOW steps
+    improved the objective by at most _TOL * max(1, |f|).
     """
     totals = np.asarray(column_totals, dtype=float)
     x = np.asarray(init, dtype=float)
@@ -211,8 +214,8 @@ def minimize_columns_pgd(objective: Callable[[np.ndarray], float],
         if not accepted:
             return PGDResult(x, f, step, True)
         x, f = cand, fc
-        if step % window == 0:
-            if window_anchor - f <= tol * max(1.0, abs(f)):
+        if step % _WINDOW == 0:
+            if window_anchor - f <= _TOL * max(1.0, abs(f)):
                 return PGDResult(x, f, step, True)
             window_anchor = f
     return PGDResult(x, f, max_steps, False)

@@ -281,12 +281,10 @@ def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lam: float,
 
 
 def minimize_sinkhorn(prior_weights, type_atoms, cost: CostOracle, lam: float,
-                      n_atoms: int | None = None,
-                      config: DescentConfig | None = None,
-                      seed: int = 0):
+                      config: DescentConfig | None = None, seed: int = 0):
     """First-order descent of the entropic-OT loss over (weights, atoms).
 
-    Atom locations start uniform in the cost box, drawn from `seed`, and
+    K + 2 atom locations start uniform in the cost box, drawn from `seed`, and
     the descent is `_descend` with weight floor min(1e-6, 0.1/n).  Returns
     the plan of its final solve along with the per-step loss trace.  The
     trace is recorded for benchmarking and is not guaranteed to be
@@ -296,9 +294,7 @@ def minimize_sinkhorn(prior_weights, type_atoms, cost: CostOracle, lam: float,
         raise ValueError("minimize_sinkhorn needs a cost oracle with box bounds")
     prior_weights = np.asarray(prior_weights, dtype=float)
     type_atoms_arr = np.asarray(type_atoms, dtype=float)
-    n = n_atoms if n_atoms is not None else prior_weights.size + 2
-    if n < 1:
-        raise ValueError("need at least one action atom")
+    n = prior_weights.size + 2
     bounds = np.asarray(cost.bounds, dtype=float)
     rng = np.random.default_rng(seed)
     atoms = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n, bounds.shape[0]))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds
-from .dca import build_dc, dca_solve
+from .dca import MAX_OUTER, build_dc, dca_solve
 from .direct import minimize_direct, minimize_direct_starts
 from .divergences import kl_divergence
 from .measures import linear_cost, prp_objective
@@ -64,18 +64,27 @@ def _scored(method: str, plan, trace, cost, lam: float) -> MethodRun:
                      final_objective=final)
 
 
+def solve_dca(instance: ToyInstance, divergence, lam: float, iterations: int):
+    """DCA on the instance box, capped at min(MAX_OUTER, iterations) steps.
+
+    Returns the `dca.DCAResult` and its trace of full plan objectives, the
+    DC objective plus the affine cost part that the reduction drops.
+    """
+    program = build_dc(instance.type_atoms, instance.prior_weights,
+                       *instance.bounds.T, divergence, lam)
+    result = dca_solve(program, max_outer=min(MAX_OUTER, iterations))
+    return result, result.trace + program.constant
+
+
 def run_method(method: str, instance: ToyInstance, lam: float,
                iterations: int, seed: int,
-               lr_weights: float = 0.05, lr_atoms: float = 0.01) -> MethodRun:
+               lr_weights: float = DescentConfig.lr_weights,
+               lr_atoms: float = DescentConfig.lr_atoms) -> MethodRun:
     """One solve; the trace reports the scheme's own objective per iteration."""
     cost = linear_cost(instance.bounds)
     if method == "dca":
-        program = build_dc(instance.type_atoms, instance.prior_weights,
-                           instance.bounds[:, 0], instance.bounds[:, 1],
-                           kl_divergence(), lam)
-        result = dca_solve(program, max_outer=min(200, iterations))
-        return _scored(method, result.plan, result.trace + program.constant,
-                       cost, lam)
+        result, trace = solve_dca(instance, kl_divergence(), lam, iterations)
+        return _scored(method, result.plan, trace, cost, lam)
     config = _config(method, iterations, lr_weights, lr_atoms)
     solver = minimize_direct if method.startswith("prp") else minimize_sinkhorn
     plan, trace = solver(instance.prior_weights, instance.type_atoms, cost,
@@ -101,8 +110,8 @@ class BenchmarkResult:
 
 def run_benchmark(d: int, k: int, lam: float, methods, runs: int,
                   iterations: int, seed: int,
-                  lr_weights: float = 0.05,
-                  lr_atoms: float = 0.01) -> BenchmarkResult:
+                  lr_weights: float = DescentConfig.lr_weights,
+                  lr_atoms: float = DescentConfig.lr_atoms) -> BenchmarkResult:
     methods = tuple(methods)
     traces = {m: np.empty((runs, iterations)) for m in methods}
     finals = {m: np.empty(runs) for m in methods}

@@ -314,8 +314,9 @@ def test_dominant_map_constant_on_product_plan():
 
 def test_training_with_huge_privacy_weight_stays_non_revealing():
     model = AuctionModel(n_types=10)
-    plan, trace = train_strategy(model, lam=1e3, steps=120,
-                                 config=DescentConfig(), seed=0, width=40)
+    plan, trace = train_strategy(model, lam=1e3,
+                                 config=DescentConfig(steps=120),
+                                 seed=0, width=40)
     assert np.isfinite(trace).all()
     prior = model.prior.weights
     masses = plan.row_masses
@@ -333,8 +334,8 @@ def test_training_with_tiny_privacy_weight_specializes():
     # reference optimum over t + s1 v + s2 relu(v - k) policies has
     # TV >= 0.69 on those rows; see CHANGES.md)
     model = AuctionModel(n_types=10)
-    plan, _ = train_strategy(model, lam=1e-3, steps=250,
-                             config=DescentConfig(), seed=1, width=40)
+    plan, _ = train_strategy(model, lam=1e-3,
+                             config=DescentConfig(steps=250), seed=1, width=40)
     prior = model.prior.weights
     masses = plan.row_masses
     order = np.argsort(masses)[::-1]
@@ -359,16 +360,17 @@ def test_tiny_privacy_weight_step_solves_all_converge(monkeypatch):
         return result
 
     monkeypatch.setattr(sinkhorn, "step_solve", recorded)
-    train_strategy(AuctionModel(n_types=10), lam=1e-3, steps=250,
-                   config=DescentConfig(), seed=1, width=40)
+    train_strategy(AuctionModel(n_types=10), lam=1e-3,
+                   config=DescentConfig(steps=250), seed=1, width=40)
     assert len(errors) == 250
     assert max(errors) < 1e-7
 
 
 def test_single_type_training_has_identically_zero_privacy():
     model = AuctionModel(n_types=1)
-    plan, trace = train_strategy(model, lam=0.5, steps=60,
-                                 config=DescentConfig(), seed=2, width=20)
+    plan, trace = train_strategy(model, lam=0.5,
+                                 config=DescentConfig(steps=60),
+                                 seed=2, width=20)
     result = evaluate_strategy(plan)
     assert result.privacy == pytest.approx(0.0, abs=1e-12)
     assert np.isfinite(trace).all()
@@ -378,8 +380,9 @@ def test_training_is_deterministic():
     model = AuctionModel(n_types=3)
 
     def run():
-        plan, trace = train_strategy(model, lam=0.1, steps=25,
-                                     config=DescentConfig(), seed=5, width=10)
+        plan, trace = train_strategy(model, lam=0.1,
+                                     config=DescentConfig(steps=25),
+                                     seed=5, width=10)
         return plan.gamma.copy(), np.array(trace)
 
     g1, t1 = run()
@@ -390,10 +393,10 @@ def test_training_is_deterministic():
 
 def test_sweep_handles_empty_and_single_grids():
     model = AuctionModel(n_types=3)
-    empty = sweep_lambda(model, [], runs=1, steps=5,
+    empty = sweep_lambda(model, [], runs=1, config=DescentConfig(steps=5),
                          seed=6, width=8)
     assert empty.rows == []
-    single = sweep_lambda(model, [0.5], runs=2, steps=5,
+    single = sweep_lambda(model, [0.5], runs=2, config=DescentConfig(steps=5),
                           seed=6, width=8)
     assert len(single.rows) == 1
     assert single.rows[0].lam == 0.5

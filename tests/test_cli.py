@@ -1,10 +1,13 @@
 import json
+import math
 import runpy
 import sys
 
+import numpy as np
 import pytest
 
-from prp import cli
+from prp import cli, seeds, toy
+from prp.divergences import kl_divergence
 
 TOY = {"kind": "toy", "d": 2, "K": 3, "lam": 0.1, "iterations": 15,
        "runs": 2, "seed": 5}
@@ -69,12 +72,49 @@ def test_sweep_ignores_the_retired_sample_counts(tmp_path):
     {"kind": "grid", "grid_points": 0},
     {"kind": "auctions", "width": 0},
     {"kind": "auctions", "n_atoms": 0},
+    {"kind": "toy", "lam": math.nan},
+    {"kind": "grid", "lam": math.inf},
+    {"kind": "sweep", "lambdas": [math.nan], "runs": 1, "steps": 2,
+     "width": 4},
+    {"kind": "toy", "lr_atoms": -math.inf},
+    {"kind": "toy", "runs": "3"},
+    {"kind": "toy", "iterations": True},
+    {"kind": "grid", "grid_points": 3.0},
+    {"kind": "toy", "seed": -1},
+    {"kind": "toy", "methods": ["prp-adam", "prp-adam"]},
+    {"kind": "toy", "methods": "dca"},
+    {"kind": "grid", "divergence": "alpha:inf"},
 ], ids=["unknown-key", "non-kl-toy", "unknown-optimizer", "no-grid-points",
-        "zero-width", "no-atoms"])
+        "zero-width", "no-atoms", "nan-lam", "infinite-lam", "nan-lambdas",
+        "infinite-lr", "string-runs", "bool-iterations", "float-grid-points",
+        "negative-seed", "repeated-methods", "string-methods",
+        "infinite-alpha"])
 def test_config_errors_exit_with_2(tmp_path, capsys, doc):
     assert run(tmp_path, doc) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_integer_values_for_float_fields_stay_valid(tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"kind": "grid", "lam": 1, "lr_weights": 1,
+                                "lambdas": [1, 0.5]}))
+    config = cli.load_config(path)
+    assert (config.lam, config.lr_weights, config.lambdas) == (1, 1, [1, 0.5])
+
+
+def test_dca_trace_is_the_toy_helper_trace(tmp_path):
+    # the CLI kind and the toy method run one DCA helper on the same instance
+    doc = {"kind": "dca", "d": 2, "K": 4, "lam": 0.2, "iterations": 5,
+           "seed": 3}
+    assert run(tmp_path, doc) == 0
+    instance = toy.sample_instance(2, 4, seeds.rng_for(3, seeds.INSTANCE))
+    _, trace = toy.solve_dca(instance, kl_divergence(), 0.2, 5)
+    rows = (tmp_path / "out" / "trace.csv").read_text().split()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == trace.tolist()
+    assert len(trace) <= 6   # the start and at most 5 outer steps
+    assert np.array_equal(toy.run_method("dca", instance, 0.2, 5, 0).trace,
+                          trace)
 
 
 def test_python_dash_m_runs_the_cli(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from prp import direct, seeds, toy
 from prp.direct import (kl_plan_objective, minimize_direct,
                         minimize_direct_starts)
-from prp.divergences import kl_divergence, total_variation
+from prp.divergences import kl_divergence
 from prp.measures import (DiscreteDistribution, TransportPlan,
                           cost_with_adjoint, linear_cost, prp_objective)
 from prp.optim import DescentConfig, project_columns
@@ -91,13 +91,6 @@ def test_plan_gradient_stays_finite_on_exact_zeros():
         fd = oracles.central(lambda g: kl_objective(g, matrix, prior, 0.3),
                              gamma0, d, h=1e-8)
         assert (grad * d).sum() == pytest.approx(fd, rel=1e-5, abs=1e-7)
-
-
-def test_rejects_divergences_without_tape_form():
-    cost = linear_cost(BOUNDS)
-    with pytest.raises(NotImplementedError):
-        minimize_direct(np.array([1.0]), np.array([[1.0, 0.0]]), cost, 0.1,
-                        divergence=total_variation())
 
 
 def test_descent_reaches_per_type_minima_for_tiny_privacy():

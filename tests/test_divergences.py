@@ -116,6 +116,14 @@ def test_name_parsing():
         from_name("hellinger")
 
 
+@pytest.mark.parametrize("alpha", [0.5, math.inf, math.nan])
+def test_alpha_must_be_finite_and_at_least_one(alpha):
+    with pytest.raises(ValueError):
+        alpha_divergence(alpha)
+    with pytest.raises(ValueError):
+        from_name(f"alpha:{alpha}")
+
+
 @settings(max_examples=60, deadline=None)
 @given(simplex3, simplex3)
 def test_nonnegativity(p, q):

@@ -22,8 +22,9 @@ GOLDEN = Path(__file__).with_name("golden_auctions.json")
 
 
 def _run():
-    plan, trace = train_strategy(AuctionModel(n_types=3), lam=0.1, steps=25,
-                                 config=DescentConfig(), seed=5, width=10)
+    plan, trace = train_strategy(AuctionModel(n_types=3), lam=0.1,
+                                 config=DescentConfig(steps=25),
+                                 seed=5, width=10)
     return trace, plan.gamma
 
 
