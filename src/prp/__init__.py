@@ -28,9 +28,7 @@ from .sinkhorn import (SinkhornProblem, SinkhornResult, minimize_sinkhorn,
                        solve_sinkhorn)
 from .direct import (kl_plan_objective, minimize_direct,
                      minimize_direct_starts)
-from .dca import (DCAResult, DCProgram, DegenerateBox, build_dc,
-                  concave_part_subgradient, convex_subproblem, dc_objective,
-                  dca_solve, recover_actions)
+from .dca import DCAResult, best_corners, dca_solve
 from .gridsolve import solve_grid
 from .auctions import (AuctionModel, BidPolicy, DominantActionMap,
                        StrategyEvaluation, SweepResult, SweepRow,

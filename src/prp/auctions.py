@@ -45,7 +45,8 @@ import numpy as np
 
 from . import seeds
 from .divergences import kl_divergence, perspective_total
-from .measures import CostOracle, DiscreteDistribution, TransportPlan
+from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
+                       atom_count)
 from .optim import DescentConfig
 from .sinkhorn import _descend, step_solve
 
@@ -344,7 +345,7 @@ def train_strategy(model: AuctionModel, lam: float,
     is deterministic.  Returns the plan of the converged final solve
     (policies as action atoms) and the loss trace.
     """
-    n = n_atoms if n_atoms is not None else model.n_types + 2
+    n = n_atoms if n_atoms is not None else atom_count(model.n_types)
     y = model.type_atoms
     rows = _stack(ladder_policies(seeds.rng_for(seed, seeds.INIT), n, width))
     # the weight floor keeps every atom shipping a trickle of mass, so its

@@ -99,6 +99,11 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     return config
 
 
+def _label(lam: float) -> str:
+    """The lambda as the auction output file names write it."""
+    return f"{lam:.6g}"
+
+
 # the integer fields and their least values; n_atoms may also be null
 _INTEGERS = {"seed": 0, "runs": 1, "iterations": 1, "steps": 1, "d": 1,
              "K": 1, "grid_points": 1, "width": 1, "n_atoms": 1}
@@ -122,6 +127,8 @@ def _validate(config: ExperimentConfig) -> None:
         if type(value) not in (int, float) or not math.isfinite(value):
             raise ConfigError("lam, lambdas, lr_weights and lr_atoms must be "
                               f"finite numbers, got {value!r}")
+    if not all(isinstance(v, str) for v in (config.divergence, config.method)):
+        raise ConfigError("divergence and method must be strings")
     try:
         divergences.from_name(config.divergence)
     except ValueError as exc:
@@ -144,6 +151,10 @@ def _validate(config: ExperimentConfig) -> None:
     if config.kind in ("auctions", "sweep"):
         if any(l <= 0.0 for l in lambdas):
             raise ConfigError("auction lambdas must be positive")
+        labels = [_label(l) for l in lambdas]
+        if len(set(labels)) < len(labels):
+            # each lambda names its heat-map and bid-curve files
+            raise ConfigError(f"auction lambdas repeat in file names: {labels}")
     if config.lam < 0.0:
         raise ConfigError("lam must be nonnegative")
     return None
@@ -206,14 +217,13 @@ def run_dca(config: ExperimentConfig):
     started = time.perf_counter()
     instance = toy.sample_instance(config.d, config.K,
                                    seeds.rng_for(config.seed, seeds.INSTANCE))
-    result, trace = toy.solve_dca(instance,
-                                  divergences.from_name(config.divergence),
-                                  config.lam, config.iterations)
+    result = toy.solve_dca(instance, divergences.from_name(config.divergence),
+                           config.lam, config.iterations)
     plan_path = out / "plan.json"
     plan_path.parent.mkdir(parents=True, exist_ok=True)
     plan_path.write_text(plan_to_json(result.plan) + "\n")
     trace_path = write_csv(out / "trace.csv", ("iteration", "objective"),
-                           list(enumerate(trace.tolist())))
+                           list(enumerate(result.trace.tolist())))
     write_manifest(out / "manifest.json", config.as_dict(),
                    [plan_path, trace_path], time.perf_counter() - started)
     return result
@@ -238,7 +248,7 @@ def run_auctions(config: ExperimentConfig):
         gamma = first.plan.gamma
         header = ["atom"] + [f"type_{k}" for k in range(gamma.shape[1])]
         outputs.append(write_csv(
-            out / f"heatmap_lam{lam:.6g}.csv", header,
+            out / f"heatmap_lam{_label(lam)}.csv", header,
             [[i, *row] for i, row in enumerate(gamma.tolist())]))
         amap = dominant_action_map(first.plan)
         curve_rows = []
@@ -247,7 +257,7 @@ def run_auctions(config: ExperimentConfig):
                 (k, int(amap.row_for_type[k]), v, b)
                 for v, b in zip(amap.value_grid.tolist(),
                                 amap.curves[k].tolist()))
-        outputs.append(write_csv(out / f"bidcurves_lam{lam:.6g}.csv",
+        outputs.append(write_csv(out / f"bidcurves_lam{_label(lam)}.csv",
                                  ("type", "row", "v", "beta"), curve_rows))
     write_manifest(out / "manifest.json", config.as_dict(), outputs,
                    time.perf_counter() - started)

@@ -1,8 +1,9 @@
 """Convex plan solves: linear cost term plus the row-wise privacy term.
 
 Minimizes  <L, gamma> + lam * sum_ik p0_k h_k(gamma_i)  over plans whose
-columns sum to the prior.  This covers both the full-grid convex problem
-(L = cost matrix) and the DCA inner step (L = minus the linearization).
+columns sum to the prior, with L the cost matrix of fixed actions: a
+lattice of actions for the full-grid convex problem, and the rows' best
+box corners for the DCA step (the linearization of its concave part).
 
 lam = 0 is a linear program over scaled simplices and is solved in closed
 form.  Smooth generators run `optim.minimize_columns_pgd` from step 1/lam:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
-                       cost_with_adjoint)
+                       atom_count, cost_with_adjoint)
 from .optim import (DescentConfig, make_optimizer, optimizer_step,
                     project_box, project_columns)
 
@@ -82,7 +82,7 @@ def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
     prior_weights = np.asarray(prior_weights, dtype=float)
     type_atoms_arr = np.asarray(type_atoms, dtype=float)
     k = prior_weights.size
-    n = k + 2
+    n = atom_count(k)
     bounds = np.asarray(cost.bounds, dtype=float)
     lower, upper = bounds[:, 0], bounds[:, 1]
     atoms = np.stack([np.random.default_rng(seed).uniform(

@@ -21,6 +21,11 @@ NEGATIVITY_TOL = 1e-12     # entries above -this are clamped to zero
 ATOM_TOL = 1e-8            # sup-norm distance of atoms that coincide
 
 
+def atom_count(n_types: int) -> int:
+    """K + 2: the number of action atoms (plan rows) each scheme starts with."""
+    return n_types + 2
+
+
 class ZeroMassRow(ValueError):
     """Posterior requested for a row carrying no mass."""
 

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
-                       cost_with_adjoint)
+                       atom_count, cost_with_adjoint)
 from .optim import (DescentConfig, make_optimizer, optimizer_step,
                     project_box, project_simplex)
 
@@ -294,7 +294,7 @@ def minimize_sinkhorn(prior_weights, type_atoms, cost: CostOracle, lam: float,
         raise ValueError("minimize_sinkhorn needs a cost oracle with box bounds")
     prior_weights = np.asarray(prior_weights, dtype=float)
     type_atoms_arr = np.asarray(type_atoms, dtype=float)
-    n = prior_weights.size + 2
+    n = atom_count(prior_weights.size)
     bounds = np.asarray(cost.bounds, dtype=float)
     rng = np.random.default_rng(seed)
     atoms = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n, bounds.shape[0]))

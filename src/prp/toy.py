@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds
-from .dca import MAX_OUTER, build_dc, dca_solve
+from .dca import MAX_OUTER, dca_solve
 from .direct import minimize_direct, minimize_direct_starts
 from .divergences import kl_divergence
 from .measures import linear_cost, prp_objective
@@ -67,13 +67,14 @@ def _scored(method: str, plan, trace, cost, lam: float) -> MethodRun:
 def solve_dca(instance: ToyInstance, divergence, lam: float, iterations: int):
     """DCA on the instance box, capped at min(MAX_OUTER, iterations) steps.
 
-    Returns the `dca.DCAResult` and its trace of full plan objectives, the
-    DC objective plus the affine cost part that the reduction drops.
+    Returns the `dca.DCAResult`; its trace holds full plan objectives.
+    Linearizing the DC program's subtracted norms at a plan is the same as
+    moving every row to its best box corner, so each step is the convex
+    plan solve at the cost matrix of those corners.
     """
-    program = build_dc(instance.type_atoms, instance.prior_weights,
-                       *instance.bounds.T, divergence, lam)
-    result = dca_solve(program, max_outer=min(MAX_OUTER, iterations))
-    return result, result.trace + program.constant
+    return dca_solve(instance.type_atoms, instance.prior_weights,
+                     instance.bounds, divergence, lam,
+                     max_outer=min(MAX_OUTER, iterations))
 
 
 def run_method(method: str, instance: ToyInstance, lam: float,
@@ -83,8 +84,8 @@ def run_method(method: str, instance: ToyInstance, lam: float,
     """One solve; the trace reports the scheme's own objective per iteration."""
     cost = linear_cost(instance.bounds)
     if method == "dca":
-        result, trace = solve_dca(instance, kl_divergence(), lam, iterations)
-        return _scored(method, result.plan, trace, cost, lam)
+        result = solve_dca(instance, kl_divergence(), lam, iterations)
+        return _scored(method, result.plan, result.trace, cost, lam)
     config = _config(method, iterations, lr_weights, lr_atoms)
     solver = minimize_direct if method.startswith("prp") else minimize_sinkhorn
     plan, trace = solver(instance.prior_weights, instance.type_atoms, cost,

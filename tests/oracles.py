@@ -279,6 +279,70 @@ def project_column_exact(v, total) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the paper's reduced difference-of-convex program for c(x, y) = x . y on a box
+
+def dc_phi(type_atoms, lower, upper) -> np.ndarray:
+    """Box-scaled types phi(y)^l = (b_l - a_l) y^l / 2."""
+    return np.asarray(type_atoms, dtype=float) * (
+        (np.asarray(upper, dtype=float) - np.asarray(lower, dtype=float))
+        / 2.0)
+
+
+def dc_constant(type_atoms, prior, lower, upper) -> float:
+    """The affine cost part <p0, eta> the reduction drops, eta(y) = y . mid."""
+    mid = (np.asarray(lower, dtype=float) + np.asarray(upper, dtype=float)) / 2.0
+    return float(np.dot(prior, np.asarray(type_atoms, dtype=float) @ mid))
+
+
+def dc_objective(gamma, phi, prior, divergence, lam) -> float:
+    """lam * privacy - sum of the row 1-norms of gamma @ phi."""
+    from prp.divergences import perspective_total
+
+    gamma = np.asarray(gamma, dtype=float)
+    privacy = perspective_total(divergence, gamma, prior)
+    return lam * privacy - float(np.abs(gamma @ phi).sum())
+
+
+def dc_subgradient(gamma, phi) -> np.ndarray:
+    """Subgradient of sum_i ||gamma_i @ phi||_1, with sign(0) := 0."""
+    return np.sign(np.asarray(gamma, dtype=float) @ phi) @ phi.T
+
+
+def dc_iteration(type_atoms, prior, lower, upper, divergence, lam,
+                 max_outer=200, outer_tol=1e-9):
+    """DCA on the reduced program: linearize, then solve on -s.
+
+    Starts from half the diagonal plan plus half the product coupling on
+    K + 2 rows and stops once an outer step gains below `outer_tol`.
+    Returns the plan matrix, the actions mid - sign(gamma @ phi) * half and
+    the trace of reduced objectives plus the dropped constant.
+    """
+    from prp.convexsolve import minimize_linear_plus_privacy
+
+    type_atoms = np.atleast_2d(np.asarray(type_atoms, dtype=float))
+    prior = np.asarray(prior, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    phi = dc_phi(type_atoms, lower, upper)
+    k = prior.size
+    n = k + 2
+    gamma = 0.5 * (np.eye(n, k) * prior + np.tile(prior / n, (n, 1)))
+    trace = [dc_objective(gamma, phi, prior, divergence, lam)]
+    for _ in range(max_outer):
+        s = dc_subgradient(gamma, phi)
+        gamma = minimize_linear_plus_privacy(-s, prior, divergence, lam,
+                                             init=gamma).x
+        trace.append(dc_objective(gamma, phi, prior, divergence, lam))
+        if trace[-2] - trace[-1] < outer_tol:
+            break
+    mid = (lower + upper) / 2.0
+    half = (upper - lower) / 2.0
+    actions = mid[None, :] + (-np.sign(gamma @ phi)) * half[None, :]
+    constant = dc_constant(type_atoms, prior, lower, upper)
+    return gamma, actions, np.asarray(trace) + constant
+
+
+# ---------------------------------------------------------------------------
 # misc small oracles
 
 def simplex_projection_grid(v, resolution=200) -> np.ndarray:

@@ -84,11 +84,18 @@ def test_sweep_ignores_the_retired_sample_counts(tmp_path):
     {"kind": "toy", "methods": ["prp-adam", "prp-adam"]},
     {"kind": "toy", "methods": "dca"},
     {"kind": "grid", "divergence": "alpha:inf"},
+    {"kind": "sweep", "lambdas": [0.1, 0.1], "runs": 1, "steps": 2,
+     "width": 4},
+    {"kind": "sweep", "lambdas": [0.1, 0.10000001], "runs": 1, "steps": 2,
+     "width": 4},
+    {"kind": "grid", "divergence": 5},
+    {"kind": "sweep", "method": ["adam"]},
 ], ids=["unknown-key", "non-kl-toy", "unknown-optimizer", "no-grid-points",
         "zero-width", "no-atoms", "nan-lam", "infinite-lam", "nan-lambdas",
         "infinite-lr", "string-runs", "bool-iterations", "float-grid-points",
         "negative-seed", "repeated-methods", "string-methods",
-        "infinite-alpha"])
+        "infinite-alpha", "repeated-lambdas", "colliding-lambda-labels",
+        "number-divergence", "list-method"])
 def test_config_errors_exit_with_2(tmp_path, capsys, doc):
     assert run(tmp_path, doc) == 2
     assert "config error" in capsys.readouterr().err
@@ -109,7 +116,7 @@ def test_dca_trace_is_the_toy_helper_trace(tmp_path):
            "seed": 3}
     assert run(tmp_path, doc) == 0
     instance = toy.sample_instance(2, 4, seeds.rng_for(3, seeds.INSTANCE))
-    _, trace = toy.solve_dca(instance, kl_divergence(), 0.2, 5)
+    trace = toy.solve_dca(instance, kl_divergence(), 0.2, 5).trace
     rows = (tmp_path / "out" / "trace.csv").read_text().split()[1:]
     assert [float(row.split(",")[1]) for row in rows] == trace.tolist()
     assert len(trace) <= 6   # the start and at most 5 outer steps

@@ -5,6 +5,8 @@ from prp.convexsolve import minimize_linear_plus_privacy
 from prp.divergences import from_name, perspective_total, perspective_total_grad
 from prp.optim import minimize_columns_pgd
 
+import oracles
+
 PRIOR = np.array([0.2, 0.3, 0.5])
 LINEAR = np.array([[0.3, -0.2, 0.1],
                    [-0.4, 0.5, 0.0],
@@ -55,3 +57,49 @@ def test_capped_solve_warns():
                                               from_name("reverse_kl"), 0.1,
                                               max_steps=3)
     assert not result.converged
+
+
+def test_zero_privacy_weight_reduces_to_column_argmin():
+    rng = np.random.default_rng(4)
+    linear = rng.normal(size=(5, 3))
+    linear[1, 0] = linear[0, 0]  # a tie in column 0 goes to the smaller row
+    result = minimize_linear_plus_privacy(linear, PRIOR, from_name("kl"), 0.0,
+                                          init=np.tile(PRIOR / 5, (5, 1)))
+    expected = np.zeros_like(linear)
+    expected[np.argmin(linear, axis=0), np.arange(3)] = PRIOR
+    assert np.array_equal(result.x, expected)
+    assert result.x.sum() == pytest.approx(1.0)
+
+
+def test_zero_linear_term_reaches_zero_privacy():
+    rng = np.random.default_rng(5)
+    init = rng.dirichlet(np.ones(5), size=3).T * PRIOR[None, :]
+    result = minimize_linear_plus_privacy(np.zeros((5, 3)), PRIOR,
+                                          from_name("kl"), 0.8, init=init)
+    assert result.value <= 1e-8
+    assert result.value >= -1e-12
+
+
+def test_optimum_matches_grid_oracle_small_instance():
+    rng = np.random.default_rng(6)
+    prior = np.array([0.4, 0.6])
+    linear = rng.normal(size=(3, 2))
+    result = minimize_linear_plus_privacy(linear, prior, from_name("kl"), 0.5,
+                                          init=np.tile(prior / 3, (3, 1)))
+    reference = oracles.grid_minimize_objective(linear, prior, "kl", 0.5,
+                                                base_resolution=8, rounds=9)
+    assert result.value == pytest.approx(reference, abs=1e-3)
+
+
+@pytest.mark.parametrize("name", ["kl", "tv"])
+def test_value_never_exceeds_init_value(name):
+    rng = np.random.default_rng(7)
+    div = from_name(name)
+    init = rng.dirichlet(np.ones(5), size=3).T * PRIOR[None, :]
+    linear = rng.normal(size=(5, 3))
+
+    def objective(g):
+        return float((linear * g).sum()) + perspective_total(div, g, PRIOR)
+
+    result = minimize_linear_plus_privacy(linear, PRIOR, div, 1.0, init=init)
+    assert objective(result.x) <= objective(init) + 1e-12
