@@ -12,15 +12,11 @@ atoms from the cost oracle's adjoint map.
 
 __version__ = "0.1.0"
 
-from .divergences import (FDivergence, alpha_divergence, check_convexity,
-                          divergence, from_name, kl_divergence,
-                          perspective_h, reverse_kl_divergence,
-                          total_variation)
-from .measures import (CostOracle, DiscreteDistribution, NonDifferentiableCost,
-                       PlanDiagnostics, TransportPlan, ZeroMassRow,
-                       cost_matrix, linear_cost, merge_duplicate_atoms,
-                       plan_from_json, plan_to_json, posterior,
-                       prp_objective, validate_plan)
+from .divergences import (FDivergence, alpha_divergence, divergence,
+                          from_name, kl_divergence, perspective_h,
+                          reverse_kl_divergence, total_variation)
+from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
+                       cost_matrix, linear_cost, plan_to_json, prp_objective)
 from .optim import (DescentConfig, OptimizerState, make_optimizer,
                     optimizer_step, project_box, project_columns,
                     project_simplex)

@@ -322,10 +322,7 @@ def _revenue_cost(rows, y):
     return matrix, lambda plan: adjoint(-(plan @ y), plan.sum(axis=1))
 
 
-_REVENUE_COST = CostOracle(
-    evaluate=lambda x, y: float(_revenue_cost(np.atleast_2d(x),
-                                              np.atleast_1d(y))[0][0, 0]),
-    matrix_and_adjoint=_revenue_cost)
+_REVENUE_COST = CostOracle(matrix_and_adjoint=_revenue_cost)
 
 
 # read only by bench/tracing.py, for the `cap` default of the step solve

@@ -17,7 +17,7 @@ solvers rely on this for vectorized evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class FDivergence:
     f: Callable[[np.ndarray], np.ndarray]
     f_at_zero: float
     f_slope_at_infinity: float
-    f_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    f_prime: Callable[[np.ndarray], np.ndarray]
     smooth: bool = True
 
 
@@ -172,8 +172,6 @@ def perspective_total_grad(div: FDivergence, gamma, prior) -> np.ndarray:
     limits at t = 0, which may be infinite.  Massless rows get 0, since the
     multiplicative updates of `optim.minimize_columns_pgd` never revive them.
     """
-    if div.f_prime is None:
-        raise ValueError(f"divergence {div.name!r} has no derivative")
     gamma = np.asarray(gamma, dtype=float)
     prior = np.asarray(prior, dtype=float)
     m = gamma.sum(axis=1, keepdims=True)
@@ -183,21 +181,3 @@ def perspective_total_grad(div: FDivergence, gamma, prior) -> np.ndarray:
         bracket = np.where(t > 0.0, div.f(t) - t * fpt, div.f_at_zero)
         out = (bracket * prior).sum(axis=1, keepdims=True) + fpt
     return np.where(m > 0.0, out, 0.0)
-
-
-def check_convexity(div: FDivergence) -> bool:
-    """Sample f on a log-spaced grid of [1e-6, 1e6] and test midpoint convexity.
-
-    The tolerance scales with the sampled values so that large-argument
-    round-off does not produce false negatives.
-    """
-    grid = np.logspace(-6.0, 6.0, 121)
-    values = np.asarray(div.f(grid), dtype=float)
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = values[i], values[i + 1]
-        fm = float(div.f(0.5 * (a + b)))
-        tol = max(1e-9, 1e-12 * max(abs(fa), abs(fb)))
-        if fm > 0.5 * (fa + fb) + tol:
-            return False
-    return True

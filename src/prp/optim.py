@@ -2,28 +2,27 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 
-def project_simplex(v, total: float = 1.0, floor: float = 0.0) -> np.ndarray:
-    """Euclidean projection onto {w >= floor, sum w = total} (sort-and-threshold).
+def project_simplex(v, floor: float = 0.0) -> np.ndarray:
+    """Euclidean projection onto {w >= floor, sum w = 1} (sort-and-threshold).
 
     With a positive floor the projection composes with a shift/rescale; the
     solvers use a tiny floor while optimizing mixture weights so that no
     component's weight reaches exact zero, where its gradient channel dies.
     """
     v = np.asarray(v, dtype=float)
-    if total <= 0.0:
-        raise ValueError("total must be positive")
     if floor > 0.0:
-        slack = total - v.size * floor
+        slack = 1.0 - v.size * floor
         if slack <= 0.0:
             raise ValueError("floor leaves no mass to distribute")
         return floor + slack * project_columns((v - floor) / slack, 1.0)
-    return project_columns(v, total)
+    return project_columns(v, 1.0)
 
 
 def project_box(v, lower, upper) -> np.ndarray:
@@ -158,6 +157,9 @@ def optimizer_step(state: OptimizerState, param, grad) -> np.ndarray:
 MAX_STEPS = 5000    # default step cap of the convex plan solves
 _TOL = 1e-8         # relative objective decrease that ends a window of steps
 _WINDOW = 25
+# bounds the trial step where 1e6 * lr0 overflows (lam below ~5.6e-303): an
+# infinite lr stays infinite when halved
+_MAX_LR = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -180,10 +182,11 @@ def minimize_columns_pgd(objective: Callable[[np.ndarray], float],
     (mirror descent in the KL geometry, Beck & Teboulle 2003) and halves lr
     until f(x+) <= f(x) + <g, x+ - x> + KL(x+ || x) / lr, which makes it a
     descent step.  The trial lr is twice the last accepted one, within
-    [lr0, 1e6 * lr0].  Exact zeros stay zero, so the gradient is read only
-    where x > 0.  Termination fires when no step passes the test with a
-    bound below f in floating point, or when a window of _WINDOW steps
-    improved the objective by at most _TOL * max(1, |f|).
+    [lr0, 1e6 * lr0] and never above the largest float.  Exact zeros stay
+    zero, so the gradient is read only where x > 0.  Termination fires
+    when no step passes the test with a bound below f in floating point,
+    or when a window of _WINDOW steps improved the objective by at most
+    _TOL * max(1, |f|).
     """
     totals = np.asarray(column_totals, dtype=float)
     x = np.asarray(init, dtype=float)
@@ -195,11 +198,14 @@ def minimize_columns_pgd(objective: Callable[[np.ndarray], float],
         g = np.where(x > 0.0, gradient(x), 0.0)
         with np.errstate(divide="ignore"):
             log_x = np.log(x)
-        lr = min(max(lr * 2.0, lr0), 1e6 * lr0)
+        lr = min(max(lr * 2.0, lr0), 1e6 * lr0, _MAX_LR)
         accepted = False
         while lr >= 1e-14:
-            z = log_x - lr * g
-            cand = np.exp(z - z.max(axis=0))
+            with np.errstate(over="ignore"):
+                # at lr near the largest float, z - max z may round to
+                # -inf, whose exp is the 0 of the limit
+                z = log_x - lr * g
+                cand = np.exp(z - z.max(axis=0))
             cand *= totals / cand.sum(axis=0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 kl = np.where(cand > 0.0, cand * (np.log(cand) - log_x), 0.0)

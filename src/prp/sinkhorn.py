@@ -38,9 +38,14 @@ with no logarithm of the plan.  Zero-weight columns stay out of the
 Newton system.  Zero-weight rows stay in it: their rows of P are exactly
 0, so they change neither G, colsum(P) nor the system, and the last
 Newton state holds their log-sums too.  The solve works on potentials
-only and returns them as log u and log v, so it runs at any lam.  A
-solve may start from the log v of an earlier solve; the descent loop
-passes it on from step to step.
+only and returns them as log u and log v, so no kernel entry has to be
+representable.  It fails where the Newton ascent stops (stalled, or at
+its cap) with a column of P that sums to exactly 0: every entry of that
+column underflowed against its row's maximum, so no column update can
+give it mass.  The solve then raises `FloatingPointError` instead of
+returning a NaN plan.  This happens at small lam, e.g. lam = 1e-4 on
+100-piece auction policies.  A solve may start from the log v of an
+earlier solve; the descent loop passes it on from step to step.
 
 Gradients come from the envelope theorem at the converged coupling, with
 no differentiation through the iterations (Feydy et al., AISTATS 2019;
@@ -183,7 +188,9 @@ def solve_sinkhorn(problem: SinkhornProblem, init_log_v=None) -> SinkhornResult:
     zero-weight rows and columns), the loss and the envelope gradient in
     alpha.  `init_log_v` warm-starts psi = log v, e.g. with the `log_v` of
     the previous solve in a descent loop.  A solve that stops short of
-    `tol` (at `max_iter`, or where rounding stalls it) warns.
+    `tol` (at `max_iter`, or where rounding stalls it) warns, and one that
+    stops with a column of the row-exact plan at 0 mass raises
+    `FloatingPointError`.
     """
     alpha, beta, lam = problem.alpha, problem.beta, problem.lam
     cols = (beta > 0.0).nonzero()[0]
@@ -194,6 +201,10 @@ def solve_sinkhorn(problem: SinkhornProblem, init_log_v=None) -> SinkhornResult:
     psi, p, q, lse, col, steps, converged = _newton(
         -problem.cost_matrix[:, cols] / lam, alpha, b, start[cols],
         problem.max_iter, problem.tol)
+    if not (col > 0.0).all():
+        raise FloatingPointError(
+            f"Sinkhorn solve at lam={lam:g} stopped after {steps} Newton "
+            f"steps with a column of the plan at 0 mass")
     # the column update from the row-exact plan P: plan = P r, psi + log r
     r = b / col
     core = p * r

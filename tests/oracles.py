@@ -12,6 +12,8 @@ import itertools
 
 import numpy as np
 
+from prp.measures import CostOracle
+
 
 # ---------------------------------------------------------------------------
 # plan-objective evaluation (vectorized over a batch of candidate plans)
@@ -344,6 +346,26 @@ def dc_iteration(type_atoms, prior, lower, upper, divergence, lam,
 
 # ---------------------------------------------------------------------------
 # misc small oracles
+
+def matrix_cost(c) -> CostOracle:
+    """Cost oracle of a fixed matrix: action atom i and type atom k price C[i, k].
+
+    The atoms are indices, as scalars or as 1-vectors.  Index atoms do not
+    move, so the adjoint map raises.
+    """
+    c = np.asarray(c, dtype=float)
+
+    def matrix_and_adjoint(atoms, type_atoms):
+        rows = atoms.astype(int).reshape(-1)
+        cols = type_atoms.astype(int).reshape(-1)
+
+        def adjoint(plan):
+            raise TypeError("index atoms have no gradient")
+
+        return c[np.ix_(rows, cols)], adjoint
+
+    return CostOracle(matrix_and_adjoint=matrix_and_adjoint)
+
 
 def simplex_projection_grid(v, resolution=200) -> np.ndarray:
     """Brute-force nearest simplex grid point (3-dimensional inputs)."""

@@ -145,3 +145,13 @@ def test_numerical_failures_exit_with_3(tmp_path, capsys, monkeypatch, error):
     monkeypatch.setitem(cli._RUNNERS, "toy", fail)
     assert run(tmp_path, TOY) == 3
     assert "numerical failure: diverged" in capsys.readouterr().err
+
+
+def test_sinkhorn_solve_with_an_empty_column_exits_with_3(tmp_path, capsys):
+    # at lam = 1e-4 on 100-piece policies the first warm step solve stalls
+    # with a column of its plan at 0 mass; the run once wrote a NaN row
+    sweep = {"kind": "sweep", "K": 3, "lambdas": [1e-4], "runs": 1,
+             "steps": 10, "width": 100}
+    assert run(tmp_path, sweep) == 3
+    assert "column of the plan at 0 mass" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "tradeoff.csv").exists()

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -69,6 +73,41 @@ def test_zero_privacy_weight_reduces_to_column_argmin():
     expected[np.argmin(linear, axis=0), np.arange(3)] = PRIOR
     assert np.array_equal(result.x, expected)
     assert result.x.sum() == pytest.approx(1.0)
+
+
+TINY_LAMBDA_SOLVES = """
+import numpy as np
+from prp.convexsolve import minimize_linear_plus_privacy
+from prp.divergences import from_name
+linear = np.array({linear})
+prior = np.array({prior})
+for name in ("kl", "reverse_kl", "alpha:2"):
+    for lam in (0.0, 1e-308, 5e-324):
+        value = minimize_linear_plus_privacy(linear, prior, from_name(name),
+                                             lam).value
+        print(name, lam, repr(value))
+"""
+
+
+def test_smallest_privacy_weights_end_at_the_zero_weight_value():
+    # below lam ~ 5.6e-303 the trial step cap 1e6 / lam overflows, and an
+    # infinite step stays infinite when halved.  The subprocess turns a hang
+    # into a failure by its timeout, and an escaped warning by -W error.
+    code = TINY_LAMBDA_SOLVES.format(linear=LINEAR.tolist(),
+                                     prior=PRIOR.tolist())
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ,
+                               "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    values = {}
+    for line in done.stdout.split("\n")[:-1]:
+        name, lam, value = line.split()
+        values.setdefault(name, {})[float(lam)] = float(value)
+    assert sorted(values) == ["alpha:2", "kl", "reverse_kl"]
+    for by_lam in values.values():
+        assert by_lam[0.0] == pytest.approx(-0.29, abs=1e-15)
+        assert by_lam[1e-308] == by_lam[5e-324] == by_lam[0.0]
 
 
 def test_zero_linear_term_reaches_zero_privacy():

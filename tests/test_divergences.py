@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prp.divergences import (FDivergence, alpha_divergence, check_convexity,
-                             divergence, from_name, kl_divergence,
-                             perspective_h, perspective_total,
+from prp.divergences import (alpha_divergence, divergence, from_name,
+                             kl_divergence, perspective_h, perspective_total,
                              perspective_total_grad, reverse_kl_divergence,
                              total_variation)
 
@@ -97,13 +96,6 @@ def test_perspective_value_matches_high_precision():
         expected = float(m * t * mpmath.log(t))
     assert perspective_h(kl_divergence(), row, prior, 0) == pytest.approx(
         expected, abs=1e-14)
-
-
-def test_convexity_check_accepts_and_rejects():
-    assert check_convexity(kl_divergence())
-    assert check_convexity(alpha_divergence(2.0))
-    concave = FDivergence("bad", lambda t: -t * t, 0.0, -math.inf)
-    assert not check_convexity(concave)
 
 
 def test_name_parsing():

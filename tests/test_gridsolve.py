@@ -7,13 +7,9 @@ from prp import seeds, toy
 from prp.convexsolve import minimize_linear_plus_privacy
 from prp.divergences import from_name, kl_divergence
 from prp.gridsolve import solve_grid
-from prp.measures import CostOracle
 
 import oracles
-
-
-def matrix_cost(c):
-    return CostOracle(evaluate=lambda i, k, _c=c: float(_c[i, k]))
+from oracles import matrix_cost
 
 
 def test_zero_privacy_weight_gives_per_type_minimum():

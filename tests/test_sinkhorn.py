@@ -3,10 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from prp.direct import minimize_direct
 from prp.divergences import kl_divergence
-from prp.measures import (CostOracle, DiscreteDistribution,
-                          NonDifferentiableCost, TransportPlan,
+from prp.measures import (DiscreteDistribution, TransportPlan,
                           cost_with_adjoint, linear_cost, prp_objective)
 from prp.optim import DescentConfig
 from prp.sinkhorn import (SinkhornProblem, minimize_sinkhorn,
@@ -171,9 +169,8 @@ def test_loss_equals_constrained_plan_objective():
                 continue
             types = [0, 1]
             prior = DiscreteDistribution(types, beta)
-            tp = TransportPlan(plan, [0, 1], types, prior, validate=False)
-            cost_oracle = CostOracle(
-                evaluate=lambda a, b, c=cost: float(c[a, b]))
+            tp = TransportPlan(plan, [0, 1], types, prior)
+            cost_oracle = oracles.matrix_cost(cost)
             masses = plan.sum(axis=1)
             objective = prp_objective(tp, cost_oracle, kl, lam)
             # the plan objective has no row-marginal term; add the KL part
@@ -451,19 +448,6 @@ def test_gradient_vanishes_for_zero_cost():
         np.array([0.4, 0.6]), np.array([[0.1, 0.2], [-0.3, 0.4]]),
         (np.array([0.5, 0.5]), y), cost, lam=1.0)
     assert np.abs(grad_x).max() < 1e-12
-
-
-BLOB = CostOracle(evaluate=lambda x, y: 0.0, bounds=np.array([[-1.0, 1.0]]))
-ONE, ORIGIN = np.array([1.0]), np.zeros((1, 1))
-
-
-@pytest.mark.parametrize("solve", [
-    lambda: minimize_sinkhorn(ONE, ORIGIN, BLOB, 1.0),
-    lambda: minimize_direct(ONE, ORIGIN, BLOB, 1.0),
-], ids=["minimize_sinkhorn", "minimize_direct"])
-def test_nondifferentiable_cost_is_rejected(solve):
-    with pytest.raises(NonDifferentiableCost):
-        solve()
 
 
 def test_minimize_single_type_reaches_pointwise_minimum():
