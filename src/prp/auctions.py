@@ -14,19 +14,26 @@ r(beta, y) = y * A(beta) - B(beta), which keeps training and evaluation on
 K types cheap.
 
 Training and evaluation price policies with the same exact statistics.  A
-ReLU policy is piecewise linear, so E[A] and E[B] are sums of (degree <= 2
-polynomial) * e^(-v) integrals between its kinks and the points where beta
-crosses 0, 1 and beta'.  `expected_stats` computes them in closed form.
+ReLU policy is piecewise linear: one sort of its kinks gives its pieces,
+and the slope and intercept of every piece are cumulative sums over the
+units that turn on at the kinks before it or off at the kinks after it
+(`_pieces`).  On each piece the integrand is kept (G(beta) > 0 and
+h = beta - beta' >= 0) on one interval, found in closed form and split
+where beta = 1 (`_sub_intervals`).  So E[A] and E[B] are sums of
+(degree <= 2 polynomial) * e^(-v) integrals over two sub-intervals per
+piece, linear in the width; `expected_stats` computes them in closed
+form.
 
 The adjoint that `expected_stats` returns differentiates them exactly.
-Between those points the derivatives of the integrands in the intercept
+Inside a sub-interval the derivatives of the integrands in the intercept
 and slope of the linear piece are again polynomials of degree <= 2
-against the same e^(-v) moments.  The points also move with the
-parameters.  Where the integrand is continuous (beta = 0, beta = 1, and
-h = 0 for B) that adds nothing; at its jumps, the crossing beta = beta'
-for A (a jump of v*G) and every ReLU kink -c_j/w_j (beta' jumps), it
-adds the Leibniz boundary terms under the Exp(1) density
-(`_boundary_grads`).
+against the same e^(-v) moments, and a unit's share of them is a prefix
+or suffix sum over the pieces at its kink's rank.  The ends of the
+sub-intervals also move with the parameters.  Where the integrand is
+continuous (beta = 0, beta = 1, and h = 0 for B) that adds nothing; at
+its jumps, the crossing beta = beta' for A (a jump of v*G) and every ReLU
+kink -c_j/w_j (beta' jumps), it adds the Leibniz boundary terms under the
+Exp(1) density (`_boundary_grads`).
 
 Training is the Sinkhorn descent of `prp.sinkhorn` on a cost oracle
 whose action atoms are policies: every policy is one parameter row [w, c,
@@ -39,7 +46,7 @@ a, b] of length 3W + 1 (`_stack`), the cost matrix is C_ik = 1 - (y_k A_i
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -143,24 +150,74 @@ def _kinks(w, c):
     return np.where(valid, kink, 0.0), valid
 
 
-def _pieces(params, kink):
+class _PieceTable(NamedTuple):
+    """The linear pieces of a stack of policies, built by `_pieces`."""
+
+    kink: np.ndarray       # (n, W) the `_kinks` of the units
+    valid: np.ndarray      # (n, W)
+    rank: np.ndarray       # (n, W) position of each kink in its row's sort
+    turns_on: np.ndarray   # (n, W) units on only after the piece `rank`
+    turns_off: np.ndarray  # (n, W) units on only up to the piece `rank`
+    starts: np.ndarray     # (n, W + 1) piece r is [starts[r], ends[r])
+    ends: np.ndarray       # (n, W + 1)
+    p: np.ndarray          # (n, W + 1) slope of beta = q + p v on a piece
+    q: np.ndarray          # (n, W + 1) its intercept
+
+
+def _pieces(params) -> _PieceTable:
     """The linear pieces of every policy between its sorted kinks.
 
-    Returns (starts, ends, mask, p, q), each (n, W + 1) except the
-    (n, W + 1, W) activation mask: on piece [starts, ends) the bid is
-    beta = q + p v and its slope beta' = p.  Placeholder kinks at 0 give
-    empty pieces [0, 0].
+    One stable sort orders each row's kinks; piece r runs from the r-th
+    kink to the next (from 0, and to inf), so kink j ends piece rank_j.  A
+    unit with w_j > 0 turns on at its kink and one with w_j < 0 turns off.
+    A unit without a kink in (0, inf) is on for every piece (c_j > 0, or
+    c_j = 0 < w_j) or for none; its placeholder 0 sorts before every kink,
+    so one that is on counts as turning on there, and the empty pieces
+    [0, 0] before the first kink are all it misses.  The slope p and
+    intercept q of every piece are therefore a prefix sum of a_j w_j and
+    a_j c_j over the units that turn on before it plus a suffix sum over
+    those that turn off at its end or later, plus b for q: linear in the
+    width, and exactly 0 (b) where no unit is on.
     """
     w, c, a, b = params
-    n = w.shape[0]
-    knots = np.sort(kink, axis=1)
-    starts = np.concatenate([np.zeros((n, 1)), knots], axis=1)
-    ends = np.concatenate([knots, np.full((n, 1), np.inf)], axis=1)
-    mid = np.where(np.isfinite(ends), 0.5 * (starts + ends), starts + 1.0)
-    mask = (mid[:, :, None] * w[:, None, :] + c[:, None, :]) > 0.0
-    p = np.einsum("ipl,il->ip", mask, a * w)
-    q = np.einsum("ipl,il->ip", mask, a * c) + b[:, None]
-    return starts, ends, mask, p, q
+    kink, valid = _kinks(w, c)
+    n, width = w.shape
+    order = np.argsort(kink, axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(width)[None, :], axis=1)
+    on_at_zero = (c > 0.0) | ((c == 0.0) & (w > 0.0))
+    turns_on, turns_off = valid != on_at_zero, valid & on_at_zero
+    terms = np.stack((a * w, a * c))
+
+    def in_order(x):
+        return np.take_along_axis(x, order[None], axis=2)
+
+    before = np.cumsum(in_order(np.where(turns_on, terms, 0.0)), axis=2)
+    after = np.cumsum(in_order(np.where(turns_off, terms, 0.0))[..., ::-1],
+                      axis=2)[..., ::-1]
+    zero = np.zeros((2, n, 1))
+    p, q = (np.concatenate((zero, before), axis=2)
+            + np.concatenate((after, zero), axis=2))
+    knots = np.take_along_axis(kink, order, axis=1)
+    starts = np.concatenate((np.zeros((n, 1)), knots), axis=1)
+    ends = np.concatenate((knots, np.full((n, 1), np.inf)), axis=1)
+    return _PieceTable(kink, valid, rank, turns_on, turns_off, starts, ends,
+                       p, q + b[:, None])
+
+
+def _unit_sums(table, d):
+    """Per unit, the sum of d (2, n, W + 1) over the pieces where it is on.
+
+    A unit that turns on is on after the piece `rank` that its kink ends,
+    one that turns off up to and including it: a suffix or a prefix sum
+    at its rank.
+    """
+    rank = table.rank[None]
+    through = np.take_along_axis(np.cumsum(d, axis=-1), rank, axis=-1)
+    after = np.take_along_axis(np.cumsum(d[..., ::-1], axis=-1)[..., ::-1],
+                               rank + 1, axis=-1)
+    return np.where(table.turns_off, through,
+                    np.where(table.turns_on, after, 0.0))
 
 
 def _tails(x) -> list:
@@ -174,46 +231,44 @@ def _tails(x) -> list:
             for poly in (1.0, x + 1.0, x * x + 2.0 * x + 2.0)]
 
 
-def _sub_intervals(params):
-    """Every policy's kinks, linear pieces and their kept sub-intervals.
+def _sub_intervals(table):
+    """The kept interval of every linear piece, split where beta = 1.
 
-    The cuts where beta = 0, beta = 1 and h = beta - beta' = 0 split a
-    linear piece beta = q + p v of `_pieces` into sub-intervals [u, t] on
-    which G(beta) is 0, beta or 1 and the indicator 1{h >= 0} is constant.
-    Returns (kink, valid, pieces, sat, moments): the `_kinks` and `_pieces`
-    of `params`, `sat` marking the sub-intervals with beta >= 1, and
-    moments[m] the integral T_m(u) - T_m(t) of v^m e^(-v) over each kept
-    sub-interval (G > 0 and h >= 0), 0 on the others; `sat` and the moments
-    are (n, W + 1, 4).
+    On a piece [lo, hi] of `_pieces` with beta = q + p v, the integrand is
+    kept where G(beta) > 0 and h = beta - p >= 0.  That is one interval in
+    closed form: [max(lo, (p - q)/p), hi] for p > 0, where h >= 0 implies
+    beta > 0; [lo, min(hi, -q/p)] for p < 0, where beta > 0 implies h > 0;
+    the whole piece if q > 0 for p = 0.  Its split at beta = 1 gives two
+    sub-intervals on which G(beta) is beta or 1.  Returns (sat, moments):
+    `sat` marks the sub-intervals with beta >= 1, and moments[m] is the
+    integral T_m(start) - T_m(end) of v^m e^(-v) over each, 0 where the
+    piece keeps nothing; all are (n, W + 1, 2).
     """
-    w, c, _, _ = params
-    kink, valid = _kinks(w, c)
-    pieces = _pieces(params, kink)
-    starts, ends, _, p, q = pieces
-    lo, hi = starts[..., None], ends[..., None]
-    p, q = p[..., None], q[..., None]
+    lo, hi, p, q = table.starts, table.ends, table.p, table.q
+    rising, falling = p > 0.0, p < 0.0
+    flat = ~(rising | falling)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cuts = np.concatenate([-q, 1.0 - q, p - q], axis=-1) / p
-    # fmax drops the NaN of 0/0 at p = 0; the other cuts land in [lo, hi]
-    cuts = np.minimum(np.fmax(cuts, lo), hi)
-    edges = np.sort(np.concatenate([lo, cuts, hi], axis=-1), axis=-1)
-    u, t = edges[..., :-1], edges[..., 1:]
+        u = np.where(rising, np.fmax(lo, (p - q) / p), lo)
+        t = np.where(falling, np.fmin(hi, -q / p), hi)
+        split = np.where(flat, u,
+                         np.minimum(np.maximum((1.0 - q) / p, u), t))
+    keep = (t > u) & (~flat | (q > 0.0))
+    edges = np.stack((u, split, t), axis=-1)
     with np.errstate(invalid="ignore", over="ignore"):
-        mid = np.where(np.isfinite(t), 0.5 * (u + t), u + 1.0)
-        beta = q + p * mid
-        keep = (t > u) & (beta > 0.0) & (beta - p >= 0.0)
-        moments = [np.where(keep, tail[..., :-1] - tail[..., 1:], 0.0)
-                   for tail in _tails(edges)]
-    return kink, valid, pieces, beta >= 1.0, moments
+        moments = [np.where(keep[..., None], tail[..., :-1] - tail[..., 1:],
+                            0.0) for tail in _tails(edges)]
+    sat = np.stack((falling, rising | (flat & (q >= 1.0))), axis=-1)
+    return sat, moments
 
 
 def expected_stats(rows):
     """Exact E[A] = E[v G(beta) 1{h >= 0}], E[B] = E[h G(beta) 1{h >= 0}].
 
     Per policy row of `_stack`, under v ~ Exp(1), with h = beta - beta'.
-    On every kept sub-interval of `_sub_intervals` both integrands are
-    polynomials of degree <= 2 in v, integrated against its moments;
-    vectorized over (policy, piece, sub-interval).
+    On the two sub-intervals of every piece's kept interval
+    (`_sub_intervals`) both integrands are polynomials of degree <= 2 in
+    v, integrated against their moments; vectorized over (policy, piece,
+    sub-interval), so linear in the width.
 
     Returns (A, B, adjoint).  adjoint(coef_a, coef_b) is the exact gradient
     of sum_i coef_a_i A_i + coef_b_i B_i in the rows, an array of their
@@ -225,15 +280,16 @@ def expected_stats(rows):
 
     again polynomials of degree <= 2 against the same moments.  The
     crossings of `_boundary_grads` add their per-piece terms to these.
-    Unit j enters a piece with activation mask m through p = sum_j m_j a_j
-    w_j and q = sum_j m_j a_j c_j + b; the kinks add their terms in the
-    unit's own w_j and c_j.
+    Unit j enters every piece where it is on through p = ... + a_j w_j and
+    q = ... + a_j c_j, so its share is a prefix or suffix sum of the
+    per-piece derivatives at its kink's rank (`_unit_sums`); the kinks add
+    their terms in the unit's own w_j and c_j.
     """
     params = _unpack(rows)
     w, c, a, _ = params
-    kink, valid, pieces, sat, (m0, m1, m2) = _sub_intervals(params)
-    _, _, mask, p, q = pieces
-    p, q = p[..., None], q[..., None]
+    table = _pieces(params)
+    sat, (m0, m1, m2) = _sub_intervals(table)
+    p, q = table.p[..., None], table.q[..., None]
     # G = g0 + g1 v and h = h0 + h1 v on every kept sub-interval
     g0, g1 = np.where(sat, 1.0, q), np.where(sat, 0.0, p)
     h0, h1 = q - p, p
@@ -249,12 +305,11 @@ def expected_stats(rows):
         dp = (ca * free * m2
               + cb * (g0 * (m1 - m0) + g1 * (m2 - m1)
                       + free * (h0 * m1 + h1 * m2)))
-        gw, gc, dq_cross, dp_cross = _boundary_grads(
-            params, kink, valid, pieces, coef_a, coef_b)
+        gw, gc, dq_cross, dp_cross = _boundary_grads(params, table, coef_a,
+                                                     coef_b)
         dq = dq.sum(axis=2) + dq_cross
         dp = dp.sum(axis=2) + dp_cross
-        on_p = np.einsum("ipl,ip->il", mask, dp)
-        on_q = np.einsum("ipl,ip->il", mask, dq)
+        on_p, on_q = _unit_sums(table, np.stack((dp, dq)))
         return np.concatenate((a * on_p + gw, a * on_q + gc,
                                w * on_p + c * on_q,
                                dq.sum(axis=1, keepdims=True)), axis=1)
@@ -262,7 +317,7 @@ def expected_stats(rows):
     return a_stat, b_stat, adjoint
 
 
-def _boundary_grads(params, kink, valid, pieces, coef_a, coef_b):
+def _boundary_grads(params, table, coef_a, coef_b):
     """Leibniz terms of the expected statistics at the integrand's jumps.
 
     The integrand of A and B jumps at every ReLU kink s = -c_j/w_j (beta'
@@ -270,20 +325,18 @@ def _boundary_grads(params, kink, valid, pieces, coef_a, coef_b):
     piece of beta (the crossing beta = beta', a jump of v*G for A and of 0
     for B).  Moving a jump point s by ds changes the expectation by
     (f(s-) - f(s+)) * exp(-s) * ds, exact under the Exp(1) density.
-    `kink`, `valid` and `pieces` are the `_kinks` and `_pieces` of
-    `params`.  Kink j ends the piece r_j, its stable rank among the row's
-    kinks, so beta(s) = q + p s there, with beta' = p to its left and
+    `table` is the `_pieces` of `params`.  Kink j ends the piece rank_j,
+    so beta(s) = q + p s there, with beta' = p to its left and
     p + a_j |w_j| to its right.
 
     Returns (gw, gc, dq, dp): the kink terms in the units' own w and c,
     and the crossing terms per piece in its intercept q and slope p.
     """
     w, _, a, _ = params
-    starts, ends, _, p, q = pieces
+    kink, valid, rank = table.kink, table.valid, table.rank
+    starts, ends, p, q = table.starts, table.ends, table.p, table.q
 
     # jumps at the kinks: h = beta - beta' falls by a_j |w_j| across kink j
-    rank = np.argsort(np.argsort(kink, axis=1, kind="stable"), axis=1,
-                      kind="stable")
     left = np.take_along_axis(p, rank, axis=1)
     beta = np.take_along_axis(q, rank, axis=1) + left * kink
     h = beta - left

@@ -157,9 +157,11 @@ def optimizer_step(state: OptimizerState, param, grad) -> np.ndarray:
 MAX_STEPS = 5000    # default step cap of the convex plan solves
 _TOL = 1e-8         # relative objective decrease that ends a window of steps
 _WINDOW = 25
-# bounds the trial step where 1e6 * lr0 overflows (lam below ~5.6e-303): an
-# infinite lr stays infinite when halved
-_MAX_LR = sys.float_info.max
+# bounds lr * max |g| of the trial step: lr stays finite where 1e6 * lr0
+# overflows (lam below ~5.6e-303; an infinite lr stays infinite when halved),
+# and the half keeps log x - lr g finite after rounding, so no column of the
+# trial step is inf - inf
+_MAX_STEP = 0.5 * sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -182,11 +184,11 @@ def minimize_columns_pgd(objective: Callable[[np.ndarray], float],
     (mirror descent in the KL geometry, Beck & Teboulle 2003) and halves lr
     until f(x+) <= f(x) + <g, x+ - x> + KL(x+ || x) / lr, which makes it a
     descent step.  The trial lr is twice the last accepted one, within
-    [lr0, 1e6 * lr0] and never above the largest float.  Exact zeros stay
-    zero, so the gradient is read only where x > 0.  Termination fires
-    when no step passes the test with a bound below f in floating point,
-    or when a window of _WINDOW steps improved the objective by at most
-    _TOL * max(1, |f|).
+    [lr0, 1e6 * lr0] and never so large that lr * max |g| exceeds half the
+    largest float.  Exact zeros stay zero, so the gradient is read only
+    where x > 0.  Termination fires when no step passes the test with a
+    bound below f in floating point, or when a window of _WINDOW steps
+    improved the objective by at most _TOL * max(1, |f|).
     """
     totals = np.asarray(column_totals, dtype=float)
     x = np.asarray(init, dtype=float)
@@ -198,7 +200,8 @@ def minimize_columns_pgd(objective: Callable[[np.ndarray], float],
         g = np.where(x > 0.0, gradient(x), 0.0)
         with np.errstate(divide="ignore"):
             log_x = np.log(x)
-        lr = min(max(lr * 2.0, lr0), 1e6 * lr0, _MAX_LR)
+        lr = min(max(lr * 2.0, lr0), 1e6 * lr0,
+                 _MAX_STEP / max(1.0, float(np.abs(g).max())))
         accepted = False
         while lr >= 1e-14:
             with np.errstate(over="ignore"):

@@ -459,3 +459,116 @@ def expected_bid_stats(weights, biases, out_weights, out_bias,
                                             epsabs=1e-14, epsrel=1e-12,
                                             limit=200)[0]
     return totals[0], totals[1]
+
+
+# ---------------------------------------------------------------------------
+# expected bid-shading statistics from the activation mask of every piece
+
+def mask_piece_table(rows):
+    """Kinks and linear pieces of `_stack` rows, unit activity by evaluation.
+
+    Every unit's activity is evaluated on every piece between the sorted
+    kinks -c_j/w_j in (0, inf) (placeholder 0 for a unit without one), at
+    the piece's midpoint (its start + 1 for the last piece), and contracted
+    with a_j w_j and a_j c_j.  Returns (kink, valid, starts, ends, mask, p,
+    q) with the (n, W + 1, W) activation mask; beta = q + p v on piece
+    [starts, ends).  Quadratic in the width, so only a reference.
+    """
+    rows = np.asarray(rows, dtype=float)
+    n, width = rows.shape[0], (rows.shape[1] - 1) // 3
+    w, c, a = (rows[:, i * width:(i + 1) * width] for i in range(3))
+    b = rows[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kink = -c / w
+    valid = (w != 0.0) & (kink > 0.0) & np.isfinite(kink)
+    kink = np.where(valid, kink, 0.0)
+    knots = np.sort(kink, axis=1)
+    starts = np.concatenate([np.zeros((n, 1)), knots], axis=1)
+    ends = np.concatenate([knots, np.full((n, 1), np.inf)], axis=1)
+    mid = np.where(np.isfinite(ends), 0.5 * (starts + ends), starts + 1.0)
+    mask = (mid[:, :, None] * w[:, None, :] + c[:, None, :]) > 0.0
+    p = np.einsum("ipl,il->ip", mask, a * w)
+    q = np.einsum("ipl,il->ip", mask, a * c) + b[:, None]
+    return kink, valid, starts, ends, mask, p, q
+
+
+def _tails_m(x):
+    """T_m(x) = integral of v^m e^(-v) over [x, inf), m = 0, 1, 2."""
+    scale = np.exp(-x)
+    live = scale > 0.0
+    return [np.where(live, scale * poly, 0.0)
+            for poly in (1.0, x + 1.0, x * x + 2.0 * x + 2.0)]
+
+
+def mask_expected_stats(rows):
+    """(A, B, adjoint) of `_stack` rows from the activation mask.
+
+    Every piece of `mask_piece_table` is cut where beta = 0, beta = 1 and
+    beta - beta' = 0, the five edges are sorted, and each of the four
+    sub-intervals is kept by the sign test at its midpoint.  The adjoint
+    takes each piece's derivatives in q and p to the units through the
+    mask, and adds the Leibniz terms at the kinks (ranked by a double
+    argsort) and at the crossings beta = beta'.
+    """
+    rows = np.asarray(rows, dtype=float)
+    width = (rows.shape[1] - 1) // 3
+    w, c, a = (rows[:, i * width:(i + 1) * width] for i in range(3))
+    kink, valid, starts, ends, mask, p2, q2 = mask_piece_table(rows)
+    lo, hi = starts[..., None], ends[..., None]
+    p, q = p2[..., None], q2[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cuts = np.concatenate([-q, 1.0 - q, p - q], axis=-1) / p
+    cuts = np.minimum(np.fmax(cuts, lo), hi)
+    edges = np.sort(np.concatenate([lo, cuts, hi], axis=-1), axis=-1)
+    u, t = edges[..., :-1], edges[..., 1:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        mid = np.where(np.isfinite(t), 0.5 * (u + t), u + 1.0)
+        beta = q + p * mid
+        keep = (t > u) & (beta > 0.0) & (beta - p >= 0.0)
+        m0, m1, m2 = [np.where(keep, tail[..., :-1] - tail[..., 1:], 0.0)
+                      for tail in _tails_m(edges)]
+    sat = beta >= 1.0
+    g0, g1 = np.where(sat, 1.0, q), np.where(sat, 0.0, p)
+    h0, h1 = q - p, p
+    a_stat = (g0 * m1 + g1 * m2).sum(axis=(1, 2))
+    b_stat = (h0 * g0 * m0 + (h0 * g1 + h1 * g0) * m1
+              + h1 * g1 * m2).sum(axis=(1, 2))
+
+    def adjoint(coef_a, coef_b):
+        free = ~sat
+        ca, cb = coef_a[:, None, None], coef_b[:, None, None]
+        dq = (ca * free * m1
+              + cb * (g0 * m0 + g1 * m1 + free * (h0 * m0 + h1 * m1)))
+        dp = (ca * free * m2
+              + cb * (g0 * (m1 - m0) + g1 * (m2 - m1)
+                      + free * (h0 * m1 + h1 * m2)))
+        # kinks: h falls by a_j |w_j| across kink j, which ends piece rank_j
+        rank = np.argsort(np.argsort(kink, axis=1, kind="stable"), axis=1,
+                          kind="stable")
+        left = np.take_along_axis(p2, rank, axis=1)
+        beta_k = np.take_along_axis(q2, rank, axis=1) + left * kink
+        h = beta_k - left
+        right = h - a * np.abs(w)
+        kept = np.subtract(h >= 0.0, right >= 0.0, dtype=float)
+        jump = (coef_a[:, None] * kink * kept
+                + coef_b[:, None] * (np.maximum(h, 0.0)
+                                     - np.maximum(right, 0.0)))
+        jump = np.where(valid, jump * np.clip(beta_k, 0.0, 1.0)
+                        * np.exp(-kink), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gc = jump * np.where(valid, -1.0 / w, 0.0)
+            s = (p2 - q2) / p2
+        # crossings of beta = beta' inside a piece with p > 0
+        crossing = (p2 > 0.0) & (s > starts) & (s < ends)
+        s = np.where(crossing, s, 0.0)
+        scale = (crossing * coef_a[:, None] * s * np.minimum(p2, 1.0)
+                 * np.exp(-s) / np.where(crossing, p2, 1.0))
+        dq = dq.sum(axis=2) + scale
+        dp = dp.sum(axis=2) + scale * (s - 1.0)
+        on_p = np.einsum("ipl,ip->il", mask, dp)
+        on_q = np.einsum("ipl,ip->il", mask, dq)
+        return np.concatenate((a * on_p + gc * kink, a * on_q + gc,
+                               w * on_p + c * on_q,
+                               dq.sum(axis=1, keepdims=True)), axis=1)
+
+    return a_stat, b_stat, adjoint

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,9 +43,8 @@ def test_bid_curve_derivative_consistency():
     # against the bid curve itself
     rng = np.random.default_rng(0)
     policy = random_policy(rng)
-    params = auctions._unpack(auctions._stack([policy]))
-    kink = auctions._kinks(params[0], params[1])[0]
-    _, ends, _, p, q = auctions._pieces(params, kink)
+    table = auctions._pieces(auctions._unpack(auctions._stack([policy])))
+    ends, p, q = table.ends, table.p, table.q
     v = rng.uniform(0.0, 4.0, size=1000)
     piece = np.searchsorted(ends[0], v, side="right")
     slope, intercept = p[0, piece], q[0, piece]
@@ -227,10 +227,116 @@ def test_revenue_cost_adjoint_matches_central_differences():
         assert abs(np.sum(grad * step) - fd) < 1e-6 * max(1.0, abs(fd))
 
 
+def random_rows(rng, n, width):
+    """`_stack` rows with normal slopes, biases and output weights."""
+    return np.concatenate((rng.normal(size=(n, 2 * width)),
+                           rng.normal(size=(n, width)) / np.sqrt(width),
+                           rng.uniform(-0.1, 0.5, size=(n, 1))), axis=1)
+
+
+def edge_rows(rng, n, width):
+    """Random rows with the cases the piece table treats apart.
+
+    Slopes of both signs, units with w = 0 or c = 0 (and both), kinks at
+    or below 0 from the signs of w and c, and two dead policies: row 0 has
+    no positive output weight and a negative output bias, row 1 only
+    units that are never on.
+    """
+    rows = random_rows(rng, n, width)
+    w, c, a = (rows[:, i * width:(i + 1) * width] for i in range(3))
+    w[rng.random(w.shape) < 0.2] = 0.0
+    c[rng.random(c.shape) < 0.2] = 0.0
+    a[0], rows[0, -1] = -np.abs(a[0]), -0.01
+    w[1], c[1], rows[1, -1] = -np.abs(w[1]), -np.abs(c[1]) - 0.1, -0.01
+    return rows
+
+
+STACKS = {
+    "random-40": lambda rng: random_rows(rng, 12, 40),
+    "ladder-100": lambda rng: auctions._stack(
+        ladder_policies(seeds.rng_for(1, seeds.INIT), 12, 100)),
+    "edges-10": lambda rng: edge_rows(rng, 12, 10),
+    "edges-40": lambda rng: edge_rows(rng, 12, 40),
+    "width-1": lambda rng: edge_rows(rng, 40, 1),
+}
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_piece_table_matches_the_mask_reference(name):
+    # the cumulative sums of `_pieces` against every unit's activity,
+    # evaluated on every piece
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        rows = STACKS[name](rng)
+        table = auctions._pieces(auctions._unpack(rows))
+        kink, valid, starts, ends, _, p, q = oracles.mask_piece_table(rows)
+        assert (table.kink == kink).all() and (table.valid == valid).all()
+        assert (table.starts == starts).all() and (table.ends == ends).all()
+        nonempty = starts < ends
+        scale = np.abs(rows).max()
+        assert np.abs(table.p - p)[nonempty].max() <= 1e-13 * scale
+        assert np.abs(table.q - q)[nonempty].max() <= 1e-13 * scale
+
+
+def assert_matches_mask_reference(rows, rng, adjoint=True):
+    a_stat, b_stat, grad = auctions.expected_stats(rows)
+    a_ref, b_ref, grad_ref = oracles.mask_expected_stats(rows)
+    assert np.abs(a_stat - a_ref).max() <= 1e-13
+    assert np.abs(b_stat - b_ref).max() <= 1e-13
+    if adjoint:
+        coef_a, coef_b = rng.normal(size=(2, rows.shape[0]))
+        exact, reference = grad(coef_a, coef_b), grad_ref(coef_a, coef_b)
+        assert exact.shape == rows.shape
+        assert (np.abs(exact - reference).max()
+                <= 1e-12 * max(1.0, np.abs(reference).max()))
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_statistics_and_adjoint_match_the_mask_reference(name):
+    rng = np.random.default_rng(42)
+    for _ in range(5):
+        assert_matches_mask_reference(STACKS[name](rng), rng)
+
+
+def test_tied_kinks_match_the_mask_reference_statistics():
+    # units 1 and 2 repeat the kinks of units 0 and 3 exactly (scaling by 2
+    # is exact), so one piece between them is empty; the kink terms are not
+    # differentiable there, so only A and B are compared
+    rng = np.random.default_rng(44)
+    for _ in range(5):
+        rows = random_rows(rng, 12, 10)
+        w, c = rows[:, :10], rows[:, 10:20]
+        w[:, 1], c[:, 1] = 2.0 * w[:, 0], 2.0 * c[:, 0]
+        w[:, 2], c[:, 2] = -2.0 * w[:, 3], -2.0 * c[:, 3]
+        kink = auctions._kinks(w, c)[0]
+        assert (kink[:, 1] == kink[:, 0]).all()
+        assert (kink[:, 2] == kink[:, 3]).all()
+        assert_matches_mask_reference(rows, rng, adjoint=False)
+
+
+def test_statistics_memory_is_linear_in_width():
+    # a piece table from an (n, W + 1, W) activation mask peaks at about
+    # 2.1 MB here with its contractions and sorted cut edges; the
+    # cumulative one at about 0.4 MB
+    rows = auctions._stack(ladder_policies(seeds.rng_for(1, seeds.INIT), 12,
+                                           100))
+    tracemalloc.start()
+    try:
+        adjoint = auctions.expected_stats(rows)[2]
+        adjoint(np.full(12, -0.5), np.ones(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_dead_policy_has_exactly_zero_statistics():
     # beta <= 0 on [0, inf): one unit pulls down, the other is never on
     dead = relu_policy([1.0, -1.0], [0.0, -0.5], [-0.3, 2.0], -0.01)
     assert exact_stats(dead) == (0.0, 0.0)
+    # and nothing revives it
+    grads = exact_gradient(dead, 1.0, 1.0)
+    assert not any(np.any(g) for g in grads.values())
 
 
 def test_constant_bid_statistics_are_analytic():

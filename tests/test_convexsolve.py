@@ -81,20 +81,23 @@ from prp.convexsolve import minimize_linear_plus_privacy
 from prp.divergences import from_name
 linear = np.array({linear})
 prior = np.array({prior})
-for name in ("kl", "reverse_kl", "alpha:2"):
-    for lam in (0.0, 1e-308, 5e-324):
+for name in {names}:
+    for lam in {lams}:
         value = minimize_linear_plus_privacy(linear, prior, from_name(name),
                                              lam).value
         print(name, lam, repr(value))
 """
 
 
-def test_smallest_privacy_weights_end_at_the_zero_weight_value():
-    # below lam ~ 5.6e-303 the trial step cap 1e6 / lam overflows, and an
-    # infinite step stays infinite when halved.  The subprocess turns a hang
-    # into a failure by its timeout, and an escaped warning by -W error.
-    code = TINY_LAMBDA_SOLVES.format(linear=LINEAR.tolist(),
-                                     prior=PRIOR.tolist())
+def tiny_lambda_values(linear, names, lams):
+    """{name: {lam: value}} of the solves, in a subprocess with -W error.
+
+    The subprocess turns a hang into a failure by its timeout, and an
+    escaped warning by -W error.
+    """
+    code = TINY_LAMBDA_SOLVES.format(linear=linear.tolist(),
+                                     prior=PRIOR.tolist(), names=names,
+                                     lams=lams)
     done = subprocess.run([sys.executable, "-W", "error", "-c", code],
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ,
@@ -104,10 +107,33 @@ def test_smallest_privacy_weights_end_at_the_zero_weight_value():
     for line in done.stdout.split("\n")[:-1]:
         name, lam, value = line.split()
         values.setdefault(name, {})[float(lam)] = float(value)
-    assert sorted(values) == ["alpha:2", "kl", "reverse_kl"]
+    assert sorted(values) == sorted(names)
+    return values
+
+
+def test_smallest_privacy_weights_end_at_the_zero_weight_value():
+    # below lam ~ 5.6e-303 the trial step cap 1e6 / lam overflows, and an
+    # infinite step stays infinite when halved
+    values = tiny_lambda_values(LINEAR, ("kl", "reverse_kl", "alpha:2"),
+                                (0.0, 1e-308, 5e-324))
     for by_lam in values.values():
         assert by_lam[0.0] == pytest.approx(-0.29, abs=1e-15)
         assert by_lam[1e-308] == by_lam[5e-324] == by_lam[0.0]
+
+
+def test_smallest_privacy_weights_with_costs_above_one():
+    # with |C| up to 5 an uncapped trial step lr * g overflows to inf at
+    # lam = 1e-308, and log x - lr g turns into inf - inf.  Reverse KL is
+    # left out: its gradient -1/t is inf or nan at the entries near 0 that
+    # the first step leaves
+    linear = np.array([[3.0, -2.0, 1.0], [-4.0, 5.0, 0.0], [2.0, 1.0, -3.0],
+                       [0.0, 0.0, 0.0]])
+    values = tiny_lambda_values(linear, ("kl", "alpha:2"),
+                                (0.0, 1e-306, 1e-308, 5e-324))
+    for by_lam in values.values():
+        assert by_lam[0.0] == pytest.approx(-2.9, abs=1e-14)
+        assert all(by_lam[lam] == by_lam[0.0]
+                   for lam in (1e-306, 1e-308, 5e-324))
 
 
 def test_zero_linear_term_reaches_zero_privacy():
