@@ -6,11 +6,14 @@ lattice of actions for the full-grid convex problem, and the rows' best
 box corners for the DCA step (the linearization of its concave part).
 
 lam = 0 is a linear program over scaled simplices and is solved in closed
-form.  Smooth generators run `optim.minimize_columns_pgd` from step 1/lam:
-for KL the privacy term is the mutual information and that step is the
-Blahut-Arimoto update (Blahut 1972), always accepted.  The kinked
-total-variation generator is annealed through a shrinking Huber smoothing,
-with the best iterate under the true objective kept.
+form.  For KL the privacy term is the mutual information, and at fixed row
+masses the best plan is a Gibbs plan in closed form, so the solve is a
+convex problem in the n row masses alone (Blahut 1972; Csiszar & Tusnady
+1984): a backtracking mirror descent on the masses, whose Gibbs plan is
+returned.  The other smooth generators run `optim.minimize_columns_pgd` on
+the full plan from step 1/lam.  The kinked total-variation generator is
+annealed through a shrinking Huber smoothing, with the best iterate under
+the true objective kept.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import numpy as np
 
 from .divergences import (FDivergence, perspective_total,
                           perspective_total_grad)
-from .optim import MAX_STEPS, PGDResult, minimize_columns_pgd
+from .optim import MAX_STEPS, PGDResult, _descend, minimize_columns_pgd
+
+_MASS_TOL = 1e-12   # window decrease that ends the KL row-mass solve
 
 
 def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
@@ -37,14 +42,18 @@ def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
         gamma[np.argmin(linear, axis=0), np.arange(linear.shape[1])] = prior
         return PGDResult(gamma, float((linear * gamma).sum()), 0, True)
 
-    def objective(g):
-        return (float((linear * g).sum())
-                + lam * perspective_total(divergence, g, prior))
+    def objective(stack):
+        return ((linear * stack).sum(axis=(-2, -1))
+                + lam * perspective_total(divergence, stack, prior))
 
     if init is None:
         n = linear.shape[0]
         init = np.tile(prior / n, (n, 1))
-    if divergence.smooth:
+    init = np.asarray(init, dtype=float)
+    if divergence.name == "kl":
+        result = _row_mass_solve(objective, linear, prior, lam, init,
+                                 max_steps)
+    elif divergence.smooth:
         def gradient(g):
             return linear + lam * perspective_total_grad(divergence, g, prior)
 
@@ -57,7 +66,7 @@ def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
     # fixed point of the multiplicative update: compare it directly
     concentrated = np.zeros_like(linear)
     concentrated[int(np.argmin(linear @ prior))] = prior
-    value = objective(concentrated)
+    value = _value(objective, concentrated)
     if value < result.value:
         result = replace(result, x=concentrated, value=value)
     if not result.converged:
@@ -67,9 +76,50 @@ def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
     return result
 
 
+def _value(objective, gamma) -> float:
+    return float(objective(gamma[None])[0])
+
+
+def _row_mass_solve(objective, linear, prior, lam, init, max_steps):
+    """KL: mirror descent on the row masses m, then their Gibbs plan.
+
+    At fixed m the best plan is gamma_ik = p_k m_i e_ik / Z_k with
+    e_ik = exp(-(L_ik - c_k) / lam), c_k the column minimum over the rows
+    that carry mass, and Z_k = sum_i m_i e_ik; its objective is at most
+    F(m) = <p, c> - lam * sum_k p_k log Z_k, with equality when m are its
+    row masses.  F is convex on the simplex, so the solve is the descent of
+    F from the row masses of ``init`` (zero rows stay zero) to a window
+    decrease of _MASS_TOL, and the Gibbs plan of the first m is already no
+    worse than ``init``.
+    """
+    masses = init.sum(axis=1)
+    rows = masses > 0.0
+    costs = linear[rows]
+    least = costs.min(axis=0)
+    with np.errstate(over="ignore"):
+        kernel = np.exp((least - costs) / lam)
+    offset = float(least @ prior)
+
+    def mass_objective(stack):
+        # elementwise sums, so that a value does not depend on the stack size
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_z = np.log((stack * kernel).sum(axis=-2))
+        return offset - lam * (log_z * prior).sum(axis=-1)
+
+    def mass_gradient(m):
+        return -lam * (kernel @ (prior / (m[:, 0] @ kernel)))[:, None]
+
+    result = _descend(mass_objective, mass_gradient, masses[rows, None],
+                      np.ones(1), max_steps, 1.0 / lam, _MASS_TOL)
+    weighted = result.x * kernel
+    gamma = np.zeros_like(linear)
+    gamma[rows] = weighted / weighted.sum(axis=0) * prior
+    return replace(result, x=gamma, value=_value(objective, gamma))
+
+
 def _annealed(objective, linear, prior, divergence, lam, init, max_steps):
-    best = np.asarray(init, dtype=float)
-    best_value = objective(best)
+    best = init
+    best_value = _value(objective, best)
     gamma = best
     levels = np.geomspace(1e-1, 1e-8, 8)
     # each level gets the full step budget: the smoothed curvature grows like
@@ -81,15 +131,15 @@ def _annealed(objective, linear, prior, divergence, lam, init, max_steps):
         def gradient(g, _d=smoothed):
             return linear + lam * perspective_total_grad(_d, g, prior)
 
-        def smooth_objective(g, _d=smoothed):
-            return (float((linear * g).sum())
-                    + lam * perspective_total(_d, g, prior))
+        def smooth_objective(stack, _d=smoothed):
+            return ((linear * stack).sum(axis=(-2, -1))
+                    + lam * perspective_total(_d, stack, prior))
 
         result = minimize_columns_pgd(smooth_objective, gradient, gamma, prior,
                                       max_steps=max_steps, lr0=1.0 / lam)
         gamma = result.x
         converged = converged and result.converged
-        value = objective(gamma)
+        value = _value(objective, gamma)
         if value < best_value:
             best, best_value = gamma, value
     return PGDResult(best, best_value, max_steps, converged)

@@ -143,15 +143,17 @@ def perspective_h(div: FDivergence, gamma_row, prior, k: int) -> float:
     return m * float(div.f((row[k] / m) / prior[k]))
 
 
-def perspective_total(div: FDivergence, gamma, prior) -> float:
+def perspective_total(div: FDivergence, gamma, prior) -> float | np.ndarray:
     """sum_{i,k} prior_k * h_k(gamma_i) — the privacy cost of a plan matrix.
 
     Equals sum_i m_i * divergence(gamma_i / m_i, prior), m_i the row mass,
-    with the same conventions; massless rows cost 0.
+    with the same conventions; massless rows cost 0.  A (..., n, K) stack of
+    plans gets one cost per plan, an array over the leading axes; a single
+    (n, K) plan gets a float.
     """
     gamma = np.asarray(gamma, dtype=float)
     prior = np.asarray(prior, dtype=float)
-    m = gamma.sum(axis=1, keepdims=True)
+    m = gamma.sum(axis=-1, keepdims=True)
     weight = m * prior
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # divide by the mass first: gamma/m is in [0, 1], so no underflow
@@ -161,7 +163,8 @@ def perspective_total(div: FDivergence, gamma, prior) -> float:
             np.where(prior > 0.0, weight * div.f(t),
                      gamma * div.f_slope_at_infinity),
             np.where(weight > 0.0, weight * div.f_at_zero, 0.0))
-    return float(terms.sum())
+    total = terms.sum(axis=(-2, -1))
+    return float(total) if total.ndim == 0 else total
 
 
 def perspective_total_grad(div: FDivergence, gamma, prior) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Convex solve over a finite action grid.
 
 With both the action set and the type set finite, the plan objective is
-convex in the full |grid| x K matrix, so the entropic descent of
-`convexsolve` (Blahut-Arimoto for KL) finds the global optimum.  With a
+convex in the full |grid| x K matrix, so the solves of `convexsolve`
+(on the row masses for KL) find the global optimum.  With a
 linear cost on a box, any grid that contains the box corners holds the
 optimum over all actions.  Small instances of this solver act as the
 reference the nonconvex schemes are compared against.

@@ -9,6 +9,7 @@ from brute-force search.
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 
@@ -345,6 +346,81 @@ def dc_iteration(type_atoms, prior, lower, upper, divergence, lam,
 
 
 # ---------------------------------------------------------------------------
+# the column-wise entropic descent one trial step at a time
+
+def columns_pgd_scalar(objective, gradient, init, column_totals,
+                       max_steps=5000, lr0=1.0, tol=1e-8, window=25):
+    """`optim.minimize_columns_pgd` with a scalar objective and a halving loop.
+
+    Tries lr, lr/2, ... one objective call at a time and takes the first
+    step whose value is at most the descent bound; returns (x, value,
+    steps, converged).
+    """
+    totals = np.asarray(column_totals, dtype=float)
+    x = np.asarray(init, dtype=float)
+    x = x * (totals / x.sum(axis=0))
+    f = objective(x)
+    lr = lr0
+    window_anchor = f
+    for step in range(1, max_steps + 1):
+        g = np.where(x > 0.0, gradient(x), 0.0)
+        with np.errstate(divide="ignore"):
+            log_x = np.log(x)
+        lr = min(max(lr * 2.0, lr0), 1e6 * lr0,
+                 0.5 * sys.float_info.max / max(1.0, float(np.abs(g).max())))
+        accepted = False
+        while lr >= 1e-14:
+            with np.errstate(over="ignore"):
+                z = log_x - lr * g
+                cand = np.exp(z - z.max(axis=0))
+            cand *= totals / cand.sum(axis=0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                kl = np.where(cand > 0.0, cand * (np.log(cand) - log_x), 0.0)
+            bound = f + float((g * (cand - x)).sum()) + float(kl.sum()) / lr
+            if bound >= f:
+                break
+            fc = objective(cand)
+            if fc <= bound:
+                accepted = True
+                break
+            lr *= 0.5
+        if not accepted:
+            return x, f, step, True
+        x, f = cand, fc
+        if step % window == 0:
+            if window_anchor - f <= tol * max(1.0, abs(f)):
+                return x, f, step, True
+            window_anchor = f
+    return x, f, max_steps, False
+
+
+def kl_plan_solve_pgd(linear, prior, lam, init=None, max_steps=5000):
+    """The KL plan solve as entropic descent on the full plan, lr0 = 1/lam.
+
+    Returns (plan, value, steps, converged) of `columns_pgd_scalar` on
+    <L, gamma> + lam * I(gamma), from the uniform mixture by default.
+    """
+    from prp.divergences import (kl_divergence, perspective_total,
+                                 perspective_total_grad)
+
+    linear = np.asarray(linear, dtype=float)
+    prior = np.asarray(prior, dtype=float)
+    kl = kl_divergence()
+    if init is None:
+        init = np.tile(prior / linear.shape[0], (linear.shape[0], 1))
+
+    def objective(g):
+        return float((linear * g).sum()) + lam * perspective_total(kl, g,
+                                                                   prior)
+
+    def gradient(g):
+        return linear + lam * perspective_total_grad(kl, g, prior)
+
+    return columns_pgd_scalar(objective, gradient, init, prior,
+                              max_steps=max_steps, lr0=1.0 / lam)
+
+
+# ---------------------------------------------------------------------------
 # misc small oracles
 
 def matrix_cost(c) -> CostOracle:
@@ -365,6 +441,16 @@ def matrix_cost(c) -> CostOracle:
         return c[np.ix_(rows, cols)], adjoint
 
     return CostOracle(matrix_and_adjoint=matrix_and_adjoint)
+
+
+def lattice_problem(points, seed=0):
+    """Cost matrix and prior of the CLI grid solve (d=2, K=5) of ``seed``."""
+    from prp import seeds, toy
+
+    instance = toy.sample_instance(2, 5, seeds.rng_for(seed, seeds.INSTANCE))
+    axis = np.linspace(-1.0, 1.0, points)
+    atoms = np.array(list(itertools.product(axis, repeat=2)))
+    return atoms @ instance.type_atoms.T, instance.prior_weights
 
 
 def simplex_projection_grid(v, resolution=200) -> np.ndarray:

@@ -1,15 +1,18 @@
 import os
 import subprocess
 import sys
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from prp.convexsolve import minimize_linear_plus_privacy
 from prp.divergences import from_name, perspective_total, perspective_total_grad
-from prp.optim import minimize_columns_pgd
+from prp.optim import PGDResult, minimize_columns_pgd
 
 import oracles
+from oracles import lattice_problem
 
 PRIOR = np.array([0.2, 0.3, 0.5])
 LINEAR = np.array([[0.3, -0.2, 0.1],
@@ -21,9 +24,9 @@ LINEAR = np.array([[0.3, -0.2, 0.1],
 def step_once(name, lam, init):
     div = from_name(name)
 
-    def objective(g):
-        return float((LINEAR * g).sum()) + lam * perspective_total(div, g,
-                                                                   PRIOR)
+    def objective(stack):
+        return ((LINEAR * stack).sum(axis=(-2, -1))
+                + lam * perspective_total(div, stack, PRIOR))
 
     def gradient(g):
         return LINEAR + lam * perspective_total_grad(div, g, PRIOR)
@@ -43,7 +46,7 @@ def test_step_from_exact_zeros_stays_finite(name):
     assert np.isfinite(result.x).all()
     assert (result.x[init == 0.0] == 0.0).all()
     assert np.abs(result.x.sum(axis=0) - PRIOR).max() < 1e-15
-    assert result.value <= objective(init)
+    assert result.value <= objective(init[None])[0]
 
 
 @pytest.mark.parametrize("name", ["kl", "reverse_kl", "alpha:2"])
@@ -168,3 +171,74 @@ def test_value_never_exceeds_init_value(name):
 
     result = minimize_linear_plus_privacy(linear, PRIOR, div, 1.0, init=init)
     assert objective(result.x) <= objective(init) + 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
+@pytest.mark.parametrize("name", ["reverse_kl", "alpha:2", "tv", "kl"])
+def test_stacked_line_search_takes_the_steps_of_the_scalar_ladder(name, lam):
+    # the plan descent of the non-KL solves and the row-mass descent of KL
+    # both run the stacked ladder; here each is replaced by the scalar loop
+    linear, prior = lattice_problem(3)
+
+    def scalar_ladder(objective, gradient, init, totals, max_steps, lr0,
+                      tol=1e-8):
+        x, value, steps, converged = oracles.columns_pgd_scalar(
+            lambda g: float(objective(g[None])[0]), gradient, init, totals,
+            max_steps=max_steps, lr0=lr0, tol=tol)
+        return PGDResult(x, value, steps, converged)
+
+    stacked = minimize_linear_plus_privacy(linear, prior, from_name(name), lam)
+    with mock.patch("prp.convexsolve.minimize_columns_pgd", scalar_ladder), \
+            mock.patch("prp.convexsolve._descend", scalar_ladder):
+        scalar = minimize_linear_plus_privacy(linear, prior, from_name(name),
+                                              lam)
+    assert np.array_equal(stacked.x, scalar.x)
+    assert stacked.value == scalar.value
+    assert stacked.steps == scalar.steps
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.1, 10.0])
+def test_kl_row_mass_solve_is_no_worse_than_plan_descent(lam):
+    for seed, points in [(0, 3), (1, 5), (2, 7), (3, 4)]:
+        linear, prior = lattice_problem(points, seed)
+        result = minimize_linear_plus_privacy(linear, prior, from_name("kl"),
+                                              lam)
+        _, reference, _, _ = oracles.kl_plan_solve_pgd(linear, prior, lam)
+        assert result.converged
+        assert result.value <= reference + 1e-12 * max(1.0, abs(reference))
+        assert np.abs(result.x.sum(axis=0) - prior).max() < 1e-15
+
+
+@pytest.mark.parametrize("lam", [1e2, 1e3, 1e4])
+def test_kl_large_privacy_weights_converge_in_few_steps(lam):
+    # the multiplicative plan descent moves the row masses by a factor of
+    # about 1 - gap / lam per step, and ran into its 5,000-step cap here
+    linear, prior = lattice_problem(7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = minimize_linear_plus_privacy(linear, prior, from_name("kl"),
+                                              lam)
+    assert result.converged
+    assert result.steps <= 100
+    concentrated = (linear @ prior).min()
+    assert result.value <= concentrated
+
+
+def test_kl_zero_row_stays_zero():
+    init = np.array([[0.1, 0.1, 0.2],
+                     [0.0, 0.0, 0.0],
+                     [0.05, 0.1, 0.2],
+                     [0.05, 0.1, 0.1]])
+    linear = LINEAR.copy()
+    linear[1, 0] = -1.0  # the best row of type 0 carries no mass
+    div = from_name("kl")
+
+    def objective(g):
+        return float((linear * g).sum()) + 0.1 * perspective_total(div, g,
+                                                                   PRIOR)
+
+    result = minimize_linear_plus_privacy(linear, PRIOR, div, 0.1, init=init)
+    assert (result.x[1] == 0.0).all()
+    assert (result.x[[0, 2, 3]] > 0.0).all()  # the solve's own plan
+    assert np.abs(result.x.sum(axis=0) - PRIOR).max() < 1e-15
+    assert result.value <= objective(init)

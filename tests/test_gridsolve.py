@@ -1,15 +1,14 @@
-import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from prp import seeds, toy
 from prp.convexsolve import minimize_linear_plus_privacy
 from prp.divergences import from_name, kl_divergence
 from prp.gridsolve import solve_grid
 
 import oracles
-from oracles import matrix_cost
+from oracles import lattice_problem, matrix_cost
 
 
 def test_zero_privacy_weight_gives_per_type_minimum():
@@ -27,11 +26,12 @@ def test_huge_privacy_weight_gives_product_plan_on_best_average_row():
     prior = np.array([0.5, 0.5])
     averaged = cost @ prior
     best_row = int(np.argmin(averaged))
-    # at lam=1e4 the convex solve runs to its step cap
-    with pytest.warns(RuntimeWarning,
-                      match=r"kl plan solve at lam=10000 .*5000-step cap"):
+    # the row-mass solve converges at lam=1e4: no step-cap warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         plan, value = solve_grid([0, 1, 2], [0, 1], prior, matrix_cost(cost),
                                  kl_divergence(), lam=1e4)
+    assert value <= averaged[best_row]  # the concentrated plan's value
     assert plan.gamma[best_row].sum() > 0.99
     assert value == pytest.approx(averaged[best_row], abs=1e-3)
     # rows stay proportional to the prior: no information is revealed
@@ -66,14 +66,6 @@ def test_matches_exhaustive_grid_across_divergences(div_name):
                                  matrix_cost(cost), from_name(div_name), lam)
         reference = oracles.grid_minimize_objective(cost, prior, div_name, lam)
         assert value == pytest.approx(reference, abs=1e-3)
-
-
-def lattice_problem(points):
-    """Cost matrix and prior of the CLI grid solve of seed 0 (d=2, K=5)."""
-    instance = toy.sample_instance(2, 5, seeds.rng_for(0, seeds.INSTANCE))
-    axis = np.linspace(-1.0, 1.0, points)
-    atoms = np.array(list(itertools.product(axis, repeat=2)))
-    return atoms @ instance.type_atoms.T, instance.prior_weights
 
 
 def test_lattice_solves_reach_the_corner_optimum():

@@ -254,7 +254,7 @@ def test_columnwise_pgd_solves_quadratic():
     target = rng.dirichlet(np.ones(4), size=2).T * totals
 
     result = minimize_columns_pgd(
-        objective=lambda g: float(((g - target) ** 2).sum()),
+        objective=lambda stack: ((stack - target) ** 2).sum(axis=(-2, -1)),
         gradient=lambda g: 2.0 * (g - target),
         init=np.tile(totals / 4.0, (4, 1)),
         column_totals=totals)
