@@ -10,10 +10,11 @@ form.  For KL the privacy term is the mutual information, and at fixed row
 masses the best plan is a Gibbs plan in closed form, so the solve is a
 convex problem in the n row masses alone (Blahut 1972; Csiszar & Tusnady
 1984): a backtracking mirror descent on the masses, whose Gibbs plan is
-returned.  The other smooth generators run `optim.minimize_columns_pgd` on
-the full plan from step 1/lam.  The kinked total-variation generator is
+returned.  Every other generator runs `optim.minimize_columns_pgd` on the
+full plan from step 1/lam, in one loop over smoothing levels: a smooth
+generator is one level, and the kinked total-variation generator is
 annealed through a shrinking Huber smoothing, with the best iterate under
-the true objective kept.
+the true objective kept.  Every descent stops at `optim.MAX_STEPS` steps.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from .optim import MAX_STEPS, PGDResult, _descend, minimize_columns_pgd
 
 _MASS_TOL = 1e-12   # window decrease that ends the KL row-mass solve
 _BLAHUT_ARIMOTO_STEPS = 8   # warm start of the KL row-mass descent
+_LEVELS = np.geomspace(1e-1, 1e-8, 8)   # Huber widths of the TV annealing
 
 
 def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
                                  divergence: FDivergence, lam: float,
-                                 init=None,
-                                 max_steps: int = MAX_STEPS) -> PGDResult:
+                                 init=None) -> PGDResult:
     """Solve from ``init`` (default: the uniform mixture); warn if capped."""
     linear = np.asarray(linear, dtype=float)
     prior = np.asarray(prior_weights, dtype=float)
@@ -43,26 +44,16 @@ def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
         gamma[np.argmin(linear, axis=0), np.arange(linear.shape[1])] = prior
         return PGDResult(gamma, float((linear * gamma).sum()), 0, True)
 
-    def objective(stack):
-        return ((linear * stack).sum(axis=(-2, -1))
-                + lam * perspective_total(divergence, stack, prior))
-
+    objective, _ = _terms(linear, prior, divergence, lam)
     if init is None:
         n = linear.shape[0]
         init = np.tile(prior / n, (n, 1))
     init = np.asarray(init, dtype=float)
     if divergence.name == "kl":
-        result = _row_mass_solve(objective, linear, prior, lam, init,
-                                 max_steps)
-    elif divergence.smooth:
-        def gradient(g):
-            return linear + lam * perspective_total_grad(divergence, g, prior)
-
-        result = minimize_columns_pgd(objective, gradient, init, prior,
-                                      max_steps=max_steps, lr0=1.0 / lam)
+        result = _row_mass_solve(objective, linear, prior, lam, init)
     else:
-        result = _annealed(objective, linear, prior, divergence, lam, init,
-                           max_steps)
+        result = _plan_descent(objective, linear, prior, divergence, lam,
+                               init)
     # all mass on the best averaged row, the optimum as lam grows, is a
     # fixed point of the multiplicative update: compare it directly
     concentrated = np.zeros_like(linear)
@@ -72,16 +63,28 @@ def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
         result = replace(result, x=concentrated, value=value)
     if not result.converged:
         warnings.warn(f"{divergence.name} plan solve at lam={lam:g} stopped "
-                      f"at its {result.steps}-step cap", RuntimeWarning,
+                      f"at its {MAX_STEPS}-step cap", RuntimeWarning,
                       stacklevel=2)
     return result
+
+
+def _terms(linear, prior, div, lam):
+    """Stacked objective and gradient of <L, gamma> + lam * privacy."""
+    def objective(stack):
+        return ((linear * stack).sum(axis=(-2, -1))
+                + lam * perspective_total(div, stack, prior))
+
+    def gradient(gamma):
+        return linear + lam * perspective_total_grad(div, gamma, prior)
+
+    return objective, gradient
 
 
 def _value(objective, gamma) -> float:
     return float(objective(gamma[None])[0])
 
 
-def _row_mass_solve(objective, linear, prior, lam, init, max_steps):
+def _row_mass_solve(objective, linear, prior, lam, init):
     """KL: mirror descent on the row masses m, then their Gibbs plan.
 
     At fixed m the best plan is gamma_ik = p_k m_i e_ik / Z_k with
@@ -119,46 +122,43 @@ def _row_mass_solve(objective, linear, prior, lam, init, max_steps):
     for _ in range(_BLAHUT_ARIMOTO_STEPS):
         start = start * ratios(start)
     result = _descend(mass_objective, lambda m: -lam * ratios(m), start,
-                      np.ones(1), max_steps, 1.0 / lam, _MASS_TOL)
+                      np.ones(1), MAX_STEPS, 1.0 / lam, _MASS_TOL)
     weighted = result.x * kernel
     gamma = np.zeros_like(linear)
     gamma[rows] = weighted / weighted.sum(axis=0) * prior
     return replace(result, x=gamma, value=_value(objective, gamma))
 
 
-def _annealed(objective, linear, prior, divergence, lam, init, max_steps):
-    best = init
-    best_value = _value(objective, best)
-    gamma = best
-    levels = np.geomspace(1e-1, 1e-8, 8)
-    # each level gets the full step budget: the smoothed curvature grows like
-    # 1/mu, so late levels take many short steps to cross the kink region
-    converged = True
-    for mu in levels:
-        smoothed = _smoothed(divergence, mu)
+def _plan_descent(objective, linear, prior, divergence, lam, init):
+    """Entropic plan descent over smoothing levels; steps add up over them.
 
-        def gradient(g, _d=smoothed):
-            return linear + lam * perspective_total_grad(_d, g, prior)
-
-        def smooth_objective(stack, _d=smoothed):
-            return ((linear * stack).sum(axis=(-2, -1))
-                    + lam * perspective_total(_d, stack, prior))
-
-        result = minimize_columns_pgd(smooth_objective, gradient, gamma, prior,
-                                      max_steps=max_steps, lr0=1.0 / lam)
+    A smooth generator is one level, the objective itself.  TV runs one
+    Huber width of _LEVELS per level from the last level's plan, each with
+    the full step budget (the smoothed curvature grows like 1/mu), and
+    keeps the best plan under the true objective, init included, since a
+    smoothed level may raise it.
+    """
+    if divergence.smooth:
+        levels, best = [divergence], None
+    else:
+        levels = [_smoothed(divergence, mu) for mu in _LEVELS]
+        best = (init, _value(objective, init))
+    gamma, steps, converged = init, 0, True
+    for level in levels:
+        result = minimize_columns_pgd(*_terms(linear, prior, level, lam),
+                                      gamma, prior, max_steps=MAX_STEPS,
+                                      lr0=1.0 / lam)
         gamma = result.x
+        steps += result.steps
         converged = converged and result.converged
         value = _value(objective, gamma)
-        if value < best_value:
-            best, best_value = gamma, value
-    return PGDResult(best, best_value, max_steps, converged)
+        if best is None or value < best[1]:
+            best = (gamma, value)
+    return PGDResult(*best, steps, converged)
 
 
 def _smoothed(div: FDivergence, mu: float) -> FDivergence:
-    """Huber-smooth the total-variation kink; other generators pass through."""
-    if div.name != "tv":
-        return div
-
+    """Huber-smooth the total-variation kink at width ``mu``."""
     def f(t):
         z = t - 1.0
         return 0.5 * np.where(np.abs(z) <= mu, z * z / (2.0 * mu),

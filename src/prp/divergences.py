@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 _INF = float("inf")
+_TINY = np.finfo(float).tiny   # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -172,8 +173,11 @@ def perspective_total_grad(div: FDivergence, gamma, prior) -> np.ndarray:
 
     On a row with mass m_i, d/d gamma_ij = sum_k prior_k [f(t_ik) -
     t_ik f'(t_ik)] + f'(t_ij), t_ik = gamma_ik / (prior_k m_i), taking the
-    limits at t = 0, which may be infinite.  Massless rows get 0, since the
-    multiplicative updates of `optim.minimize_columns_pgd` never revive them.
+    limits at t = 0, which may be infinite.  Where f'(t) overflows at t > 0
+    (-1/t below 1/max float), t f'(t) is taken at the smallest normal float,
+    where it is finite (-1 for reverse KL), so only the entry's own f'(t)
+    is infinite.  Massless rows get 0, since the multiplicative updates of
+    `optim.minimize_columns_pgd` never revive them.
     """
     gamma = np.asarray(gamma, dtype=float)
     prior = np.asarray(prior, dtype=float)
@@ -181,6 +185,7 @@ def perspective_total_grad(div: FDivergence, gamma, prior) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = (gamma / np.where(m > 0.0, m, 1.0)) / prior
         fpt = div.f_prime(t)
-        bracket = np.where(t > 0.0, div.f(t) - t * fpt, div.f_at_zero)
+        t_fpt = np.where(np.isinf(fpt), _TINY * div.f_prime(_TINY), t * fpt)
+        bracket = np.where(t > 0.0, div.f(t) - t_fpt, div.f_at_zero)
         out = (bracket * prior).sum(axis=1, keepdims=True) + fpt
     return np.where(m > 0.0, out, 0.0)

@@ -157,12 +157,12 @@ def optimizer_step(state: OptimizerState, param, grad) -> np.ndarray:
 MAX_STEPS = 5000    # default step cap of the convex plan solves
 _TOL = 1e-8         # relative objective decrease that ends a window of steps
 _WINDOW = 25
-_MAX_TRIALS = 8     # most trial steps evaluated in one stack
+_MAX_TRIALS = 8     # trial steps evaluated in one stack
 _HALVINGS = 0.5 ** np.arange(_MAX_TRIALS)
-# bounds lr * max |g| of the trial step: lr stays finite where 1e6 * lr0
-# overflows (lam below ~5.6e-303; an infinite lr stays infinite when halved),
-# and the half keeps log x - lr g finite after rounding, so no column of the
-# trial step is inf - inf
+# bounds lr * max |g| of the trial step: lr stays finite where lr0 = 1/lam or
+# its doubling overflows (an infinite lr stays infinite when halved), and the
+# half keeps log x - lr g finite after rounding, so no column of the trial
+# step is inf - inf
 _MAX_STEP = 0.5 * sys.float_info.max
 
 
@@ -186,20 +186,17 @@ def minimize_columns_pgd(objective: Callable[[np.ndarray], np.ndarray],
     (mirror descent in the KL geometry, Beck & Teboulle 2003) and takes the
     first lr of the halving ladder lr, lr/2, ... (down to 1e-14) with
     f(x+) <= f(x) + <g, x+ - x> + KL(x+ || x) / lr, which makes it a
-    descent step.  The trial lr is twice the last accepted one, within
-    [lr0, 1e6 * lr0] and never so large that lr * max |g| exceeds half the
-    largest float.  Exact zeros stay zero, so the gradient is read only
-    where x > 0.  Termination fires when no step passes the test with a
-    bound below f in floating point, or when a window of _WINDOW steps
-    improved the objective by at most _TOL * max(1, |f|).
+    descent step.  The trial lr is twice the last accepted one, at least
+    lr0 and at most _MAX_STEP / max(1, max |g|), so lr * g stays finite.
+    Exact zeros stay zero, so the gradient is read only where x > 0.
+    Termination fires when no step passes the test with a bound below f in
+    floating point, or when a window of _WINDOW steps improved the
+    objective by at most _TOL * max(1, |f|).
 
     ``objective`` maps a (J, n, K) stack of plans to their J values.  The
-    ladder is evaluated J trials per call and the first trial that passes
-    is taken, so the iterates are those of trying one lr at a time.  J is
-    the most trials either of the last two steps needed, at most
-    _MAX_TRIALS, and doubles for each further call of the same step: with
-    the trial lr at twice the last accepted one, a step that passes at its
-    first trial is mostly followed by one that needs three.
+    ladder is evaluated _MAX_TRIALS trials per call and the first trial
+    that passes is taken, so the iterates are those of trying one lr at a
+    time.
     """
     return _descend(objective, gradient, init, column_totals, max_steps, lr0,
                     _TOL)
@@ -213,20 +210,17 @@ def _descend(objective, gradient, init, column_totals, max_steps, lr0,
     x = x * (totals / x.sum(axis=0))
     f = float(objective(x[None])[0])
     lr = lr0
-    needed = (1, 1)     # trials the last two steps needed
     window_anchor = f
     for step in range(1, max_steps + 1):
         g = np.where(x > 0.0, gradient(x), 0.0)
         with np.errstate(divide="ignore"):
             log_x = np.log(x)
-        lr = min(max(lr * 2.0, lr0), 1e6 * lr0,
+        lr = min(max(lr * 2.0, lr0),
                  _MAX_STEP / max(1.0, float(np.abs(g).max())))
-        found = _line_search(objective, x, log_x, g, f, lr, totals,
-                             max(needed))
+        found = _line_search(objective, x, log_x, g, f, lr, totals)
         if found is None:
             return PGDResult(x, f, step, True)
-        x, f, lr, trials = found
-        needed = (needed[1], trials)
+        x, f, lr = found
         if step % _WINDOW == 0:
             if window_anchor - f <= tol * max(1.0, abs(f)):
                 return PGDResult(x, f, step, True)
@@ -234,21 +228,16 @@ def _descend(objective, gradient, init, column_totals, max_steps, lr0,
     return PGDResult(x, f, max_steps, False)
 
 
-def _line_search(objective, x, log_x, g, f, lr, totals, size):
-    """(x+, f(x+), lr, trials) of the first passing trial lr, lr/2, ...
+def _line_search(objective, x, log_x, g, f, lr, totals):
+    """(x+, f(x+), lr) of the first passing trial lr, lr/2, ...
 
-    Stacks ``size`` trials per objective call, twice as many per further
-    call; ``trials`` is the rank of the passing one on the ladder, at most
-    _MAX_TRIALS.  None when a trial's bound is not below f (the decrease is
-    below the resolution of f) before one passes, or when lr falls below
-    1e-14.
+    Stacks _MAX_TRIALS trials per objective call.  None when a trial's
+    bound is not below f (the decrease is below the resolution of f)
+    before one passes, or when lr falls below 1e-14.
     """
-    tried = 0
     while lr >= 1e-14:
-        rates = lr * _HALVINGS[:size]
-        if rates[-1] < 1e-14:
-            rates = rates[rates >= 1e-14]
-        count = rates.size
+        rates = lr * _HALVINGS
+        rates = rates[rates >= 1e-14]
         with np.errstate(over="ignore"):
             # at lr near the largest float, z - max z may round to -inf,
             # whose exp is the 0 of the limit
@@ -260,17 +249,14 @@ def _line_search(objective, x, log_x, g, f, lr, totals, size):
         bound = (f + (g * (cand - x)).sum(axis=(-2, -1))
                  + kl.sum(axis=(-2, -1)) / rates)
         floor = (bound >= f).tolist()
-        live = floor.index(True) if True in floor else count
+        live = floor.index(True) if True in floor else rates.size
         if live:
             values = objective(cand[:live])
             passed = (values <= bound[:live]).tolist()
             if True in passed:
                 j = passed.index(True)
-                return (cand[j], float(values[j]), float(rates[j]),
-                        min(tried + j + 1, _MAX_TRIALS))
-        if live < count:
+                return cand[j], float(values[j]), float(rates[j])
+        if live < rates.size:
             return None
-        tried += count
         lr = float(rates[-1]) * 0.5
-        size = min(2 * size, _MAX_TRIALS)
     return None

@@ -366,7 +366,7 @@ def columns_pgd_scalar(objective, gradient, init, column_totals,
         g = np.where(x > 0.0, gradient(x), 0.0)
         with np.errstate(divide="ignore"):
             log_x = np.log(x)
-        lr = min(max(lr * 2.0, lr0), 1e6 * lr0,
+        lr = min(max(lr * 2.0, lr0),
                  0.5 * sys.float_info.max / max(1.0, float(np.abs(g).max())))
         accepted = False
         while lr >= 1e-14:
