@@ -20,8 +20,7 @@ from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
 from .optim import (DescentConfig, OptimizerState, make_optimizer,
                     optimizer_step, project_box, project_columns,
                     project_simplex)
-from .sinkhorn import (SinkhornProblem, SinkhornResult, minimize_sinkhorn,
-                       solve_sinkhorn)
+from .sinkhorn import SinkhornResult, minimize_sinkhorn, solve_sinkhorn
 from .direct import (kl_plan_objective, minimize_direct,
                      minimize_direct_starts)
 from .dca import DCAResult, best_corners, dca_solve

@@ -55,7 +55,7 @@ from .divergences import kl_divergence, perspective_total
 from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
                        atom_count)
 from .optim import DescentConfig
-from .sinkhorn import _descend, step_solve
+from .sinkhorn import _descend, solve_sinkhorn
 
 WIDTH = 100   # hidden units of a bid policy
 
@@ -379,7 +379,7 @@ _REVENUE_COST = CostOracle(matrix_and_adjoint=_revenue_cost)
 
 
 # read only by bench/tracing.py, for the `cap` default of the step solve
-_unroll_budget = step_solve
+_unroll_budget = solve_sinkhorn
 
 
 def train_strategy(model: AuctionModel, lam: float,

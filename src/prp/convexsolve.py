@@ -9,12 +9,13 @@ lam = 0 is a linear program over scaled simplices and is solved in closed
 form.  For KL the privacy term is the mutual information, and at fixed row
 masses the best plan is a Gibbs plan in closed form, so the solve is a
 convex problem in the n row masses alone (Blahut 1972; Csiszar & Tusnady
-1984): a backtracking mirror descent on the masses, whose Gibbs plan is
-returned.  Every other generator runs `optim.minimize_columns_pgd` on the
-full plan from step 1/lam, in one loop over smoothing levels: a smooth
-generator is one level, and the kinked total-variation generator is
-annealed through a shrinking Huber smoothing, with the best iterate under
-the true objective kept.  Every descent stops at `optim.MAX_STEPS` steps.
+1984): `optim.minimize_columns_pgd` descends on the masses, and their
+Gibbs plan is returned.  Every other generator runs the same descent on
+the full plan, in one loop over smoothing levels: a smooth generator is
+one level, and the kinked total-variation generator is annealed through a
+shrinking Huber smoothing, with the best iterate under the true objective
+kept.  Every descent starts from step 1/lam and stops at `optim.MAX_STEPS`
+steps.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 
 from .divergences import (FDivergence, perspective_total,
                           perspective_total_grad)
-from .optim import MAX_STEPS, PGDResult, _descend, minimize_columns_pgd
+from . import optim
+from .optim import PGDResult, minimize_columns_pgd
 
 _MASS_TOL = 1e-12   # window decrease that ends the KL row-mass solve
 _BLAHUT_ARIMOTO_STEPS = 8   # warm start of the KL row-mass descent
@@ -63,7 +65,7 @@ def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
         result = replace(result, x=concentrated, value=value)
     if not result.converged:
         warnings.warn(f"{divergence.name} plan solve at lam={lam:g} stopped "
-                      f"at its {MAX_STEPS}-step cap", RuntimeWarning,
+                      f"at its {optim.MAX_STEPS}-step cap", RuntimeWarning,
                       stacklevel=2)
     return result
 
@@ -121,8 +123,8 @@ def _row_mass_solve(objective, linear, prior, lam, init):
     start = masses[rows, None]
     for _ in range(_BLAHUT_ARIMOTO_STEPS):
         start = start * ratios(start)
-    result = _descend(mass_objective, lambda m: -lam * ratios(m), start,
-                      np.ones(1), MAX_STEPS, 1.0 / lam, _MASS_TOL)
+    result = minimize_columns_pgd(mass_objective, lambda m: -lam * ratios(m),
+                                  start, np.ones(1), 1.0 / lam, _MASS_TOL)
     weighted = result.x * kernel
     gamma = np.zeros_like(linear)
     gamma[rows] = weighted / weighted.sum(axis=0) * prior
@@ -146,8 +148,7 @@ def _plan_descent(objective, linear, prior, divergence, lam, init):
     gamma, steps, converged = init, 0, True
     for level in levels:
         result = minimize_columns_pgd(*_terms(linear, prior, level, lam),
-                                      gamma, prior, max_steps=MAX_STEPS,
-                                      lr0=1.0 / lam)
+                                      gamma, prior, 1.0 / lam)
         gamma = result.x
         steps += result.steps
         converged = converged and result.converged

@@ -154,7 +154,7 @@ def optimizer_step(state: OptimizerState, param, grad) -> np.ndarray:
     return param - state.lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-MAX_STEPS = 5000    # default step cap of the convex plan solves
+MAX_STEPS = 5000    # step cap of minimize_columns_pgd
 _TOL = 1e-8         # relative objective decrease that ends a window of steps
 _WINDOW = 25
 _MAX_TRIALS = 8     # trial steps evaluated in one stack
@@ -176,10 +176,8 @@ class PGDResult:
 
 def minimize_columns_pgd(objective: Callable[[np.ndarray], np.ndarray],
                          gradient: Callable[[np.ndarray], np.ndarray],
-                         init: np.ndarray,
-                         column_totals: np.ndarray,
-                         max_steps: int = MAX_STEPS,
-                         lr0: float = 1.0) -> PGDResult:
+                         init: np.ndarray, column_totals: np.ndarray,
+                         lr0: float, tol: float = _TOL) -> PGDResult:
     """Monotone entropic projected gradient over column-wise scaled simplices.
 
     A step proposes x * exp(-lr * g) rescaled per column onto its total
@@ -191,27 +189,21 @@ def minimize_columns_pgd(objective: Callable[[np.ndarray], np.ndarray],
     Exact zeros stay zero, so the gradient is read only where x > 0.
     Termination fires when no step passes the test with a bound below f in
     floating point, or when a window of _WINDOW steps improved the
-    objective by at most _TOL * max(1, |f|).
+    objective by at most tol * max(1, |f|); the descent is capped at
+    MAX_STEPS steps, read at call time.
 
     ``objective`` maps a (J, n, K) stack of plans to their J values.  The
     ladder is evaluated _MAX_TRIALS trials per call and the first trial
     that passes is taken, so the iterates are those of trying one lr at a
     time.
     """
-    return _descend(objective, gradient, init, column_totals, max_steps, lr0,
-                    _TOL)
-
-
-def _descend(objective, gradient, init, column_totals, max_steps, lr0,
-             tol) -> PGDResult:
-    """`minimize_columns_pgd` with a window tolerance ``tol``."""
     totals = np.asarray(column_totals, dtype=float)
     x = np.asarray(init, dtype=float)
     x = x * (totals / x.sum(axis=0))
     f = float(objective(x[None])[0])
     lr = lr0
     window_anchor = f
-    for step in range(1, max_steps + 1):
+    for step in range(1, MAX_STEPS + 1):
         g = np.where(x > 0.0, gradient(x), 0.0)
         with np.errstate(divide="ignore"):
             log_x = np.log(x)
@@ -225,7 +217,7 @@ def _descend(objective, gradient, init, column_totals, max_steps, lr0,
             if window_anchor - f <= tol * max(1.0, abs(f)):
                 return PGDResult(x, f, step, True)
             window_anchor = f
-    return PGDResult(x, f, max_steps, False)
+    return PGDResult(x, f, MAX_STEPS, False)
 
 
 def _line_search(objective, x, log_x, g, f, lr, totals):

@@ -94,32 +94,6 @@ _STALL = 100
 
 
 @dataclass
-class SinkhornProblem:
-    """A discrete entropic-OT instance: marginals, cost matrix, temperature."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    cost_matrix: np.ndarray
-    lam: float
-    max_iter: int = 2000
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=float)
-        self.cost_matrix = np.asarray(self.cost_matrix, dtype=float)
-        if self.lam <= 0.0:
-            raise ValueError("lam must be positive")
-        if self.max_iter < 1:
-            raise ValueError("need at least one iteration")
-        for w, name in ((self.alpha, "alpha"), (self.beta, "beta")):
-            if w.min(initial=0.0) < 0.0 or abs(w.sum() - 1.0) > 1e-9:
-                raise ValueError(f"{name} must lie on the simplex")
-        if self.cost_matrix.shape != (self.alpha.size, self.beta.size):
-            raise ValueError("cost matrix shape must match the marginals")
-
-
-@dataclass
 class SinkhornResult:
     plan: np.ndarray         # diag(exp(log_u)) K diag(exp(log_v))
     log_u: np.ndarray
@@ -146,10 +120,10 @@ def _semi_dual(log_kernel, alpha, beta, psi):
     return beta @ psi - alpha @ lse, g, p, q, lse, col, np.abs(g).max()
 
 
-def _newton(log_kernel, alpha, beta, psi, max_iter: int, tol: float):
+def _newton(log_kernel, alpha, beta, psi, cap: int, tol: float):
     """Damped Newton ascent of G from psi, all column weights positive.
 
-    Stops at |g|_inf < tol, after max_iter steps, when no step gains, or
+    Stops at |g|_inf < tol, after cap steps, when no step gains, or
     after _STALL accepted steps without a new lowest |g|_inf.  Returns the
     last psi, the row-exact plan P, Q, the row log-sums and colsum(P)
     there, the number of steps taken and whether |g|_inf fell below tol.
@@ -158,7 +132,7 @@ def _newton(log_kernel, alpha, beta, psi, max_iter: int, tol: float):
     k = col.size
     best, since = size, 0
     steps = 0
-    while (steps < max_iter and size >= tol and size > 0.0
+    while (steps < cap and size >= tol and size > 0.0
            and since < _STALL):
         system = -(p.T @ q)
         system.ravel()[::k + 1] += col + _DAMPING * size
@@ -181,26 +155,39 @@ def _newton(log_kernel, alpha, beta, psi, max_iter: int, tol: float):
     return psi, p, q, lse, col, steps, size < tol
 
 
-def solve_sinkhorn(problem: SinkhornProblem, init_log_v=None) -> SinkhornResult:
+# bench/tracing.py reads the `cap` default, through prp.auctions._unroll_budget
+def solve_sinkhorn(alpha, beta, cost_matrix, lam: float, log_v=None,
+                   cap: int = 3000, tol: float = 1e-9) -> SinkhornResult:
     """Solve the instance by damped Newton ascent of the semi-dual.
 
-    Returns the plan, the potentials log u = phi and log v = psi (-inf on
-    zero-weight rows and columns), the loss and the envelope gradient in
-    alpha.  `init_log_v` warm-starts psi = log v, e.g. with the `log_v` of
-    the previous solve in a descent loop.  A solve that stops short of
-    `tol` (at `max_iter`, or where rounding stalls it) warns, and one that
-    stops with a column of the row-exact plan at 0 mass raises
-    `FloatingPointError`.
+    alpha weighs the action atoms (rows of `cost_matrix`) and beta the
+    types (its columns); both must lie on the simplex.  Returns the plan,
+    the potentials log u = phi and log v = psi (-inf on zero-weight rows
+    and columns), the loss and the envelope gradient in alpha.  `log_v`
+    warm-starts psi, e.g. with the `log_v` of the previous solve in a
+    descent loop.  A solve that stops short of `tol` (after `cap` Newton
+    steps, or where rounding stalls it) warns, and one that stops with a
+    column of the row-exact plan at 0 mass raises `FloatingPointError`.
     """
-    alpha, beta, lam = problem.alpha, problem.beta, problem.lam
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    cost_matrix = np.asarray(cost_matrix, dtype=float)
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
+    if cap < 1:
+        raise ValueError("need at least one Newton step")
+    for w, name in ((alpha, "alpha"), (beta, "beta")):
+        if w.min(initial=0.0) < 0.0 or abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError(f"{name} must lie on the simplex")
+    if cost_matrix.shape != (alpha.size, beta.size):
+        raise ValueError("cost matrix shape must match the marginals")
     cols = (beta > 0.0).nonzero()[0]
     b = beta[cols]
-    start = (np.zeros(beta.size) if init_log_v is None
-             else np.asarray(init_log_v, dtype=float))
+    start = (np.zeros(beta.size) if log_v is None
+             else np.asarray(log_v, dtype=float))
     # zero-weight rows stay in the system: their rows of P are exactly 0
     psi, p, q, lse, col, steps, converged = _newton(
-        -problem.cost_matrix[:, cols] / lam, alpha, b, start[cols],
-        problem.max_iter, problem.tol)
+        -cost_matrix[:, cols] / lam, alpha, b, start[cols], cap, tol)
     if not (col > 0.0).all():
         raise FloatingPointError(
             f"Sinkhorn solve at lam={lam:g} stopped after {steps} Newton "
@@ -214,7 +201,7 @@ def solve_sinkhorn(problem: SinkhornProblem, init_log_v=None) -> SinkhornResult:
     loss = lam * (row_mass @ -lse + b @ (psi - np.log(b)))
     error = float(max(np.abs(row_mass - alpha).max(),
                       np.abs(core.sum(axis=0) - b).max()))
-    plan = np.zeros(problem.cost_matrix.shape)
+    plan = np.zeros(cost_matrix.shape)
     plan[:, cols] = core
     with np.errstate(divide="ignore"):
         phi = np.log(alpha) - lse
@@ -236,34 +223,23 @@ def needs_log_domain(cost_matrix, lam: float) -> bool:
     return bool(c / lam > _LOG_DOMAIN_EXPONENT)
 
 
-# bench/tracing.py reads the `cap` default, through prp.auctions._unroll_budget
-def step_solve(alpha, cost_matrix, beta, lam: float, log_v=None,
-               cap: int = 3000) -> SinkhornResult:
-    """The solve behind one descent step, warm started from the last `log_v`.
-
-    At most `cap` Newton steps, to tol 1e-8.  The tolerance bounds the
-    column error |g|_inf of the last Newton iterate; the reported
-    `marginal_error` is the row error after the final column update, which
-    can exceed it slightly (up to about 1.6e-8 has been seen at lam=1e-3).
-    On the toy benchmark panels of seeds 1 to 5 (10,000 warm-started step
-    solves at lam=0.1) a step solve took 5.75 Newton steps on average
-    (57,471 in all), median 6, at most 12.
-    """
-    problem = SinkhornProblem(alpha, beta, cost_matrix, lam, max_iter=cap,
-                              tol=1e-8)
-    return solve_sinkhorn(problem, log_v)
-
-
 def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lam: float,
              config: DescentConfig, floor: float):
     """Descend the entropic-OT loss over (weights, atoms) from `atoms`.
 
-    Each step solves the instance once with `step_solve`, warm started from
-    the previous step's log v, and takes one packed optimizer step with its
-    envelope gradients.  The weights start uniform and are projected onto
+    Each step solves the instance once to tol 1e-8, warm started from the
+    previous step's log v, and takes one packed optimizer step with its
+    envelope gradients.  The tolerance bounds the column error |g|_inf of
+    the last Newton iterate; the reported `marginal_error` is the row error
+    after the final column update, which can exceed it slightly (up to
+    about 1.6e-8 has been seen at lam=1e-3).  On the toy benchmark panels
+    of seeds 1 to 5 (10,000 warm-started step solves at lam=0.1) a step
+    solve took 5.75 Newton steps on average (57,471 in all), median 6, at
+    most 12.  The weights start uniform and are projected onto
     {w >= floor, sum w = 1}, the atoms onto the oracle's box if it has
-    `bounds`.  Returns the final atoms, the plan of a final solve to tol
-    1e-9 (its column sums equal the prior) and the per-step loss trace.
+    `bounds`.  Returns the final atoms, the plan of a final solve to the
+    default tol 1e-9 (its column sums equal the prior) and the per-step
+    loss trace.
     """
     n = atoms.shape[0]
     alpha = np.full(n, 1.0 / n)
@@ -274,7 +250,8 @@ def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lam: float,
     log_v = None
     for step in range(config.steps):
         matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms)
-        result = step_solve(alpha, matrix, prior_weights, lam, log_v)
+        result = solve_sinkhorn(alpha, prior_weights, matrix, lam, log_v,
+                                tol=1e-8)
         log_v = result.log_v
         trace[step] = result.loss
         grad = np.concatenate((result.grad_alpha,
@@ -286,8 +263,7 @@ def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lam: float,
         if box is not None:
             atoms = project_box(atoms, *box)
     matrix, _ = cost_with_adjoint(cost, atoms, type_atoms)
-    result = solve_sinkhorn(SinkhornProblem(alpha, prior_weights, matrix, lam),
-                            log_v)
+    result = solve_sinkhorn(alpha, prior_weights, matrix, lam, log_v)
     return atoms, result.plan, trace
 
 

@@ -460,17 +460,17 @@ def test_training_with_tiny_privacy_weight_specializes():
 def test_tiny_privacy_weight_step_solves_all_converge(monkeypatch):
     # the instance above; with a 3000-iteration scaling loop, 33 of its 250
     # step solves ended at the cap with marginal error up to 6.4e-4
-    step_solve, errors = sinkhorn.step_solve, []
+    solve, errors = sinkhorn.solve_sinkhorn, []
 
     def recorded(*args, **kwargs):
-        result = step_solve(*args, **kwargs)
+        result = solve(*args, **kwargs)
         errors.append(result.marginal_error)
         return result
 
-    monkeypatch.setattr(sinkhorn, "step_solve", recorded)
+    monkeypatch.setattr(sinkhorn, "solve_sinkhorn", recorded)
     train_strategy(AuctionModel(n_types=10), lam=1e-3,
                    config=DescentConfig(steps=250), seed=1, width=40)
-    assert len(errors) == 250
+    assert len(errors) == 251   # 250 step solves and the final solve
     assert max(errors) < 1e-7
 
 

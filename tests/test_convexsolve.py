@@ -10,6 +10,7 @@ import pytest
 
 from prp.convexsolve import minimize_linear_plus_privacy
 from prp.divergences import from_name, perspective_total, perspective_total_grad
+from prp import optim
 from prp.optim import PGDResult, minimize_columns_pgd
 
 import oracles
@@ -32,8 +33,9 @@ def step_once(name, lam, init):
     def gradient(g):
         return LINEAR + lam * perspective_total_grad(div, g, PRIOR)
 
-    return objective, minimize_columns_pgd(objective, gradient, init, PRIOR,
-                                           max_steps=1, lr0=1.0 / lam)
+    with mock.patch("prp.optim.MAX_STEPS", 1):
+        return objective, minimize_columns_pgd(objective, gradient, init,
+                                               PRIOR, 1.0 / lam)
 
 
 @pytest.mark.parametrize("name", ["kl", "alpha:2"])
@@ -60,14 +62,14 @@ def test_concentrated_plan_is_a_fixed_point(name):
 
 
 def test_capped_solve_warns():
-    with mock.patch("prp.convexsolve.MAX_STEPS", 3), \
+    with mock.patch("prp.optim.MAX_STEPS", 3), \
             pytest.warns(RuntimeWarning, match=r"reverse_kl .*lam=0\.1.* 3-step"):
         result = minimize_linear_plus_privacy(LINEAR, PRIOR,
                                               from_name("reverse_kl"), 0.1)
     assert not result.converged
 
 
-@pytest.mark.parametrize("name", ["reverse_kl", "alpha:2", "tv"])
+@pytest.mark.parametrize("name", ["kl", "reverse_kl", "alpha:2", "tv"])
 def test_plan_descent_reports_the_steps_of_every_level(name):
     linear, prior = lattice_problem(3)
     levels = []
@@ -219,16 +221,14 @@ def test_stacked_line_search_takes_the_steps_of_the_scalar_ladder(name, lam):
     # run into their step cap there
     linear, prior = lattice_problem(3)
 
-    def scalar_ladder(objective, gradient, init, totals, max_steps, lr0,
-                      tol=1e-8):
+    def scalar_ladder(objective, gradient, init, totals, lr0, tol=1e-8):
         x, value, steps, converged = oracles.columns_pgd_scalar(
             lambda g: float(objective(g[None])[0]), gradient, init, totals,
-            max_steps=max_steps, lr0=lr0, tol=tol)
+            max_steps=optim.MAX_STEPS, lr0=lr0, tol=tol)
         return PGDResult(x, value, steps, converged)
 
     stacked = minimize_linear_plus_privacy(linear, prior, from_name(name), lam)
-    with mock.patch("prp.convexsolve.minimize_columns_pgd", scalar_ladder), \
-            mock.patch("prp.convexsolve._descend", scalar_ladder):
+    with mock.patch("prp.convexsolve.minimize_columns_pgd", scalar_ladder):
         scalar = minimize_linear_plus_privacy(linear, prior, from_name(name),
                                               lam)
     assert np.array_equal(stacked.x, scalar.x)

@@ -257,7 +257,7 @@ def test_columnwise_pgd_solves_quadratic():
         objective=lambda stack: ((stack - target) ** 2).sum(axis=(-2, -1)),
         gradient=lambda g: 2.0 * (g - target),
         init=np.tile(totals / 4.0, (4, 1)),
-        column_totals=totals)
+        column_totals=totals, lr0=1.0)
     assert result.converged
     assert np.abs(result.x - target).max() < 1e-6
     assert np.abs(result.x.sum(axis=0) - totals).max() < 1e-15

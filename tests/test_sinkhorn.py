@@ -7,8 +7,7 @@ from prp.divergences import kl_divergence
 from prp.measures import (DiscreteDistribution, TransportPlan,
                           cost_with_adjoint, linear_cost, prp_objective)
 from prp.optim import DescentConfig
-from prp.sinkhorn import (SinkhornProblem, minimize_sinkhorn,
-                          needs_log_domain, solve_sinkhorn, step_solve)
+from prp.sinkhorn import minimize_sinkhorn, needs_log_domain, solve_sinkhorn
 from prp import sinkhorn
 from prp.toy import sample_instance
 
@@ -19,7 +18,7 @@ def random_problem(rng, n, m, lam, cost_scale=1.0):
     alpha = rng.dirichlet(np.ones(n))
     beta = rng.dirichlet(np.ones(m))
     cost = rng.uniform(-1.0, 1.0, size=(n, m)) * cost_scale
-    return SinkhornProblem(alpha, beta, cost, lam)
+    return alpha, beta, cost, lam
 
 
 def step_gradients(alpha, atoms, nu, cost, lam):
@@ -27,14 +26,37 @@ def step_gradients(alpha, atoms, nu, cost, lam):
     calls of one descent step: the cost oracle and the step solve."""
     beta, type_atoms = nu
     matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms)
-    result = step_solve(alpha, matrix, beta, lam)
+    result = solve_sinkhorn(alpha, beta, matrix, lam, tol=1e-8)
     return result.grad_alpha, adjoint(result.plan), result.loss
 
 
+# one change each to a valid instance, and the error it must raise
+BAD_INPUTS = {
+    "zero-lam": ({"lam": 0.0}, "lam must be positive"),
+    "negative-lam": ({"lam": -0.1}, "lam must be positive"),
+    "zero-cap": ({"cap": 0}, "at least one Newton step"),
+    "negative-alpha": ({"alpha": [1.2, -0.2]}, "alpha must lie on the simplex"),
+    "alpha-sum": ({"alpha": [0.5, 0.6]}, "alpha must lie on the simplex"),
+    "negative-beta": ({"beta": [0.7, -0.2, 0.5]},
+                      "beta must lie on the simplex"),
+    "beta-sum": ({"beta": [0.2, 0.3, 0.4]}, "beta must lie on the simplex"),
+    "shape": ({"cost_matrix": np.zeros((3, 2))}, "shape must match"),
+}
+
+
+@pytest.mark.parametrize("change, message", BAD_INPUTS.values(),
+                         ids=BAD_INPUTS)
+def test_bad_input_is_rejected(change, message):
+    valid = dict(alpha=[0.5, 0.5], beta=[0.2, 0.3, 0.5],
+                 cost_matrix=np.zeros((2, 3)), lam=0.1)
+    solve_sinkhorn(**valid)
+    with pytest.raises(ValueError, match=message):
+        solve_sinkhorn(**(valid | change))
+
+
 def test_single_atom_plan_is_forced():
-    problem = SinkhornProblem(np.array([1.0]), np.array([1.0]),
-                              np.array([[0.7]]), 1.0)
-    result = solve_sinkhorn(problem)
+    result = solve_sinkhorn(np.array([1.0]), np.array([1.0]),
+                            np.array([[0.7]]), 1.0)
     assert np.allclose(result.plan, [[1.0]])
     assert result.loss == pytest.approx(0.7, abs=1e-12)
 
@@ -42,8 +64,7 @@ def test_single_atom_plan_is_forced():
 def test_zero_cost_gives_product_coupling_and_zero_loss():
     alpha = np.array([0.3, 0.7])
     beta = np.array([0.2, 0.5, 0.3])
-    problem = SinkhornProblem(alpha, beta, np.zeros((2, 3)), 0.5)
-    result = solve_sinkhorn(problem)
+    result = solve_sinkhorn(alpha, beta, np.zeros((2, 3)), 0.5)
     assert np.allclose(result.plan, np.outer(alpha, beta), atol=1e-12)
     assert result.loss == pytest.approx(0.0, abs=1e-12)
 
@@ -51,8 +72,7 @@ def test_zero_cost_gives_product_coupling_and_zero_loss():
 def test_two_by_two_matches_coupling_grid_oracle():
     alpha = np.array([0.5, 0.5])
     cost = np.array([[0.0, 1.0], [1.0, 0.0]])
-    problem = SinkhornProblem(alpha, alpha, cost, 1.0)
-    value = solve_sinkhorn(problem).loss
+    value = solve_sinkhorn(alpha, alpha, cost, 1.0).loss
     reference = oracles.grid_minimize_coupling(alpha, alpha, cost, 1.0)
     assert value == pytest.approx(reference, abs=1e-5)
 
@@ -63,14 +83,11 @@ def test_newton_solve_matches_the_scaling_oracle():
     for _ in range(10):
         problem = random_problem(rng, rng.integers(1, 4), rng.integers(1, 4),
                                  lam=float(rng.uniform(0.3, 3.0)))
-        problem.tol = 1e-13
-        result = solve_sinkhorn(problem)
-        plan, _ = oracles.sinkhorn_scaling(problem.alpha, problem.beta,
-                                           problem.cost_matrix, problem.lam)
+        result = solve_sinkhorn(*problem, tol=1e-13)
+        plan, _ = oracles.sinkhorn_scaling(*problem)
         assert np.abs(result.plan - plan).max() < 1e-12
-        assert result.loss == pytest.approx(oracles.coupling_loss(
-            plan, problem.alpha, problem.beta, problem.cost_matrix,
-            problem.lam), abs=1e-12)
+        assert result.loss == pytest.approx(
+            oracles.coupling_loss(plan, *problem), abs=1e-12)
 
 
 def test_underflowing_kernel_row_matches_the_row_shifted_scaling():
@@ -81,7 +98,7 @@ def test_underflowing_kernel_row_matches_the_row_shifted_scaling():
     cost = np.array([[10.0, 9.5], [0.0, 0.5]])
     lam = 1e-2
     assert (np.exp(-cost / lam)[0] == 0.0).all()
-    result = solve_sinkhorn(SinkhornProblem(alpha, beta, cost, lam, tol=1e-13))
+    result = solve_sinkhorn(alpha, beta, cost, lam, tol=1e-13)
     shift = cost.min(axis=1)
     shifted = cost - shift[:, None]
     plan, _ = oracles.sinkhorn_scaling(alpha, beta, shifted, lam)
@@ -95,9 +112,9 @@ def test_underflowing_kernel_row_matches_the_row_shifted_scaling():
 def test_plan_factorizes_through_scalings():
     rng = np.random.default_rng(1)
     for _ in range(5):
-        problem = random_problem(rng, 3, 3, lam=1.0)
-        result = solve_sinkhorn(problem)
-        log_kernel = -problem.cost_matrix / problem.lam
+        alpha, beta, cost, lam = random_problem(rng, 3, 3, lam=1.0)
+        result = solve_sinkhorn(alpha, beta, cost, lam)
+        log_kernel = -cost / lam
         rebuilt = np.exp(result.log_u[:, None] + log_kernel
                          + result.log_v[None, :])
         assert np.abs(rebuilt - result.plan).max() < 1e-8
@@ -105,9 +122,9 @@ def test_plan_factorizes_through_scalings():
 
 def test_type_marginal_is_exact_after_final_update():
     rng = np.random.default_rng(2)
-    problem = random_problem(rng, 4, 3, lam=0.3)
-    result = solve_sinkhorn(problem)
-    assert np.abs(result.plan.sum(axis=0) - problem.beta).max() < 1e-14
+    alpha, beta, cost, lam = random_problem(rng, 4, 3, lam=0.3)
+    result = solve_sinkhorn(alpha, beta, cost, lam)
+    assert np.abs(result.plan.sum(axis=0) - beta).max() < 1e-14
 
 
 def test_iteration_budget_is_used_up_or_the_solve_converges():
@@ -119,31 +136,31 @@ def test_iteration_budget_is_used_up_or_the_solve_converges():
         beta = rng.dirichlet(np.ones(3))
         cost = rng.uniform(0.0, 1.0, size=(3, 3))
         for t in range(1, 50):
-            problem = SinkhornProblem(alpha, beta, cost, 0.2, max_iter=t,
-                                      tol=1e-12)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                result = solve_sinkhorn(problem)
+                result = solve_sinkhorn(alpha, beta, cost, 0.2, cap=t,
+                                        tol=1e-12)
             assert np.abs(result.plan.sum(axis=0) - beta).max() < 1e-15
             if not caught:
                 break
             assert result.iterations == t
         assert result.iterations <= t
         assert result.marginal_error < 1e-12
-        problem.max_iter = 1000
-        assert (solve_sinkhorn(problem).plan == result.plan).all()
+        assert (solve_sinkhorn(alpha, beta, cost, 0.2, cap=1000,
+                               tol=1e-12).plan == result.plan).all()
 
 
 def test_loss_stays_in_coarse_bounds_and_entropy_term_nonnegative():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        problem = random_problem(rng, 3, 2, lam=float(rng.uniform(0.2, 2.0)))
-        result = solve_sinkhorn(problem)
-        c_min, c_max = problem.cost_matrix.min(), problem.cost_matrix.max()
-        nm = problem.alpha.size * problem.beta.size
-        assert (c_min - problem.lam * np.log(nm) - 1e-9 <= result.loss
+        alpha, beta, cost, lam = random_problem(
+            rng, 3, 2, lam=float(rng.uniform(0.2, 2.0)))
+        result = solve_sinkhorn(alpha, beta, cost, lam)
+        c_min, c_max = cost.min(), cost.max()
+        nm = alpha.size * beta.size
+        assert (c_min - lam * np.log(nm) - 1e-9 <= result.loss
                 <= c_max + 1e-9)
-        kl_term = (result.loss - (problem.cost_matrix * result.plan).sum())
+        kl_term = (result.loss - (cost * result.plan).sum())
         assert kl_term >= -1e-9
 
 
@@ -157,7 +174,7 @@ def test_loss_equals_constrained_plan_objective():
         beta = rng.dirichlet(np.ones(2))
         cost = rng.uniform(-1.0, 1.0, size=(2, 2))
         lam = float(rng.uniform(0.3, 2.0))
-        value = solve_sinkhorn(SinkhornProblem(alpha, beta, cost, lam)).loss
+        value = solve_sinkhorn(alpha, beta, cost, lam).loss
 
         # oracle: scan couplings, evaluating the plan objective instead
         best = np.inf
@@ -184,9 +201,7 @@ def test_loss_equals_constrained_plan_objective():
 
 def converged_loss(alpha, beta, cost, lam):
     """Reference value for central differences: the loss of a tight solve."""
-    problem = SinkhornProblem(alpha, beta, cost, lam, max_iter=50_000,
-                              tol=1e-13)
-    return solve_sinkhorn(problem).loss
+    return solve_sinkhorn(alpha, beta, cost, lam, cap=50_000, tol=1e-13).loss
 
 
 # (n, m, lam, centre and spread of the action atoms, scale of the types).
@@ -212,7 +227,7 @@ def test_envelope_gradients_match_central_differences(n, m, lam, centre,
                                                lam)
     assert value == pytest.approx(converged_loss(alpha, beta, matrix, lam),
                                   abs=1e-9)
-    plan = solve_sinkhorn(SinkhornProblem(alpha, beta, matrix, lam)).plan
+    plan = solve_sinkhorn(alpha, beta, matrix, lam).plan
     for _ in range(3):
         d = rng.normal(size=n)
         d -= d.mean()   # tangent to the simplex
@@ -232,10 +247,9 @@ def test_envelope_gradients_match_central_differences(n, m, lam, centre,
 def test_alpha_gradient_has_the_gauge_of_the_scaling_updates():
     rng = np.random.default_rng(7)
     for lam in (1.5, 0.2, 1e-3):
-        problem = random_problem(rng, 5, 4, lam=lam)
-        result = solve_sinkhorn(problem)
-        assert result.grad_alpha @ problem.alpha == pytest.approx(-lam,
-                                                                  rel=1e-9)
+        alpha, beta, cost, _ = random_problem(rng, 5, 4, lam=lam)
+        result = solve_sinkhorn(alpha, beta, cost, lam)
+        assert result.grad_alpha @ alpha == pytest.approx(-lam, rel=1e-9)
 
 
 def agreement_instance():
@@ -247,7 +261,7 @@ def agreement_instance():
 
 
 def assert_agrees_with_the_scaling_oracle(alpha, beta, cost):
-    log = solve_sinkhorn(SinkhornProblem(alpha, beta, cost, 0.5, tol=1e-13))
+    log = solve_sinkhorn(alpha, beta, cost, 0.5, tol=1e-13)
     plan, grad_alpha = oracles.sinkhorn_scaling(alpha, beta, cost, 0.5)
     assert np.isfinite(log.grad_alpha).all()
     assert log.loss == pytest.approx(
@@ -278,7 +292,7 @@ def test_gradient_stays_finite_when_zero_row_dominates():
     beta = np.array([0.5, 0.5])
     cost = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     lam = 1e-3
-    result = solve_sinkhorn(SinkhornProblem(alpha, beta, cost, lam))
+    result = solve_sinkhorn(alpha, beta, cost, lam)
     assert np.isfinite(result.grad_alpha).all()
     assert result.loss == pytest.approx(converged_loss(alpha, beta, cost, lam),
                                         abs=1e-9)
@@ -293,18 +307,16 @@ def test_gradient_stays_finite_when_zero_row_dominates():
 @pytest.mark.parametrize("lam", [0.3, 1e-3])
 def test_warm_start_reaches_the_cold_start_plan(lam):
     rng = np.random.default_rng(11)
-    problem = random_problem(rng, 6, 4, lam=lam)
-    nearby = SinkhornProblem(problem.alpha, problem.beta,
-                             problem.cost_matrix + rng.normal(size=(6, 4))
-                             * 0.01, lam)
-    cold = solve_sinkhorn(problem)
-    warm = solve_sinkhorn(problem, solve_sinkhorn(nearby).log_v)
-    tight = solve_sinkhorn(SinkhornProblem(problem.alpha, problem.beta,
-                                           problem.cost_matrix, lam,
-                                           max_iter=100_000, tol=1e-14))
-    assert warm.marginal_error < problem.tol
+    alpha, beta, cost, _ = random_problem(rng, 6, 4, lam=lam)
+    nearby = cost + rng.normal(size=(6, 4)) * 0.01
+    tol = 1e-9   # the default of solve_sinkhorn
+    cold = solve_sinkhorn(alpha, beta, cost, lam)
+    warm = solve_sinkhorn(alpha, beta, cost, lam,
+                          solve_sinkhorn(alpha, beta, nearby, lam).log_v)
+    tight = solve_sinkhorn(alpha, beta, cost, lam, cap=100_000, tol=1e-14)
+    assert warm.marginal_error < tol
     for result in (cold, warm):
-        assert np.abs(result.plan - tight.plan).max() < problem.tol
+        assert np.abs(result.plan - tight.plan).max() < tol
     assert warm.iterations < cold.iterations
 
 
@@ -313,25 +325,21 @@ def test_warm_start_beyond_the_double_range_gives_the_cold_plan():
     # to the plan
     rng = np.random.default_rng(12)
     problem = random_problem(rng, 3, 3, lam=0.5)
-    cold = solve_sinkhorn(problem)
-    warm = solve_sinkhorn(problem, cold.log_v + 800.0)
-    assert np.abs(warm.plan - cold.plan).max() < problem.tol
+    cold = solve_sinkhorn(*problem)
+    warm = solve_sinkhorn(*problem, cold.log_v + 800.0)
+    assert np.abs(warm.plan - cold.plan).max() < 1e-9   # the default tol
 
 
 def test_zero_weight_column_gets_no_mass_and_the_reduced_loss():
     rng = np.random.default_rng(13)
     for lam in (0.5, 1e-3):
-        problem = random_problem(rng, 4, 4, lam=lam)
-        beta = problem.beta.copy()
+        alpha, beta, cost, _ = random_problem(rng, 4, 4, lam=lam)
         beta[2] = 0.0
         beta /= beta.sum()
-        full = solve_sinkhorn(SinkhornProblem(problem.alpha, beta,
-                                              problem.cost_matrix, lam,
-                                              tol=1e-13))
+        full = solve_sinkhorn(alpha, beta, cost, lam, tol=1e-13)
         keep = [0, 1, 3]
-        reduced = solve_sinkhorn(SinkhornProblem(
-            problem.alpha, beta[keep], problem.cost_matrix[:, keep], lam,
-            tol=1e-13))
+        reduced = solve_sinkhorn(alpha, beta[keep], cost[:, keep], lam,
+                                 tol=1e-13)
         assert (full.plan[:, 2] == 0.0).all()
         assert full.marginal_error < 1e-13
         assert full.loss == pytest.approx(reduced.loss, abs=1e-12)
@@ -356,9 +364,8 @@ def test_finish_matches_the_logsumexp_passes(lam):
         beta[zero_cols] = 0.0
         alpha, beta = alpha / alpha.sum(), beta / beta.sum()
         cost = rng.uniform(-1.0, 1.0, size=(5, 4))
-        problem = SinkhornProblem(alpha, beta, cost, lam)
-        cold = solve_sinkhorn(problem)
-        warm = solve_sinkhorn(problem,
+        cold = solve_sinkhorn(alpha, beta, cost, lam)
+        warm = solve_sinkhorn(alpha, beta, cost, lam,
                               cold.log_v + noise.normal(0.0, 0.5, size=4))
         assert warm.iterations > 0
         for result in (cold, warm):
@@ -381,52 +388,48 @@ def hard_instance():
     beta = rng.dirichlet(np.ones(3) * 5.0)
     x = rng.uniform(-1.0, 1.0, size=(3, 2))
     y = rng.uniform(-0.8, 0.8, size=(3, 2))
-    return SinkhornProblem(alpha, beta, x @ y.T, 1e-3, tol=1e-8)
+    return alpha, beta, x @ y.T, 1e-3
 
 
 def test_hard_instance_converges_within_the_default_budget():
-    problem = hard_instance()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = solve_sinkhorn(problem)
+        result = solve_sinkhorn(*hard_instance(), tol=1e-8)
     assert result.marginal_error < 1e-8
-    assert result.iterations < problem.max_iter
+    assert result.iterations < 2000
 
 
 def test_capped_solve_warns():
-    problem = hard_instance()
-    problem.max_iter = 1
     with pytest.warns(RuntimeWarning,
                       match=r"lam=0\.001 .*after 1 Newton steps .*error"):
-        result = solve_sinkhorn(problem)
-    assert result.marginal_error > problem.tol
+        result = solve_sinkhorn(*hard_instance(), cap=1, tol=1e-8)
+    assert result.marginal_error > 1e-8
 
 
 def test_tolerance_below_the_rounding_floor_stops_on_the_stall():
     # at tol 1e-14 this solve converges in 58 steps; at 1e-15, below the
     # rounding floor of the column error, it used to run all 5000 steps
     problem = random_problem(np.random.default_rng(11), 6, 4, 1e-3)
-    problem.max_iter, problem.tol = 5000, 1e-15
     with pytest.warns(RuntimeWarning, match=r"lam=0\.001 .*Newton steps"):
-        result = solve_sinkhorn(problem)
+        result = solve_sinkhorn(*problem, cap=5000, tol=1e-15)
     assert result.iterations < 200
     assert result.marginal_error < 1e-13
 
 
 def test_toy_step_solves_take_few_newton_steps(monkeypatch):
-    step_solve, steps = sinkhorn.step_solve, []
+    solve, steps = sinkhorn.solve_sinkhorn, []
 
     def counted(*args, **kwargs):
-        result = step_solve(*args, **kwargs)
+        result = solve(*args, **kwargs)
         steps.append(result.iterations)
         return result
 
-    monkeypatch.setattr(sinkhorn, "step_solve", counted)
+    monkeypatch.setattr(sinkhorn, "solve_sinkhorn", counted)
     instance = sample_instance(2, 5, np.random.default_rng(5))
     minimize_sinkhorn(instance.prior_weights, instance.type_atoms,
                       linear_cost(instance.bounds), 0.1,
                       config=DescentConfig(steps=100), seed=0)
-    assert len(steps) == 100
+    assert len(steps) == 101   # 100 step solves and the final solve
     assert max(steps) <= 25
 
 
