@@ -120,8 +120,8 @@ def _validate(config: ExperimentConfig) -> None:
             raise ConfigError(f"{name} must be an integer >= {least}, "
                               f"got {value!r}")
     lambdas = config.lambdas if config.lambdas is not None else [config.lam]
-    if not isinstance(lambdas, list):
-        raise ConfigError("lambdas must be a list of numbers")
+    if not isinstance(lambdas, list) or not lambdas:
+        raise ConfigError("lambdas must be a non-empty list of numbers")
     for value in (config.lam, config.lr_weights, config.lr_atoms, *lambdas):
         # json reads NaN and Infinity
         if type(value) not in (int, float) or not math.isfinite(value):
@@ -136,8 +136,9 @@ def _validate(config: ExperimentConfig) -> None:
     if config.method not in RULES:
         raise ConfigError(f"unknown optimizer {config.method!r}")
     if config.kind == "toy":
-        if not isinstance(config.methods, list):
-            raise ConfigError("toy methods must be a list of method names")
+        if not isinstance(config.methods, list) or not config.methods:
+            raise ConfigError("toy methods must be a non-empty list of "
+                              "method names")
         bad = [m for m in config.methods if m not in toy.METHODS]
         if bad:
             raise ConfigError(f"unknown toy methods {bad}; expected {toy.METHODS}")

@@ -14,8 +14,10 @@ Gibbs plan is returned.  Every other generator runs the same descent on
 the full plan, in one loop over smoothing levels: a smooth generator is
 one level, and the kinked total-variation generator is annealed through a
 shrinking Huber smoothing, with the best iterate under the true objective
-kept.  Every descent starts from step 1/lam and stops at `optim.MAX_STEPS`
-steps.
+kept.  Every descent starts from step 1/lam and stops on the one rule of
+`optim.minimize_columns_pgd`: the rounding floor of its line search, a
+window of steps whose relative decrease is at most `optim._TOL`, or
+`optim.MAX_STEPS` steps.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .divergences import (FDivergence, perspective_total,
 from . import optim
 from .optim import PGDResult, minimize_columns_pgd
 
-_MASS_TOL = 1e-12   # window decrease that ends the KL row-mass solve
 _BLAHUT_ARIMOTO_STEPS = 8   # warm start of the KL row-mass descent
 _LEVELS = np.geomspace(1e-1, 1e-8, 8)   # Huber widths of the TV annealing
 
@@ -94,13 +95,15 @@ def _row_mass_solve(objective, linear, prior, lam, init):
     that carry mass, and Z_k = sum_i m_i e_ik; its objective is at most
     F(m) = <p, c> - lam * sum_k p_k log Z_k, with equality when m are its
     row masses.  F is convex on the simplex, so the solve is a descent of F
-    from the row masses of ``init`` (zero rows stay zero) to a window
-    decrease of _MASS_TOL, and the Gibbs plan of the first m is already no
-    worse than ``init``.  The descent starts with _BLAHUT_ARIMOTO_STEPS
-    updates m <- m * r (the row masses of the Gibbs plan), which never raise F and, having no line search, cost a fraction
-    of a mirror step; they do most of the work at small lam, where the
-    mirror step accepts only a fraction of 1/lam, and little at large lam,
-    where the mirror steps double.  The reported steps are the mirror steps.
+    from the row masses of ``init`` (zero rows stay zero), and the Gibbs
+    plan of the first m is already no worse than ``init``.  The descent
+    stops on the rule of every plan solve, that of `minimize_columns_pgd`.
+    It starts with _BLAHUT_ARIMOTO_STEPS updates m <- m * r (the row masses
+    of the Gibbs plan), which never raise F and, having no line search,
+    cost a fraction of a mirror step; they do most of the work at small
+    lam, where the mirror step accepts only a fraction of 1/lam, and little
+    at large lam, where the mirror steps double.  The reported steps are
+    the mirror steps.
     """
     masses = init.sum(axis=1)
     rows = masses > 0.0
@@ -124,7 +127,7 @@ def _row_mass_solve(objective, linear, prior, lam, init):
     for _ in range(_BLAHUT_ARIMOTO_STEPS):
         start = start * ratios(start)
     result = minimize_columns_pgd(mass_objective, lambda m: -lam * ratios(m),
-                                  start, np.ones(1), 1.0 / lam, _MASS_TOL)
+                                  start, np.ones(1), 1.0 / lam)
     weighted = result.x * kernel
     gamma = np.zeros_like(linear)
     gamma[rows] = weighted / weighted.sum(axis=0) * prior
@@ -134,14 +137,17 @@ def _row_mass_solve(objective, linear, prior, lam, init):
 def _plan_descent(objective, linear, prior, divergence, lam, init):
     """Entropic plan descent over smoothing levels; steps add up over them.
 
-    A smooth generator is one level, the objective itself.  TV runs one
-    Huber width of _LEVELS per level from the last level's plan, each with
-    the full step budget (the smoothed curvature grows like 1/mu), and
-    keeps the best plan under the true objective, init included, since a
-    smoothed level may raise it.
+    A smooth generator is one level, the objective itself.  TV, the only
+    non-smooth generator accepted, runs one Huber width of _LEVELS per
+    level from the last level's plan, each with the full step budget (the
+    smoothed curvature grows like 1/mu), and keeps the best plan under the
+    true objective, init included, since a smoothed level may raise it.
     """
     if divergence.smooth:
         levels, best = [divergence], None
+    elif divergence.name != "tv":
+        raise ValueError(f"non-smooth generator {divergence.name!r}: only "
+                         "the total-variation kink is smoothed")
     else:
         levels = [_smoothed(divergence, mu) for mu in _LEVELS]
         best = (init, _value(objective, init))

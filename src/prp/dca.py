@@ -76,8 +76,11 @@ def dca_solve(type_atoms, prior_weights, bounds, divergence: FDivergence,
     offset = float(np.dot(prior, type_atoms @ mid))
 
     def objective(gamma):
-        privacy = perspective_total(divergence, gamma, prior)
-        return lam * privacy - float(np.abs(gamma @ phi).sum()) + offset
+        # at lam = 0 the plan is deterministic, where reverse KL is +inf:
+        # skip the term rather than take 0 * inf
+        privacy = (0.0 if lam == 0.0
+                   else lam * perspective_total(divergence, gamma, prior))
+        return privacy - float(np.abs(gamma @ phi).sum()) + offset
 
     n = atom_count(prior.size)
     gamma = 0.5 * (np.eye(n, prior.size) * prior + np.tile(prior / n, (n, 1)))

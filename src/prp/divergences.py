@@ -30,8 +30,10 @@ class FDivergence:
     """Convex generator plus boundary conventions.
 
     ``f_prime`` is the derivative on t > 0 (a fixed subgradient choice at
-    kinks); ``smooth`` is False when f has kinks away from the boundary,
-    which makes first-order solvers switch to annealed smoothing.
+    kinks); ``smooth`` is False when f has kinks away from the boundary.
+    The convex plan solve anneals the kink of total variation (the
+    generator named "tv") through Huber smoothing, and rejects every other
+    non-smooth generator.
     """
 
     name: str

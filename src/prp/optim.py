@@ -177,7 +177,7 @@ class PGDResult:
 def minimize_columns_pgd(objective: Callable[[np.ndarray], np.ndarray],
                          gradient: Callable[[np.ndarray], np.ndarray],
                          init: np.ndarray, column_totals: np.ndarray,
-                         lr0: float, tol: float = _TOL) -> PGDResult:
+                         lr0: float) -> PGDResult:
     """Monotone entropic projected gradient over column-wise scaled simplices.
 
     A step proposes x * exp(-lr * g) rescaled per column onto its total
@@ -187,9 +187,11 @@ def minimize_columns_pgd(objective: Callable[[np.ndarray], np.ndarray],
     descent step.  The trial lr is twice the last accepted one, at least
     lr0 and at most _MAX_STEP / max(1, max |g|), so lr * g stays finite.
     Exact zeros stay zero, so the gradient is read only where x > 0.
-    Termination fires when no step passes the test with a bound below f in
-    floating point, or when a window of _WINDOW steps improved the
-    objective by at most tol * max(1, |f|); the descent is capped at
+
+    Every caller stops on the one rule owned here: the descent converges
+    when no trial lr gives a bound below f in floating point (the rounding
+    floor of the line search), or when a window of _WINDOW steps lowered
+    the objective by at most _TOL * max(1, |f|); it stops unconverged at
     MAX_STEPS steps, read at call time.
 
     ``objective`` maps a (J, n, K) stack of plans to their J values.  The
@@ -214,7 +216,7 @@ def minimize_columns_pgd(objective: Callable[[np.ndarray], np.ndarray],
             return PGDResult(x, f, step, True)
         x, f, lr = found
         if step % _WINDOW == 0:
-            if window_anchor - f <= tol * max(1.0, abs(f)):
+            if window_anchor - f <= _TOL * max(1.0, abs(f)):
                 return PGDResult(x, f, step, True)
             window_anchor = f
     return PGDResult(x, f, MAX_STEPS, False)

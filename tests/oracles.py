@@ -349,12 +349,13 @@ def dc_iteration(type_atoms, prior, lower, upper, divergence, lam,
 # the column-wise entropic descent one trial step at a time
 
 def columns_pgd_scalar(objective, gradient, init, column_totals,
-                       max_steps=5000, lr0=1.0, tol=1e-8, window=25):
+                       max_steps=5000, lr0=1.0):
     """`optim.minimize_columns_pgd` with a scalar objective and a halving loop.
 
     Tries lr, lr/2, ... one objective call at a time and takes the first
-    step whose value is at most the descent bound; returns (x, value,
-    steps, converged).
+    step whose value is at most the descent bound, and stops on the same
+    rule: the rounding floor, a 25-step window of at most 1e-8 relative
+    decrease, or max_steps.  Returns (x, value, steps, converged).
     """
     totals = np.asarray(column_totals, dtype=float)
     x = np.asarray(init, dtype=float)
@@ -387,8 +388,8 @@ def columns_pgd_scalar(objective, gradient, init, column_totals,
         if not accepted:
             return x, f, step, True
         x, f = cand, fc
-        if step % window == 0:
-            if window_anchor - f <= tol * max(1.0, abs(f)):
+        if step % 25 == 0:
+            if window_anchor - f <= 1e-8 * max(1.0, abs(f)):
                 return x, f, step, True
             window_anchor = f
     return x, f, max_steps, False

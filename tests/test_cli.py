@@ -90,12 +90,16 @@ def test_sweep_ignores_the_retired_sample_counts(tmp_path):
      "width": 4},
     {"kind": "grid", "divergence": 5},
     {"kind": "sweep", "method": ["adam"]},
+    {"kind": "sweep", "lambdas": [], "runs": 1, "steps": 2, "width": 4},
+    {"kind": "auctions", "lambdas": [], "runs": 1, "steps": 2, "width": 4},
+    {"kind": "toy", "methods": []},
 ], ids=["unknown-key", "non-kl-toy", "unknown-optimizer", "no-grid-points",
         "zero-width", "no-atoms", "nan-lam", "infinite-lam", "nan-lambdas",
         "infinite-lr", "string-runs", "bool-iterations", "float-grid-points",
         "negative-seed", "repeated-methods", "string-methods",
         "infinite-alpha", "repeated-lambdas", "colliding-lambda-labels",
-        "number-divergence", "list-method"])
+        "number-divergence", "list-method", "empty-sweep-lambdas",
+        "empty-auction-lambdas", "empty-methods"])
 def test_config_errors_exit_with_2(tmp_path, capsys, doc):
     assert run(tmp_path, doc) == 2
     assert "config error" in capsys.readouterr().err

@@ -1,15 +1,19 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from prp.auctions import AuctionModel
 from prp.convexsolve import minimize_linear_plus_privacy
-from prp.divergences import from_name, perspective_total, perspective_total_grad
+from prp.divergences import (FDivergence, from_name, perspective_total,
+                             perspective_total_grad)
 from prp import optim
 from prp.optim import PGDResult, minimize_columns_pgd
 
@@ -21,6 +25,7 @@ LINEAR = np.array([[0.3, -0.2, 0.1],
                    [-0.4, 0.5, 0.0],
                    [0.2, 0.1, -0.3],
                    [0.0, 0.0, 0.0]])
+POOLED = Path(__file__).with_name("pooled_auction_cost.json")
 
 
 def step_once(name, lam, init):
@@ -84,6 +89,21 @@ def test_plan_descent_reports_the_steps_of_every_level(name):
                                               0.1)
     assert len(levels) == (8 if name == "tv" else 1)
     assert result.steps == sum(levels)
+
+
+def test_non_smooth_generator_other_than_tv_is_rejected():
+    # f(t) = |t - 1| is twice TV: the Huber levels of TV would solve it as
+    # TV at half its weight, so the solve refuses it
+    doubled = FDivergence(name="twice_tv", f=lambda t: np.abs(t - 1.0),
+                          f_at_zero=1.0, f_slope_at_infinity=1.0,
+                          f_prime=lambda t: np.sign(t - 1.0), smooth=False)
+    linear, prior = lattice_problem(5, 3)
+    with pytest.raises(ValueError, match="twice_tv"):
+        minimize_linear_plus_privacy(linear, prior, doubled, 0.4)
+    result = minimize_linear_plus_privacy(linear, prior, from_name("tv"), 0.8)
+    assert result.converged
+    assert result.value == pytest.approx(-0.57741, abs=1e-5)
+    assert np.abs(result.x.sum(axis=0) - prior).max() < 1e-15
 
 
 def test_zero_privacy_weight_reduces_to_column_argmin():
@@ -221,10 +241,10 @@ def test_stacked_line_search_takes_the_steps_of_the_scalar_ladder(name, lam):
     # run into their step cap there
     linear, prior = lattice_problem(3)
 
-    def scalar_ladder(objective, gradient, init, totals, lr0, tol=1e-8):
+    def scalar_ladder(objective, gradient, init, totals, lr0):
         x, value, steps, converged = oracles.columns_pgd_scalar(
             lambda g: float(objective(g[None])[0]), gradient, init, totals,
-            max_steps=optim.MAX_STEPS, lr0=lr0, tol=tol)
+            max_steps=optim.MAX_STEPS, lr0=lr0)
         return PGDResult(x, value, steps, converged)
 
     stacked = minimize_linear_plus_privacy(linear, prior, from_name(name), lam)
@@ -266,6 +286,23 @@ def test_kl_large_privacy_weights_converge_in_few_steps(lam):
         concentrated = np.zeros_like(linear)
         concentrated[np.argmin(linear @ prior)] = prior
         assert result.value <= (linear * concentrated).sum()
+
+
+@pytest.mark.parametrize("lam", [1e-2, 3e-2])
+def test_kl_row_mass_solve_stops_on_pooled_auction_policies(lam):
+    # 36 trained auction policies (see the fixture's comment).  The masses
+    # of the unused rows fall towards subnormals, and a window test finer
+    # than that of every other plan solve ran into the step cap at 1e-2
+    cost = json.loads(POOLED.read_text())["cost"]
+    prior = AuctionModel(10).prior.weights
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = minimize_linear_plus_privacy(cost, prior, from_name("kl"),
+                                              lam)
+    _, reference, _, _ = oracles.kl_plan_solve_pgd(cost, prior, lam)
+    assert result.converged
+    assert result.steps <= 1000
+    assert result.value <= reference + 1e-8 * abs(result.value)
 
 
 def test_kl_zero_row_stays_zero():

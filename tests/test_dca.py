@@ -3,8 +3,8 @@ import pytest
 
 from prp import seeds, toy
 from prp.dca import best_corners, dca_solve
-from prp.divergences import (kl_divergence, reverse_kl_divergence,
-                             total_variation)
+from prp.divergences import (from_name, kl_divergence,
+                             reverse_kl_divergence, total_variation)
 from prp.measures import (DiscreteDistribution, TransportPlan, linear_cost,
                           prp_objective)
 
@@ -214,6 +214,22 @@ def test_trace_is_nonincreasing():
         assert diffs.max(initial=-np.inf) <= 1e-10
         non_revealing = -np.abs(prior @ y).sum()
         assert result.trace[-1] <= non_revealing + 1e-12
+
+
+def test_zero_privacy_weight_stops_with_a_finite_trace():
+    # the lam = 0 plan solve is the closed-form column argmin, which is
+    # deterministic: its reverse-KL privacy is +inf, and 0 * inf in the
+    # trace made every step NaN, so the solve never stopped
+    instance = toy.sample_instance(2, 5, seeds.rng_for(3, seeds.INSTANCE))
+    finals = []
+    for name in ["kl", "reverse_kl", "tv", "alpha:2"]:
+        result = dca_solve(instance.type_atoms, instance.prior_weights,
+                           instance.bounds, from_name(name), 0.0, 50)
+        assert np.isfinite(result.trace).all()
+        assert result.outer_iterations <= 2
+        finals.append(result.trace[-1])
+    # the privacy term drops out, so every generator takes the same steps
+    assert finals == [finals[0]] * 4
 
 
 @pytest.mark.parametrize("seed, optimum", [(0, -0.9315216513),
