@@ -58,6 +58,20 @@ def best_corners(gamma, type_atoms, bounds) -> np.ndarray:
     return mid - np.sign(loads) * half
 
 
+def _own_corners(phi, prior, n) -> np.ndarray:
+    """The lam = 0 optimum on n rows: each type's mass on the row of its own
+    best corner, one row per corner.
+
+    sum_i ||gamma_i @ phi||_1 <= sum_k p0_k ||phi_k||_1 by the triangle
+    inequality, with equality when every row holds types of one sign
+    pattern, so this plan reaches the full-information value.
+    """
+    _, row = np.unique(np.sign(phi), axis=0, return_inverse=True)
+    gamma = np.zeros((n, prior.size))
+    gamma[row.ravel(), np.arange(prior.size)] = prior
+    return gamma
+
+
 def dca_solve(type_atoms, prior_weights, bounds, divergence: FDivergence,
               lam: float, max_outer: int = MAX_OUTER) -> DCAResult:
     """Alternate best corners and the convex plan solve until the decrease stops.
@@ -67,7 +81,9 @@ def dca_solve(type_atoms, prior_weights, bounds, divergence: FDivergence,
     rows: the product coupling alone is stationary (equal rows stay
     equal), and the inner solver's multiplicative updates keep exact zeros.
     The trace holds the plan objective at the best corners of each iterate.
-    Inner step-cap hits are reported through the result flag.
+    Inner step-cap hits are reported through the result flag.  At lam = 0
+    the first outer step goes straight to the closed-form optimum, every
+    type at its own best corner (`_own_corners`), and the solve stops there.
     """
     type_atoms = np.atleast_2d(np.asarray(type_atoms, dtype=float))
     prior = np.asarray(prior_weights, dtype=float)
@@ -88,6 +104,10 @@ def dca_solve(type_atoms, prior_weights, bounds, divergence: FDivergence,
     inner_hit = False
     outer = 0
     for outer in range(1, max_outer + 1):
+        if lam == 0.0:
+            gamma = _own_corners(phi, prior, n)
+            trace.append(objective(gamma))
+            break
         corners = best_corners(gamma, type_atoms, bounds)
         inner = minimize_linear_plus_privacy(corners @ type_atoms.T, prior,
                                              divergence, lam, init=gamma)

@@ -45,14 +45,17 @@ def kl_plan_objective(gamma, cost_matrix, prior_weights, lam: float):
     gamma = np.asarray(gamma, dtype=float)
     cost_matrix = np.asarray(cost_matrix, dtype=float)
     prior_weights = np.asarray(prior_weights, dtype=float)
-    ref = gamma.sum(axis=-1, keepdims=True) * prior_weights + _EPS
+    # np.add.reduce, not the ndarray.sum wrapper: called at every step
+    ref = np.add.reduce(gamma, axis=-1, keepdims=True) * prior_weights + _EPS
     shifted = gamma + _EPS
     log_ratio = np.log(shifted / ref)
     entries = (-2, -1)
-    privacy = (gamma * log_ratio).sum(axis=entries)
-    row_term = (gamma * prior_weights / ref).sum(axis=-1, keepdims=True)
+    privacy = np.add.reduce(gamma * log_ratio, axis=entries)
+    row_term = np.add.reduce(gamma * prior_weights / ref, axis=-1,
+                             keepdims=True)
     grad = cost_matrix + lam * (log_ratio + gamma / shifted - row_term)
-    return (gamma * cost_matrix).sum(axis=entries) + privacy * lam, grad
+    return (np.add.reduce(gamma * cost_matrix, axis=entries) + privacy * lam,
+            grad)
 
 
 def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,

@@ -49,10 +49,12 @@ def project_columns(matrix, totals) -> np.ndarray:
     ascending = np.sort(m, axis=axis)
     descending = ascending[::-1] if m.ndim == 1 else ascending[..., ::-1, :]
     partial = np.cumsum(descending, axis=axis) - totals
-    w = np.maximum(m - (partial / ranks).max(axis=axis, keepdims=True), 0.0)
-    s = w.sum(axis=axis, keepdims=True)
+    # ufunc reductions, not the ndarray.max/.sum wrappers: called at every step
+    w = np.maximum(m - np.maximum.reduce(partial / ranks, axis=axis,
+                                         keepdims=True), 0.0)
+    s = np.add.reduce(w, axis=axis, keepdims=True)
     dead = ~(s > 0.0)
-    if dead.any():
+    if np.logical_or.reduce(dead, axis=None):
         # the total is below the rounding of the largest entry: the limit
         # of the projection shares it among the column's maximal entries
         w = np.where(dead, m == m.max(axis=axis, keepdims=True), w)

@@ -25,7 +25,11 @@ lam.  A step psi + t d, backtracking from t = 1, is taken when it passes
 the Armijo test on G or lowers |g|_inf: near the optimum at |C|/lam ~ 1e3,
 G cannot resolve the gain in floating point.  For the same reason a tol
 below the rounding floor of |g|_inf is never met, so the solve also stops
-after a run of accepted steps without a new lowest |g|_inf.  The solve
+after a run of accepted steps without a new lowest |g|_inf.  Each trial
+is tested on |g|_inf first: G, and with it the row log-sums
+lse_i = lse_j(-C_ij/lam + psi_j), is computed only for a trial that fails
+that test, and then for the current psi too (once per iterate).  The
+finish computes lse once more.  The solve
 ends with one column update of the row-exact plan P at the last psi:
 with r = beta / colsum(P) the plan is P diag(r) and psi moves by log r,
 so the columns are exact and the marginal error is the row error.  On
@@ -91,6 +95,7 @@ _MIN_STEP = 2.0 ** -30   # backtracking gives up below this step length
 # chance and the steps wander.  Far from the optimum, damped steps can gain
 # on G alone for up to 85 steps (a cold 3x3 solve at lam=1e-3).
 _STALL = 100
+_CAP = 3000     # Newton steps of one solve
 
 
 @dataclass
@@ -105,19 +110,32 @@ class SinkhornResult:
 
 
 def _semi_dual(log_kernel, alpha, beta, psi):
-    """G(psi), its gradient g, the row-exact plan P, Q = P / alpha, the
-    row log-sums lse_j(log K_ij + psi_j), colsum(P) and |g|_inf."""
+    """At psi: the gradient g of G, the row-exact plan P, Q = P / alpha,
+    colsum(P), |g|_inf, and the row sums of the shifted kernel rows and
+    their shifts (the row maxima), from which `_lse` and `_value` compute
+    the row log-sums and G when they are needed."""
+    # ufunc reductions, not ndarray.max/.sum: on these small arrays the
+    # wrapper costs a large share of the call
     m = log_kernel + psi
-    shift = m.max(axis=1)
+    shift = np.maximum.reduce(m, axis=1)
     e = np.exp(m - shift[:, None])
-    mass = e.sum(axis=1)
+    mass = np.add.reduce(e, axis=1)
     # e / mass, not exp(m - lse): its rounding does not grow with |psi|
     q = e / mass[:, None]
     p = alpha[:, None] * q
-    lse = np.log(mass) + shift
-    col = p.sum(axis=0)
+    col = np.add.reduce(p, axis=0)
     g = beta - col
-    return beta @ psi - alpha @ lse, g, p, q, lse, col, np.abs(g).max()
+    return g, p, q, col, np.maximum.reduce(np.abs(g)), mass, shift
+
+
+def _lse(state):
+    """The row log-sums lse_j(log K_ij + psi_j) of a `_semi_dual` state."""
+    return np.log(state[5]) + state[6]
+
+
+def _value(alpha, beta, psi, state):
+    """G(psi) from the `_semi_dual` state at psi."""
+    return beta @ psi - alpha @ _lse(state)
 
 
 def _newton(log_kernel, alpha, beta, psi, cap: int, tol: float):
@@ -125,10 +143,12 @@ def _newton(log_kernel, alpha, beta, psi, cap: int, tol: float):
 
     Stops at |g|_inf < tol, after cap steps, when no step gains, or
     after _STALL accepted steps without a new lowest |g|_inf.  Returns the
-    last psi, the row-exact plan P, Q, the row log-sums and colsum(P)
-    there, the number of steps taken and whether |g|_inf fell below tol.
+    last psi, the `_semi_dual` state there, the number of steps taken and
+    whether |g|_inf fell below tol.
     """
-    value, g, p, q, lse, col, size = _semi_dual(log_kernel, alpha, beta, psi)
+    state = _semi_dual(log_kernel, alpha, beta, psi)
+    g, p, q, col, size = state[:5]
+    value = None   # G(psi), once a trial has needed it
     k = col.size
     best, since = size, 0
     steps = 0
@@ -136,58 +156,61 @@ def _newton(log_kernel, alpha, beta, psi, cap: int, tol: float):
            and since < _STALL):
         system = -(p.T @ q)
         system.ravel()[::k + 1] += col + _DAMPING * size
-        system += col.sum() / k / k
+        system += np.add.reduce(col) / k / k
         d = np.linalg.solve(system, g)
         slope = g @ d
         t = 1.0
         while t >= _MIN_STEP:
             trial = psi + t * d
-            state = _semi_dual(log_kernel, alpha, beta, trial)
-            if state[0] >= value + _ARMIJO * t * slope or state[6] < size:
+            new = _semi_dual(log_kernel, alpha, beta, trial)
+            new_value = None
+            if new[4] < size:
+                break
+            if value is None:
+                value = _value(alpha, beta, psi, state)
+            new_value = _value(alpha, beta, trial, new)
+            if new_value >= value + _ARMIJO * t * slope:
                 break
             t *= 0.5
         else:
             break   # no step gains on G or |g|_inf at rounding level
-        psi = trial
-        value, g, p, q, lse, col, size = state
+        psi, state, value = trial, new, new_value
+        g, p, q, col, size = state[:5]
         steps += 1
         best, since = (size, 0) if size < best else (best, since + 1)
-    return psi, p, q, lse, col, steps, size < tol
+    return psi, state, steps, size < tol
 
 
-# bench/tracing.py reads the `cap` default, through prp.auctions._unroll_budget
-def solve_sinkhorn(alpha, beta, cost_matrix, lam: float, log_v=None,
-                   cap: int = 3000, tol: float = 1e-9) -> SinkhornResult:
-    """Solve the instance by damped Newton ascent of the semi-dual.
+def _check_lam(lam):
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
 
-    alpha weighs the action atoms (rows of `cost_matrix`) and beta the
-    types (its columns); both must lie on the simplex.  Returns the plan,
-    the potentials log u = phi and log v = psi (-inf on zero-weight rows
-    and columns), the loss and the envelope gradient in alpha.  `log_v`
-    warm-starts psi, e.g. with the `log_v` of the previous solve in a
-    descent loop.  A solve that stops short of `tol` (after `cap` Newton
-    steps, or where rounding stalls it) warns, and one that stops with a
-    column of the row-exact plan at 0 mass raises `FloatingPointError`.
+
+def _check_simplex(w, name):
+    if w.min(initial=0.0) < 0.0 or abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError(f"{name} must lie on the simplex")
+
+
+def _marginal_error(plan, alpha, beta) -> float:
+    return float(max(np.abs(plan.sum(axis=1) - alpha).max(),
+                     np.abs(plan.sum(axis=0) - beta).max()))
+
+
+def _solve(alpha, beta, cols, cost_matrix, lam: float, log_v, cap: int,
+           tol: float):
+    """The solve of `solve_sinkhorn` on checked arrays.
+
+    `cols` indexes the positive entries of beta; `log_v` is None or has
+    beta's shape.  Returns the plan, log v, the loss, the envelope
+    gradient in alpha, the number of Newton steps and the row log-sums.
+    A solve that stops short of tol warns with its marginal error.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    cost_matrix = np.asarray(cost_matrix, dtype=float)
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    if cap < 1:
-        raise ValueError("need at least one Newton step")
-    for w, name in ((alpha, "alpha"), (beta, "beta")):
-        if w.min(initial=0.0) < 0.0 or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{name} must lie on the simplex")
-    if cost_matrix.shape != (alpha.size, beta.size):
-        raise ValueError("cost matrix shape must match the marginals")
-    cols = (beta > 0.0).nonzero()[0]
     b = beta[cols]
-    start = (np.zeros(beta.size) if log_v is None
-             else np.asarray(log_v, dtype=float))
+    start = np.zeros(cols.size) if log_v is None else log_v[cols]
     # zero-weight rows stay in the system: their rows of P are exactly 0
-    psi, p, q, lse, col, steps, converged = _newton(
-        -cost_matrix[:, cols] / lam, alpha, b, start[cols], cap, tol)
+    psi, state, steps, converged = _newton(
+        -cost_matrix[:, cols] / lam, alpha, b, start, cap, tol)
+    _, p, q, col = state[:4]
     if not (col > 0.0).all():
         raise FloatingPointError(
             f"Sinkhorn solve at lam={lam:g} stopped after {steps} Newton "
@@ -196,24 +219,59 @@ def solve_sinkhorn(alpha, beta, cost_matrix, lam: float, log_v=None,
     r = b / col
     core = p * r
     psi = psi + np.log(r)
-    row_mass = core.sum(axis=1)
+    lse = _lse(state)
     # C + lam log(plan / (alpha x beta)) = lam (phi - log a + psi - log b)
-    loss = lam * (row_mass @ -lse + b @ (psi - np.log(b)))
-    error = float(max(np.abs(row_mass - alpha).max(),
-                      np.abs(core.sum(axis=0) - b).max()))
+    loss = lam * (np.add.reduce(core, axis=1) @ -lse
+                  + b @ (psi - np.log(b)))
     plan = np.zeros(cost_matrix.shape)
     plan[:, cols] = core
-    with np.errstate(divide="ignore"):
-        phi = np.log(alpha) - lse
     log_v = np.full(beta.size, -np.inf)
     log_v[cols] = psi
     f = -(lse + np.log(q @ r))   # -log(K v) at the updated psi
     if not converged:
         warnings.warn(f"Sinkhorn solve at lam={lam:g} stopped after {steps} "
-                      f"Newton steps with marginal error {error:.3g}",
-                      RuntimeWarning, stacklevel=2)
-    return SinkhornResult(plan, phi, log_v, float(loss), steps, error,
-                          lam * (f - f @ alpha - 1.0))
+                      f"Newton steps with marginal error "
+                      f"{_marginal_error(plan, alpha, beta):.3g}",
+                      RuntimeWarning, stacklevel=3)
+    return plan, log_v, float(loss), lam * (f - f @ alpha - 1.0), steps, lse
+
+
+# bench/tracing.py reads the `cap` default, through prp.auctions._unroll_budget
+def solve_sinkhorn(alpha, beta, cost_matrix, lam: float, log_v=None,
+                   cap: int = _CAP, tol: float = 1e-9) -> SinkhornResult:
+    """Solve the instance by damped Newton ascent of the semi-dual.
+
+    alpha weighs the action atoms (rows of `cost_matrix`) and beta the
+    types (its columns); both must lie on the simplex, and lam must be
+    positive and finite.  Returns the plan, the potentials log u = phi and
+    log v = psi (-inf on zero-weight rows and columns), the loss and the
+    envelope gradient in alpha.  `log_v` warm-starts psi, e.g. with the
+    `log_v` of the previous solve in a descent loop, and must have beta's
+    shape.  A solve that stops short of `tol` (after `cap` Newton steps, or
+    where rounding stalls it) warns, and one that stops with a column of
+    the row-exact plan at 0 mass raises `FloatingPointError`.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    cost_matrix = np.asarray(cost_matrix, dtype=float)
+    _check_lam(lam)
+    if cap < 1:
+        raise ValueError("need at least one Newton step")
+    _check_simplex(alpha, "alpha")
+    _check_simplex(beta, "beta")
+    if cost_matrix.shape != (alpha.size, beta.size):
+        raise ValueError("cost matrix shape must match the marginals")
+    if log_v is not None:
+        log_v = np.asarray(log_v, dtype=float)
+        if log_v.shape != beta.shape:
+            raise ValueError("log_v must have the shape of beta")
+    plan, log_v, loss, grad, steps, lse = _solve(
+        alpha, beta, (beta > 0.0).nonzero()[0], cost_matrix, lam, log_v, cap,
+        tol)
+    with np.errstate(divide="ignore"):
+        phi = np.log(alpha) - lse
+    return SinkhornResult(plan, phi, log_v, loss, steps,
+                          _marginal_error(plan, alpha, beta), grad)
 
 
 # unused by prp; kept because bench/tracing.py reads it
@@ -230,19 +288,37 @@ def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lam: float,
     Each step solves the instance once to tol 1e-8, warm started from the
     previous step's log v, and takes one packed optimizer step with its
     envelope gradients.  The tolerance bounds the column error |g|_inf of
-    the last Newton iterate; the reported `marginal_error` is the row error
-    after the final column update, which can exceed it slightly (up to
-    about 1.6e-8 has been seen at lam=1e-3).  On the toy benchmark panels
-    of seeds 1 to 5 (10,000 warm-started step solves at lam=0.1) a step
-    solve took 5.75 Newton steps on average (57,471 in all), median 6, at
-    most 12.  The weights start uniform and are projected onto
-    {w >= floor, sum w = 1}, the atoms onto the oracle's box if it has
-    `bounds`.  Returns the final atoms, the plan of a final solve to the
-    default tol 1e-9 (its column sums equal the prior) and the per-step
-    loss trace.
+    the last Newton iterate; the marginal error is the row error after the
+    final column update, which can exceed it slightly (up to about 1.6e-8
+    has been seen at lam=1e-3).  On the toy benchmark panels of seeds 1 to
+    5 (10,000 warm-started step solves at lam=0.1) a step solve took 5.75
+    Newton steps on average (57,471 in all), median 6, at most 12.  The
+    weights start uniform and are projected onto {w >= floor, sum w = 1},
+    the atoms onto the oracle's box if it has `bounds`.  Returns the final
+    atoms, the plan of a final `solve_sinkhorn` to the default tol 1e-9
+    (its column sums equal the prior) and the per-step loss trace.
+
+    The checks of `solve_sinkhorn` run once per descent: beta and lam do
+    not change, alpha comes out of `project_simplex` and log v out of the
+    previous solve.  A step solve calls `_solve` directly; it builds the
+    plan, the loss, log v and the alpha-gradient, and the marginal error
+    only for the warning of a solve that stops short.  Two memory orders
+    fix the rounding of every step, so they stay even where a shortcut
+    would give the same values up to rounding.  The column gather
+    `cost_matrix[:, cols]` is Fortran-ordered, also when every type has
+    positive weight, and that order sets the BLAS summation order of
+    `q @ r` and `p.T @ q`: skipping the gather moved the losses of
+    100-step toy descents (the benchmark's toy panel of seed 313) by up
+    to 6.4e-8.  The plan handed to the cost adjoint is C-ordered and
+    zero-filled: an F-ordered plan moved the trade-off values of a CLI
+    `sweep` by up to 9e-13 relative.
     """
     n = atoms.shape[0]
     alpha = np.full(n, 1.0 / n)
+    beta = np.asarray(prior_weights, dtype=float)
+    _check_lam(lam)
+    _check_simplex(beta, "beta")
+    cols = (beta > 0.0).nonzero()[0]
     lr = np.repeat([config.lr_weights, config.lr_atoms], [n, atoms.size])
     state = make_optimizer(config.method, lr, lr)
     box = None if cost.bounds is None else np.asarray(cost.bounds, float).T
@@ -250,12 +326,9 @@ def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lam: float,
     log_v = None
     for step in range(config.steps):
         matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms)
-        result = solve_sinkhorn(alpha, prior_weights, matrix, lam, log_v,
-                                tol=1e-8)
-        log_v = result.log_v
-        trace[step] = result.loss
-        grad = np.concatenate((result.grad_alpha,
-                               adjoint(result.plan).ravel()))
+        plan, log_v, trace[step], grad_alpha, *_ = _solve(
+            alpha, beta, cols, matrix, lam, log_v, _CAP, 1e-8)
+        grad = np.concatenate((grad_alpha, adjoint(plan).ravel()))
         packed = optimizer_step(
             state, np.concatenate((alpha, atoms.ravel())), grad)
         alpha = project_simplex(packed[:n], floor=floor)
@@ -263,7 +336,7 @@ def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lam: float,
         if box is not None:
             atoms = project_box(atoms, *box)
     matrix, _ = cost_with_adjoint(cost, atoms, type_atoms)
-    result = solve_sinkhorn(alpha, prior_weights, matrix, lam, log_v)
+    result = solve_sinkhorn(alpha, beta, matrix, lam, log_v)
     return atoms, result.plan, trace
 
 

@@ -241,6 +241,80 @@ def sinkhorn_finish(log_u, alpha, beta, cost, lam):
 
 
 # ---------------------------------------------------------------------------
+# the eager Newton solve: G and the row log-sums at every evaluation
+
+def _semi_dual_eager(log_kernel, alpha, beta, psi):
+    m = log_kernel + psi
+    shift = m.max(axis=1)
+    e = np.exp(m - shift[:, None])
+    mass = e.sum(axis=1)
+    q = e / mass[:, None]
+    p = alpha[:, None] * q
+    lse = np.log(mass) + shift
+    col = p.sum(axis=0)
+    g = beta - col
+    return beta @ psi - alpha @ lse, g, p, q, lse, col, np.abs(g).max()
+
+
+def sinkhorn_newton_eager(alpha, beta, cost, lam, log_v=None, cap=3000,
+                          tol=1e-9):
+    """The damped Newton solve of `prp.sinkhorn` as it was written before
+    its semi-dual value became lazy: every evaluation computes G(psi) and
+    the row log-sums, and a trial is tested on the Armijo rule first.  The
+    damping 0.1, Armijo constant 1e-4, smallest step 2^-30 and stall run of
+    100 steps are those of `prp.sinkhorn`.
+
+    Returns log v, the plan, the loss, the Newton steps, the envelope
+    gradient in alpha, and how many accepted steps lowered |g|_inf and how
+    many passed only the Armijo test (the fallback).
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    cols = (beta > 0.0).nonzero()[0]
+    b = beta[cols]
+    start = (np.zeros(beta.size) if log_v is None
+             else np.asarray(log_v, dtype=float))
+    log_kernel, psi = -cost[:, cols] / lam, start[cols]
+    value, g, p, q, lse, col, size = _semi_dual_eager(log_kernel, alpha, b,
+                                                      psi)
+    k = col.size
+    best, since, steps, by_armijo, by_size = size, 0, 0, 0, 0
+    while steps < cap and size >= tol and size > 0.0 and since < 100:
+        system = -(p.T @ q)
+        system.ravel()[::k + 1] += col + 0.1 * size
+        system += col.sum() / k / k
+        d = np.linalg.solve(system, g)
+        slope = g @ d
+        t = 1.0
+        while t >= 2.0 ** -30:
+            trial = psi + t * d
+            state = _semi_dual_eager(log_kernel, alpha, b, trial)
+            if state[0] >= value + 1e-4 * t * slope or state[6] < size:
+                break
+            t *= 0.5
+        else:
+            break
+        by_size += state[6] < size
+        by_armijo += not state[6] < size
+        psi = trial
+        value, g, p, q, lse, col, size = state
+        steps += 1
+        best, since = (size, 0) if size < best else (best, since + 1)
+    r = b / col
+    core = p * r
+    psi = psi + np.log(r)
+    loss = lam * (core.sum(axis=1) @ -lse + b @ (psi - np.log(b)))
+    plan = np.zeros(cost.shape)
+    plan[:, cols] = core
+    log_v = np.full(beta.size, -np.inf)
+    log_v[cols] = psi
+    f = -(lse + np.log(q @ r))
+    return (log_v, plan, float(loss), steps, lam * (f - f @ alpha - 1.0),
+            by_size, by_armijo)
+
+
+# ---------------------------------------------------------------------------
 # column projection by rank search
 
 def project_columns_rank_search(matrix, totals) -> np.ndarray:

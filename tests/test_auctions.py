@@ -460,14 +460,16 @@ def test_training_with_tiny_privacy_weight_specializes():
 def test_tiny_privacy_weight_step_solves_all_converge(monkeypatch):
     # the instance above; with a 3000-iteration scaling loop, 33 of its 250
     # step solves ended at the cap with marginal error up to 6.4e-4
-    solve, errors = sinkhorn.solve_sinkhorn, []
+    # the step solves call sinkhorn._solve directly, and so does the final
+    # solve_sinkhorn
+    solve, errors = sinkhorn._solve, []
 
-    def recorded(*args, **kwargs):
-        result = solve(*args, **kwargs)
-        errors.append(result.marginal_error)
+    def recorded(alpha, beta, *args):
+        result = solve(alpha, beta, *args)
+        errors.append(sinkhorn._marginal_error(result[0], alpha, beta))
         return result
 
-    monkeypatch.setattr(sinkhorn, "solve_sinkhorn", recorded)
+    monkeypatch.setattr(sinkhorn, "_solve", recorded)
     train_strategy(AuctionModel(n_types=10), lam=1e-3,
                    config=DescentConfig(steps=250), seed=1, width=40)
     assert len(errors) == 251   # 250 step solves and the final solve

@@ -232,6 +232,34 @@ def test_zero_privacy_weight_stops_with_a_finite_trace():
     assert finals == [finals[0]] * 4
 
 
+def full_information_value(y, prior, bounds):
+    """sum_k p0_k min over the box corners v of v . y_k."""
+    vertices = oracles.box_vertices(*np.asarray(bounds).T)
+    return float(prior @ (y @ vertices.T).min(axis=1))
+
+
+def test_zero_privacy_weight_reaches_the_full_information_optimum():
+    # CLI dca {"d": 2, "K": 5, "lam": 0, "seed": 3} used to stop after 2
+    # outer steps at -0.82827: the column argmin only picks among the rows'
+    # current corners.  Its unit-norm types reach -sum_k p0_k |y_k|_1 = -1.
+    instance = toy.sample_instance(2, 5, seeds.rng_for(3, seeds.INSTANCE))
+    rng = np.random.default_rng(14)
+    y, prior, _ = random_instance(rng, d=3, k=6)
+    cases = [(instance.type_atoms, instance.prior_weights, instance.bounds,
+              -1.0),
+             (y, prior, off_center_box(rng, 3), None)]
+    for y, prior, bounds, expected in cases:
+        optimum = full_information_value(y, prior, bounds)
+        if expected is not None:
+            assert optimum == pytest.approx(expected, abs=1e-12)
+        result = dca_solve(y, prior, bounds, KL, 0.0)
+        assert result.outer_iterations == 1
+        assert result.trace[-1] == pytest.approx(optimum, abs=1e-12)
+        assert prp_objective(result.plan, linear_cost(bounds), KL,
+                             0.0) == pytest.approx(optimum, abs=1e-12)
+        assert np.abs(result.plan.gamma.sum(axis=0) - prior).max() < 1e-15
+
+
 @pytest.mark.parametrize("seed, optimum", [(0, -0.9315216513),
                                            (1, -0.9319108380),
                                            (2, -0.8913016319)])

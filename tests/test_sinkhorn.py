@@ -34,6 +34,10 @@ def step_gradients(alpha, atoms, nu, cost, lam):
 BAD_INPUTS = {
     "zero-lam": ({"lam": 0.0}, "lam must be positive"),
     "negative-lam": ({"lam": -0.1}, "lam must be positive"),
+    "nan-lam": ({"lam": float("nan")}, "lam must be positive and finite"),
+    "infinite-lam": ({"lam": float("inf")}, "lam must be positive and finite"),
+    "long-log-v": ({"log_v": np.zeros(4)}, "log_v must have the shape of beta"),
+    "short-log-v": ({"log_v": np.zeros(2)}, "log_v must have the shape of beta"),
     "zero-cap": ({"cap": 0}, "at least one Newton step"),
     "negative-alpha": ({"alpha": [1.2, -0.2]}, "alpha must lie on the simplex"),
     "alpha-sum": ({"alpha": [0.5, 0.6]}, "alpha must lie on the simplex"),
@@ -417,20 +421,101 @@ def test_tolerance_below_the_rounding_floor_stops_on_the_stall():
 
 
 def test_toy_step_solves_take_few_newton_steps(monkeypatch):
-    solve, steps = sinkhorn.solve_sinkhorn, []
+    # the step solves call sinkhorn._solve directly, and so does the final
+    # solve_sinkhorn; the fifth output of _solve is its Newton step count
+    solve, steps = sinkhorn._solve, []
 
-    def counted(*args, **kwargs):
-        result = solve(*args, **kwargs)
-        steps.append(result.iterations)
+    def counted(*args):
+        result = solve(*args)
+        steps.append(result[4])
         return result
 
-    monkeypatch.setattr(sinkhorn, "solve_sinkhorn", counted)
+    monkeypatch.setattr(sinkhorn, "_solve", counted)
     instance = sample_instance(2, 5, np.random.default_rng(5))
     minimize_sinkhorn(instance.prior_weights, instance.type_atoms,
                       linear_cost(instance.bounds), 0.1,
                       config=DescentConfig(steps=100), seed=0)
     assert len(steps) == 101   # 100 step solves and the final solve
     assert max(steps) <= 25
+
+
+def assert_equals_the_eager_solve(outputs, reference):
+    """`outputs` (plan, log v, loss, grad_alpha, steps) equal the first five
+    outputs of `oracles.sinkhorn_newton_eager` bit for bit."""
+    plan, log_v, loss, grad, steps = outputs
+    eager_log_v, eager_plan, eager_loss, eager_steps, eager_grad = reference[:5]
+    assert (log_v == eager_log_v).all()
+    assert (plan == eager_plan).all()
+    assert loss == eager_loss
+    assert steps == eager_steps
+    assert (grad == eager_grad).all()
+
+
+def test_warm_toy_step_solves_equal_the_eager_solve(monkeypatch):
+    # the step solves of a toy descent, each re-solved by the reference
+    # that computes G and the row log-sums at every evaluation
+    solve, calls = sinkhorn._solve, []
+
+    def recorded(alpha, beta, cols, matrix, lam, log_v, cap, tol):
+        result = solve(alpha, beta, cols, matrix, lam, log_v, cap, tol)
+        calls.append(((alpha, beta, matrix, lam, log_v, cap, tol), result))
+        return result
+
+    monkeypatch.setattr(sinkhorn, "_solve", recorded)
+    instance = sample_instance(2, 5, np.random.default_rng(5))
+    minimize_sinkhorn(instance.prior_weights, instance.type_atoms,
+                      linear_cost(instance.bounds), 0.1,
+                      config=DescentConfig(steps=40), seed=0)
+    assert len(calls) == 41
+    assert sum(args[4] is not None for args, _ in calls) == 40   # warm
+    for args, result in calls:
+        assert_equals_the_eager_solve(
+            result[:5], oracles.sinkhorn_newton_eager(*args))
+
+
+def _with_zero(weights, index):
+    weights = weights.copy()
+    weights[index] = 0.0
+    return weights / weights.sum()
+
+
+def _zero_weight_problem(seed, row):
+    alpha, beta, cost, lam = random_problem(np.random.default_rng(seed), 5, 4,
+                                            0.05)
+    if row:
+        return _with_zero(alpha, 1), beta, cost, lam
+    return alpha, _with_zero(beta, 2), cost, lam
+
+
+# name: (problem, solve options, whether the solve must accept steps on
+# both rules, the |g|_inf test and the Armijo fallback)
+EAGER_CASES = {
+    "cold-hard": (hard_instance(), {"tol": 1e-8}, True),
+    "cold-random": (random_problem(np.random.default_rng(11), 6, 4, 1e-3),
+                    {"tol": 1e-8}, True),
+    "zero-row": (_zero_weight_problem(3, row=True), {}, False),
+    "zero-column": (_zero_weight_problem(4, row=False), {}, False),
+    "capped": (hard_instance(), {"cap": 5, "tol": 1e-8}, False),
+}
+
+
+@pytest.mark.parametrize("problem, options, both_rules", EAGER_CASES.values(),
+                         ids=EAGER_CASES)
+def test_solve_equals_the_eager_solve(problem, options, both_rules):
+    if "cap" in options:
+        with pytest.warns(RuntimeWarning, match="after 5 Newton steps"):
+            result = solve_sinkhorn(*problem, **options)
+    else:
+        result = solve_sinkhorn(*problem, **options)
+    reference = oracles.sinkhorn_newton_eager(*problem, **options)
+    assert_equals_the_eager_solve(
+        (result.plan, result.log_v, result.loss, result.grad_alpha,
+         result.iterations), reference)
+    by_size, by_armijo = reference[5:]
+    if both_rules:
+        assert by_size > 0 and by_armijo > 0
+    if "cap" in options:
+        assert result.iterations == options["cap"]
 
 
 def test_gradient_single_atom_reduces_to_cost_gradient():
