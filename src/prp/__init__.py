@@ -12,9 +12,9 @@ atoms from the cost oracle's adjoint map.
 
 __version__ = "0.1.0"
 
-from .divergences import (FDivergence, alpha_divergence, divergence,
-                          from_name, kl_divergence, perspective_h,
-                          reverse_kl_divergence, total_variation)
+from .divergences import (FDivergence, alpha_divergence, from_name,
+                          kl_divergence, reverse_kl_divergence,
+                          total_variation)
 from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
                        cost_matrix, linear_cost, plan_to_json, prp_objective)
 from .optim import (DescentConfig, OptimizerState, make_optimizer,

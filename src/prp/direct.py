@@ -40,7 +40,9 @@ def kl_plan_objective(gamma, cost_matrix, prior_weights, lam: float):
 
     which is C + lam log(gamma / (p0 m)) on positive entries and stays
     finite on the exact zeros that `project_columns` leaves.  A (B, n, K)
-    stack of plans and cost matrices gives B values and B gradients.
+    stack of plans and cost matrices gives B values and B gradients.  The
+    prior is a (K,) vector or, as the descent passes it, at the plans'
+    shape, which gives the same bits without a broadcast per product.
     """
     gamma = np.asarray(gamma, dtype=float)
     cost_matrix = np.asarray(cost_matrix, dtype=float)
@@ -92,6 +94,11 @@ def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
         lower, upper, size=(n, bounds.shape[0])) for _, seed in starts])
     b = len(configs)
     gamma = np.tile(prior_weights / n, (b, n, 1))
+    # the constants each step combines elementwise, at the shapes they meet
+    # (see `optim.make_optimizer`)
+    prior_full = np.broadcast_to(prior_weights, gamma.shape).copy()
+    lower = np.broadcast_to(lower, atoms.shape).copy()
+    upper = np.broadcast_to(upper, atoms.shape).copy()
     # one optimizer state over the packed rows (gamma_b, atoms_b)
     split = n * k
     lr = np.stack([np.repeat([c.lr_weights, c.lr_atoms],
@@ -104,8 +111,7 @@ def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
     grad = np.empty((b, lr.shape[1]))
     for step in range(steps):
         matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms_arr)
-        value, grad_gamma = kl_plan_objective(gamma, matrix, prior_weights,
-                                              lam)
+        value, grad_gamma = kl_plan_objective(gamma, matrix, prior_full, lam)
         trace[:, step] = value
         row = rows[step]
         row[:, :split] = gamma.reshape(b, -1)
@@ -114,11 +120,11 @@ def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
         grad[:, split:] = adjoint(gamma).reshape(b, -1)
         packed = optimizer_step(state, row, grad)
         gamma = project_columns(packed[:, :split].reshape(gamma.shape),
-                                prior_weights)
+                                prior_full)
         atoms = project_box(packed[:, split:].reshape(atoms.shape),
                             lower, upper)
     matrix, _ = cost_with_adjoint(cost, atoms, type_atoms_arr)
-    final_value, _ = kl_plan_objective(gamma, matrix, prior_weights, lam)
+    final_value, _ = kl_plan_objective(gamma, matrix, prior_full, lam)
     # argmin picks the first of tied minima, as a running strict minimum would
     first = trace.argmin(axis=1)
     starts_index = np.arange(b)

@@ -106,53 +106,14 @@ def from_name(name: str) -> FDivergence:
     raise ValueError(f"unknown divergence {name!r}")
 
 
-def divergence(div: FDivergence, p, q) -> float:
-    """D(P, Q) = sum_k q_k f(p_k / q_k) over a shared atom set.
-
-    Conventions: a term is q_k * f_at_zero when p_k = 0, it is
-    p_k * f_slope_at_infinity when q_k = 0 < p_k, and 0 when both vanish.
-    Returns +inf as a value where the conventions dictate.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("p and q must share the same atom set")
-    total = 0.0
-    for pk, qk in zip(p.ravel(), q.ravel()):
-        if qk > 0.0:
-            if pk > 0.0:
-                total += qk * float(div.f(pk / qk))
-            else:
-                total += qk * div.f_at_zero
-        elif pk > 0.0:
-            total += pk * div.f_slope_at_infinity
-        if total == _INF:
-            return _INF
-    return total
-
-
-def perspective_h(div: FDivergence, gamma_row, prior, k: int) -> float:
-    """Row-wise privacy cost h_k(row) = m * f(row_k / (prior_k * m)), m = sum(row).
-
-    Zero rows cost 0; a zero k-th entry uses the f_at_zero convention.
-    """
-    row = np.asarray(gamma_row, dtype=float)
-    m = float(row.sum())
-    if m <= 0.0:
-        return 0.0
-    if row[k] == 0.0:
-        return m * div.f_at_zero
-    # divide by the mass first: row[k]/m is in [0, 1], so no underflow
-    return m * float(div.f((row[k] / m) / prior[k]))
-
-
 def perspective_total(div: FDivergence, gamma, prior) -> float | np.ndarray:
-    """sum_{i,k} prior_k * h_k(gamma_i) — the privacy cost of a plan matrix.
+    """sum_{i,k} prior_k m_i f(gamma_ik / (prior_k m_i)), m_i the row mass:
+    the privacy cost of a plan matrix.
 
-    Equals sum_i m_i * divergence(gamma_i / m_i, prior), m_i the row mass,
-    with the same conventions; massless rows cost 0.  A (..., n, K) stack of
-    plans gets one cost per plan, an array over the leading axes; a single
-    (n, K) plan gets a float.
+    Equals sum_i m_i * D(gamma_i / m_i, prior) with D(p, q) =
+    sum_k q_k f(p_k / q_k) and the conventions above; massless rows cost 0.
+    A (..., n, K) stack of plans gets one cost per plan, an array over the
+    leading axes; a single (n, K) plan gets a float.
     """
     gamma = np.asarray(gamma, dtype=float)
     prior = np.asarray(prior, dtype=float)

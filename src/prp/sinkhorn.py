@@ -113,7 +113,8 @@ def _semi_dual(log_kernel, alpha, beta, psi):
     """At psi: the gradient g of G, the row-exact plan P, Q = P / alpha,
     colsum(P), |g|_inf, and the row sums of the shifted kernel rows and
     their shifts (the row maxima), from which `_lse` and `_value` compute
-    the row log-sums and G when they are needed."""
+    the row log-sums and G when they are needed.  `alpha` is given at the
+    log-kernel's shape and memory order (see `_newton`)."""
     # ufunc reductions, not ndarray.max/.sum: on these small arrays the
     # wrapper costs a large share of the call
     m = log_kernel + psi
@@ -122,7 +123,7 @@ def _semi_dual(log_kernel, alpha, beta, psi):
     mass = np.add.reduce(e, axis=1)
     # e / mass, not exp(m - lse): its rounding does not grow with |psi|
     q = e / mass[:, None]
-    p = alpha[:, None] * q
+    p = alpha * q
     col = np.add.reduce(p, axis=0)
     g = beta - col
     return g, p, q, col, np.maximum.reduce(np.abs(g)), mass, shift
@@ -145,8 +146,19 @@ def _newton(log_kernel, alpha, beta, psi, cap: int, tol: float):
     after _STALL accepted steps without a new lowest |g|_inf.  Returns the
     last psi, the `_semi_dual` state there, the number of steps taken and
     whether |g|_inf fell below tol.
+
+    The row weights are spread once per solve to the log-kernel's shape,
+    so that P = alpha * Q multiplies two same-shape arrays: on 7x5 arrays
+    that takes 0.45 us against 1.19 us for alpha[:, None] * Q.  The
+    spread copy takes the kernel's memory order (`np.empty_like`), which
+    P then inherits: the kernel's Fortran order sets the BLAS order of
+    `p.T @ q`, and a C-ordered copy changed the result of 35 of 40
+    random 12x10 solves at lam = 1e-3 and 0.1.  The t = 1 trial is
+    psi + d, which is psi + 1.0 * d to the bit.
     """
-    state = _semi_dual(log_kernel, alpha, beta, psi)
+    weights = np.empty_like(log_kernel)
+    weights[...] = alpha[:, None]
+    state = _semi_dual(log_kernel, weights, beta, psi)
     g, p, q, col, size = state[:5]
     value = None   # G(psi), once a trial has needed it
     k = col.size
@@ -161,8 +173,8 @@ def _newton(log_kernel, alpha, beta, psi, cap: int, tol: float):
         slope = g @ d
         t = 1.0
         while t >= _MIN_STEP:
-            trial = psi + t * d
-            new = _semi_dual(log_kernel, alpha, beta, trial)
+            trial = psi + d if t == 1.0 else psi + t * d
+            new = _semi_dual(log_kernel, weights, beta, trial)
             new_value = None
             if new[4] < size:
                 break
@@ -321,7 +333,9 @@ def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lam: float,
     cols = (beta > 0.0).nonzero()[0]
     lr = np.repeat([config.lr_weights, config.lr_atoms], [n, atoms.size])
     state = make_optimizer(config.method, lr, lr)
-    box = None if cost.bounds is None else np.asarray(cost.bounds, float).T
+    # the box at the atoms' shape, once per descent (see `make_optimizer`)
+    box = (None if cost.bounds is None else np.broadcast_to(
+        np.asarray(cost.bounds, float).T[:, None], (2,) + atoms.shape).copy())
     trace = np.empty(config.steps)
     log_v = None
     for step in range(config.steps):

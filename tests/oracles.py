@@ -17,6 +17,52 @@ from prp.measures import CostOracle
 
 
 # ---------------------------------------------------------------------------
+# divergences term by term, from the boundary conventions of FDivergence
+
+_INF = float("inf")
+
+
+def divergence(div, p, q) -> float:
+    """D(P, Q) = sum_k q_k f(p_k / q_k) over a shared atom set.
+
+    Conventions: a term is q_k * f_at_zero when p_k = 0, it is
+    p_k * f_slope_at_infinity when q_k = 0 < p_k, and 0 when both vanish.
+    Returns +inf as a value where the conventions dictate.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError("p and q must share the same atom set")
+    total = 0.0
+    for pk, qk in zip(p.ravel(), q.ravel()):
+        if qk > 0.0:
+            if pk > 0.0:
+                total += qk * float(div.f(pk / qk))
+            else:
+                total += qk * div.f_at_zero
+        elif pk > 0.0:
+            total += pk * div.f_slope_at_infinity
+        if total == _INF:
+            return _INF
+    return total
+
+
+def perspective_h(div, gamma_row, prior, k: int) -> float:
+    """Row-wise privacy cost h_k(row) = m * f(row_k / (prior_k * m)), m = sum(row).
+
+    Zero rows cost 0; a zero k-th entry uses the f_at_zero convention.
+    """
+    row = np.asarray(gamma_row, dtype=float)
+    m = float(row.sum())
+    if m <= 0.0:
+        return 0.0
+    if row[k] == 0.0:
+        return m * div.f_at_zero
+    # divide by the mass first: row[k]/m is in [0, 1], so no underflow
+    return m * float(div.f((row[k] / m) / prior[k]))
+
+
+# ---------------------------------------------------------------------------
 # plan-objective evaluation (vectorized over a batch of candidate plans)
 
 def objective_batch(gammas: np.ndarray, cost: np.ndarray, prior: np.ndarray,
@@ -559,6 +605,22 @@ def adam_step_reference(param, grad, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     m_hat = m / (1 - b1 ** t)
     v_hat = v / (1 - b2 ** t)
     return param - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+# (b1, 1 - b1, b2, 1 - b2, eps, bias-corrected) of each update rule
+_MOMENT_RULES = {"adam": (0.9, 1.0 - 0.9, 0.999, 1.0 - 0.999, 1e-8, True),
+                 "rmsprop": (0.0, 1.0, 0.9, 0.1, 1e-8, False),
+                 "pgd": (0.0, 1.0, 0.0, 0.0, 1.0, False)}
+
+
+def moment_rule_step(name, param, grad, m, v, t, lr):
+    """Step t of one start's update with Python-float coefficients, in the
+    operation order of `prp.optim.optimizer_step`; returns (param, m, v)."""
+    b1, c1, b2, c2, eps, corrected = _MOMENT_RULES[name]
+    m = b1 * m + c1 * grad
+    v = b2 * v + c2 * grad * grad
+    bc1, bc2 = (1.0 - b1 ** t, 1.0 - b2 ** t) if corrected else (1.0, 1.0)
+    return param - lr * (m / bc1) / (np.sqrt(v / bc2) + eps), m, v
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,23 @@ def test_objective_matches_plan_objective():
     assert value == pytest.approx(expected, abs=1e-9)
 
 
+def test_objective_with_full_shape_prior_is_bit_identical():
+    # the descent passes the prior at the plans' shape; value and gradient
+    # keep the bits of the (K,) prior
+    rng = np.random.default_rng(6)
+    for b, k in ((1, 3), (2, 5), (3, 4)):
+        _, prior = random_instance(rng, k)
+        gamma = rng.dirichlet(np.ones(k + 2), size=(b, k)).transpose(0, 2, 1)
+        gamma *= prior
+        gamma[0, 1] = 0.0     # an exact zero row, as projections leave them
+        matrix = rng.uniform(-1.0, 1.0, size=gamma.shape)
+        full = np.broadcast_to(prior, gamma.shape).copy()
+        value, grad = kl_plan_objective(gamma, matrix, prior, 0.3)
+        full_value, full_grad = kl_plan_objective(gamma, matrix, full, 0.3)
+        assert np.array_equal(full_value, value)
+        assert np.array_equal(full_grad, grad)
+
+
 def test_plan_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     y, prior = random_instance(rng)

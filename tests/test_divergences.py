@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prp.divergences import (alpha_divergence, divergence, from_name,
-                             kl_divergence, perspective_h, perspective_total,
-                             perspective_total_grad, reverse_kl_divergence,
-                             total_variation)
+from prp.divergences import (alpha_divergence, from_name, kl_divergence,
+                             perspective_total, perspective_total_grad,
+                             reverse_kl_divergence, total_variation)
+
+from oracles import divergence, perspective_h
 
 ALL = [kl_divergence(), reverse_kl_divergence(), total_variation(),
        alpha_divergence(2.0), alpha_divergence(1.5)]

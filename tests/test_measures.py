@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prp.divergences import kl_divergence, perspective_h, total_variation
+from prp.divergences import kl_divergence, total_variation
 from prp.measures import (DiscreteDistribution, TransportPlan, linear_cost,
                           plan_to_json, prp_objective)
 
-from oracles import matrix_cost
+from oracles import matrix_cost, perspective_h
 
 KL = kl_divergence()
 ZERO_COST = matrix_cost(np.zeros((8, 8)))

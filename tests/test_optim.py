@@ -172,6 +172,56 @@ def test_packed_state_with_array_lr_equals_separate_states(method):
              for gamma, atoms in pieces]))
 
 
+# the start methods of the stacked-state tests: B = 1, 2 and 3
+MIXES = [("adam",), ("rmsprop", "adam"), ("pgd", "adam", "rmsprop")]
+
+
+@pytest.mark.parametrize("names", MIXES, ids=["-".join(n) for n in MIXES])
+def test_stacked_state_equals_per_start_states(names):
+    # the state keeps its coefficients at the parameter's full shape; each
+    # start still steps bit for bit as a state of its own would, and as the
+    # rule written with Python-float coefficients
+    rng = np.random.default_rng(len(names))
+    shape = (len(names), 7, 5)
+    param = rng.normal(size=shape)
+    rates = rng.uniform(0.01, 0.1, size=len(names))
+    lr = np.broadcast_to(rates[:, None, None], shape).copy()
+    stacked = make_optimizer(list(names), lr, param)
+    states = [make_optimizer(name, rate, row)
+              for name, rate, row in zip(names, rates, param)]
+    rows = list(param)
+    refs = [(row, np.zeros(shape[1:]), np.zeros(shape[1:])) for row in param]
+    for t in range(1, 31):
+        grad = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e3])
+        param = optimizer_step(stacked, param, grad)
+        rows = [optimizer_step(state, row, g)
+                for state, row, g in zip(states, rows, grad)]
+        refs = [oracles.moment_rule_step(name, p, g, m, v, t, rate)
+                for name, rate, (p, m, v), g in zip(names, rates, refs, grad)]
+        assert np.array_equal(param, np.stack(rows))
+        assert np.array_equal(param, np.stack([p for p, _, _ in refs]))
+
+
+def test_column_projection_with_full_shape_totals_is_bit_identical():
+    # totals given at the plans' shape, as the descent loops pass them,
+    # give the bits of the (K,) totals, also on the dead-column path
+    rng = np.random.default_rng(25)
+    for trial in range(200):
+        b, n, k = rng.integers(1, 4), rng.integers(1, 9), rng.integers(1, 6)
+        stack = rng.normal(size=(b, n, k)) * rng.choice([0.01, 1.0, 100.0])
+        dead = rng.integers(b), rng.integers(k)
+        if trial % 4 == 0:
+            # a column of equal entries far above its total: the
+            # projection vanishes in floating point
+            stack[dead[0], :, dead[1]] = 1e20
+        totals = rng.dirichlet(np.ones(k)) * rng.choice([1e-3, 1.0, 10.0])
+        full = np.broadcast_to(totals, stack.shape).copy()
+        out = project_columns(stack, totals)
+        assert np.array_equal(project_columns(stack, full), out)
+        if trial % 4 == 0:
+            assert (out[dead[0], :, dead[1]] == totals[dead[1]] / n).all()
+
+
 def test_stacked_state_rejects_unknown_methods():
     with pytest.raises(ValueError):
         make_optimizer(["adam", "sgd"], 0.1, np.zeros((2, 3)))

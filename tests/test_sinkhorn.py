@@ -496,6 +496,12 @@ EAGER_CASES = {
     "zero-row": (_zero_weight_problem(3, row=True), {}, False),
     "zero-column": (_zero_weight_problem(4, row=False), {}, False),
     "capped": (hard_instance(), {"cap": 5, "tol": 1e-8}, False),
+    # auction-sized: the memory order of the plan sets the BLAS order of
+    # p.T @ q, which the 6x4 cases above do not resolve
+    "auction-1e-3": (random_problem(np.random.default_rng(12), 12, 10, 1e-3),
+                     {"tol": 1e-8}, False),
+    "auction-0.1": (random_problem(np.random.default_rng(13), 12, 10, 0.1),
+                    {"tol": 1e-8}, False),
 }
 
 
