@@ -5,19 +5,17 @@ columns sum to the prior, with L the cost matrix of fixed actions: a
 lattice of actions for the full-grid convex problem, and the rows' best
 box corners for the DCA step (the linearization of its concave part).
 
-lam = 0 is a linear program over scaled simplices and is solved in closed
-form.  For KL the privacy term is the mutual information, and at fixed row
-masses the best plan is a Gibbs plan in closed form, so the solve is a
-convex problem in the n row masses alone (Blahut 1972; Csiszar & Tusnady
-1984): `optim.minimize_columns_pgd` descends on the masses, and their
-Gibbs plan is returned.  Every other generator runs the same descent on
-the full plan, in one loop over smoothing levels: a smooth generator is
-one level, and the kinked total-variation generator is annealed through a
-shrinking Huber smoothing, with the best iterate under the true objective
-kept.  Every descent starts from step 1/lam and stops on the one rule of
-`optim.minimize_columns_pgd`: the rounding floor of its line search, a
-window of steps whose relative decrease is at most `optim._TOL`, or
-`optim.MAX_STEPS` steps.
+lam = 0 is a linear program over scaled simplices, solved in closed form.
+Total variation, f(t) = |t - 1| / 2, has a piecewise-linear privacy term,
+so its solve is a linear program too, solved exactly by HiGHS (scipy is
+imported for it alone); its reported steps are HiGHS iterations.  For KL
+the privacy term is the mutual information, and at fixed row masses the
+best plan is a Gibbs plan in closed form, so the solve is a convex problem
+in the n row masses alone (Blahut 1972; Csiszar & Tusnady 1984):
+`optim.minimize_columns_pgd` descends on the masses, and their Gibbs plan
+is returned.  Any other generator must be smooth, and the same descent
+runs on the full plan.  Every descent starts from step 1/lam and stops on
+the one rule of `optim.minimize_columns_pgd` (or at `optim.MAX_STEPS`).
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from . import optim
 from .optim import PGDResult, minimize_columns_pgd
 
 _BLAHUT_ARIMOTO_STEPS = 8   # warm start of the KL row-mass descent
-_LEVELS = np.geomspace(1e-1, 1e-8, 8)   # Huber widths of the TV annealing
 
 
 def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
@@ -42,6 +39,8 @@ def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
     """Solve from ``init`` (default: the uniform mixture); warn if capped."""
     linear = np.asarray(linear, dtype=float)
     prior = np.asarray(prior_weights, dtype=float)
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lam must be non-negative and finite, got {lam!r}")
     if lam == 0.0:
         gamma = np.zeros_like(linear)
         gamma[np.argmin(linear, axis=0), np.arange(linear.shape[1])] = prior
@@ -54,6 +53,8 @@ def minimize_linear_plus_privacy(linear: np.ndarray, prior_weights,
     init = np.asarray(init, dtype=float)
     if divergence.name == "kl":
         result = _row_mass_solve(objective, linear, prior, lam, init)
+    elif divergence.name == "tv":
+        result = _tv_program(objective, linear, prior, lam, init)
     else:
         result = _plan_descent(objective, linear, prior, divergence, lam,
                                init)
@@ -135,42 +136,41 @@ def _row_mass_solve(objective, linear, prior, lam, init):
 
 
 def _plan_descent(objective, linear, prior, divergence, lam, init):
-    """Entropic plan descent over smoothing levels; steps add up over them.
-
-    A smooth generator is one level, the objective itself.  TV, the only
-    non-smooth generator accepted, runs one Huber width of _LEVELS per
-    level from the last level's plan, each with the full step budget (the
-    smoothed curvature grows like 1/mu), and keeps the best plan under the
-    true objective, init included, since a smoothed level may raise it.
-    """
-    if divergence.smooth:
-        levels, best = [divergence], None
-    elif divergence.name != "tv":
+    """Entropic descent on the full plan; only smooth generators."""
+    if not divergence.smooth:
         raise ValueError(f"non-smooth generator {divergence.name!r}: only "
-                         "the total-variation kink is smoothed")
-    else:
-        levels = [_smoothed(divergence, mu) for mu in _LEVELS]
-        best = (init, _value(objective, init))
-    gamma, steps, converged = init, 0, True
-    for level in levels:
-        result = minimize_columns_pgd(*_terms(linear, prior, level, lam),
-                                      gamma, prior, 1.0 / lam)
-        gamma = result.x
-        steps += result.steps
-        converged = converged and result.converged
-        value = _value(objective, gamma)
-        if best is None or value < best[1]:
-            best = (gamma, value)
-    return PGDResult(*best, steps, converged)
+                         "the total-variation kink has a solve")
+    result = minimize_columns_pgd(*_terms(linear, prior, divergence, lam),
+                                  init, prior, 1.0 / lam)
+    return replace(result, value=_value(objective, result.x))
 
 
-def _smoothed(div: FDivergence, mu: float) -> FDivergence:
-    """Huber-smooth the total-variation kink at width ``mu``."""
-    def f(t):
-        z = t - 1.0
-        return 0.5 * np.where(np.abs(z) <= mu, z * z / (2.0 * mu),
-                              np.abs(z) - mu / 2.0)
+def _tv_program(objective, linear, prior, lam, init):
+    """TV as one linear program, solved by HiGHS (Huangfu & Hall 2018).
 
-    return FDivergence(name="tv", f=f, f_at_zero=float(f(np.array(0.0))),
-                       f_slope_at_infinity=0.5,
-                       f_prime=lambda t: 0.5 * np.clip((t - 1.0) / mu, -1.0, 1.0))
+    Minimizes <L, gamma> + lam/2 * sum s over plans and slacks
+    s_ik >= |gamma_ik - p_k m_i|, rescales the plan's columns onto the
+    prior, and keeps ``init`` if it is no worse.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    n, k = linear.shape
+    # row i of the plan maps to its deviations gamma_i - p m_i
+    deviation = sparse.kron(sparse.eye(n), np.eye(k) - prior[:, None])
+    slack = sparse.eye(n * k)
+    solved = linprog(np.concatenate([linear.ravel(), np.full(n * k, lam / 2)]),
+                     A_ub=sparse.bmat([[deviation, -slack],
+                                       [-deviation, -slack]]),
+                     b_ub=np.zeros(2 * n * k), b_eq=prior,
+                     A_eq=sparse.kron([[1.0] * n + [0.0] * n], sparse.eye(k)),
+                     method="highs")
+    if solved.status != 0:
+        raise FloatingPointError(f"tv plan solve at lam={lam:g}: HiGHS "
+                                 f"status {solved.status}: {solved.message}")
+    gamma = np.maximum(solved.x[:n * k].reshape(n, k), 0.0)
+    gamma *= prior / gamma.sum(axis=0)
+    value, start = _value(objective, gamma), _value(objective, init)
+    if start <= value:
+        gamma, value = init, start
+    return PGDResult(gamma, value, solved.nit, True)

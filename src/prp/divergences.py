@@ -31,9 +31,9 @@ class FDivergence:
 
     ``f_prime`` is the derivative on t > 0 (a fixed subgradient choice at
     kinks); ``smooth`` is False when f has kinks away from the boundary.
-    The convex plan solve anneals the kink of total variation (the
-    generator named "tv") through Huber smoothing, and rejects every other
-    non-smooth generator.
+    The convex plan solve takes total variation (the generator named
+    "tv") as a linear program, and rejects every other non-smooth
+    generator.
     """
 
     name: str

@@ -541,6 +541,52 @@ def kl_plan_solve_pgd(linear, prior, lam, init=None, max_steps=5000):
                               max_steps=max_steps, lr0=1.0 / lam)
 
 
+def huber_tv(mu):
+    """Total variation with its kink Huber-smoothed at width ``mu``."""
+    from prp.divergences import FDivergence
+
+    def f(t):
+        z = t - 1.0
+        return 0.5 * np.where(np.abs(z) <= mu, z * z / (2.0 * mu),
+                              np.abs(z) - mu / 2.0)
+
+    return FDivergence(name="huber_tv", f=f, f_at_zero=float(f(np.array(0.0))),
+                       f_slope_at_infinity=0.5,
+                       f_prime=lambda t: 0.5 * np.clip((t - 1.0) / mu, -1.0, 1.0))
+
+
+def tv_plan_solve_annealed(linear, prior, lam, init=None, max_steps=5000):
+    """The TV plan solve as entropic descent through 8 Huber smoothings.
+
+    Each width mu = 1e-1, ..., 1e-8 of `huber_tv` runs `columns_pgd_scalar`
+    from the last width's plan with lr0 = 1/lam and the full step budget,
+    and the best plan under the true objective, init included, is kept.
+    Returns (plan, value, steps, converged), steps and convergence over all
+    widths.  Not exact: a width can stop short of its optimum.
+    """
+    from prp.divergences import perspective_total, perspective_total_grad
+
+    linear = np.asarray(linear, dtype=float)
+    prior = np.asarray(prior, dtype=float)
+    if init is None:
+        init = np.tile(prior / linear.shape[0], (linear.shape[0], 1))
+    best = (init, objective_single(init, linear, prior, "tv", lam))
+    gamma, steps, converged = init, 0, True
+    for mu in np.geomspace(1e-1, 1e-8, 8):
+        div = huber_tv(mu)
+        gamma, _, taken, done = columns_pgd_scalar(
+            lambda g: float((linear * g).sum())
+            + lam * perspective_total(div, g, prior),
+            lambda g: linear + lam * perspective_total_grad(div, g, prior),
+            gamma, prior, max_steps=max_steps, lr0=1.0 / lam)
+        steps += taken
+        converged = converged and done
+        value = objective_single(gamma, linear, prior, "tv", lam)
+        if value < best[1]:
+            best = (gamma, value)
+    return best[0], best[1], steps, converged
+
+
 # ---------------------------------------------------------------------------
 # misc small oracles
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,12 +10,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from prp import cli, seeds, toy
 from prp.auctions import AuctionModel
 from prp.convexsolve import minimize_linear_plus_privacy
+from prp.dca import dca_solve
 from prp.divergences import (FDivergence, from_name, perspective_total,
                              perspective_total_grad)
 from prp import optim
+from prp.gridsolve import solve_grid
+from prp.measures import linear_cost
 from prp.optim import PGDResult, minimize_columns_pgd
 
 import oracles
@@ -74,7 +80,7 @@ def test_capped_solve_warns():
     assert not result.converged
 
 
-@pytest.mark.parametrize("name", ["kl", "reverse_kl", "alpha:2", "tv"])
+@pytest.mark.parametrize("name", ["kl", "reverse_kl", "alpha:2"])
 def test_plan_descent_reports_the_steps_of_every_level(name):
     linear, prior = lattice_problem(3)
     levels = []
@@ -87,13 +93,14 @@ def test_plan_descent_reports_the_steps_of_every_level(name):
     with mock.patch("prp.convexsolve.minimize_columns_pgd", counted):
         result = minimize_linear_plus_privacy(linear, prior, from_name(name),
                                               0.1)
-    assert len(levels) == (8 if name == "tv" else 1)
+    assert len(levels) == 1
     assert result.steps == sum(levels)
 
 
 def test_non_smooth_generator_other_than_tv_is_rejected():
-    # f(t) = |t - 1| is twice TV: the Huber levels of TV would solve it as
-    # TV at half its weight, so the solve refuses it
+    # f(t) = |t - 1| is twice TV: only TV has a linear program, and solving
+    # this f as TV would count its privacy at half its weight, so the solve
+    # refuses it
     doubled = FDivergence(name="twice_tv", f=lambda t: np.abs(t - 1.0),
                           f_at_zero=1.0, f_slope_at_infinity=1.0,
                           f_prime=lambda t: np.sign(t - 1.0), smooth=False)
@@ -232,11 +239,12 @@ def test_value_never_exceeds_init_value(name):
 
 
 @pytest.mark.parametrize("name, lam", [
-    *itertools.product(["reverse_kl", "alpha:2", "tv", "kl"], [0.01, 0.1, 1.0]),
+    *itertools.product(["reverse_kl", "alpha:2", "kl"], [0.01, 0.1, 1.0]),
     ("kl", 1e4)])
 def test_stacked_line_search_takes_the_steps_of_the_scalar_ladder(name, lam):
-    # the plan descent of the non-KL solves and the row-mass descent of KL
-    # both run the stacked ladder; here each is replaced by the scalar loop.
+    # the plan descent of the smooth non-KL solves and the row-mass descent
+    # of KL both run the stacked ladder; here each is replaced by the scalar
+    # loop (TV, a linear program, runs neither).
     # At lam = 1e4 the KL trial steps grow past 1e6 * lr0; the plan descents
     # run into their step cap there
     linear, prior = lattice_problem(3)
@@ -323,3 +331,148 @@ def test_kl_zero_row_stays_zero():
     assert (result.x[[0, 2, 3]] > 0.0).all()  # the solve's own plan
     assert np.abs(result.x.sum(axis=0) - PRIOR).max() < 1e-15
     assert result.value <= objective(init)
+
+
+@pytest.mark.parametrize("lam", [-0.1, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["kl", "tv", "reverse_kl"])
+def test_privacy_weight_outside_zero_to_infinity_is_rejected(name, lam):
+    # a negative weight returned -0.44034 as converged, NaN returned nan as
+    # converged, and inf escaped as a numpy RuntimeWarning
+    linear, prior = lattice_problem(3)
+    with pytest.raises(ValueError, match="lam must be non-negative"):
+        minimize_linear_plus_privacy(linear, prior, from_name(name), lam)
+
+
+def test_solvers_on_the_plan_solve_reject_a_bad_privacy_weight():
+    instance = toy.sample_instance(2, 5, seeds.rng_for(0, seeds.INSTANCE))
+    for lam in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="lam must be non-negative"):
+            solve_grid(oracles.box_vertices(*instance.bounds.T),
+                       instance.type_atoms, instance.prior_weights,
+                       linear_cost(instance.bounds), from_name("kl"), lam)
+        with pytest.raises(ValueError, match="lam must be non-negative"):
+            dca_solve(instance.type_atoms, instance.prior_weights,
+                      instance.bounds, from_name("kl"), lam, 5)
+
+
+LATTICES = [(points, seed) for seed in range(6) for points in (3, 5)]
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-2, 0.1])
+def test_tv_linear_program_is_no_worse_than_the_huber_annealing(lam):
+    for points, seed in LATTICES:
+        linear, prior = lattice_problem(points, seed)
+        result = minimize_linear_plus_privacy(linear, prior, from_name("tv"),
+                                              lam)
+        _, reference, _, converged = oracles.tv_plan_solve_annealed(
+            linear, prior, lam)
+        assert converged
+        assert reference - 1e-8 <= result.value <= reference + 1e-12
+        assert np.abs(result.x.sum(axis=0) - prior).max() < 1e-15
+        assert result.x.min() >= 0.0
+
+
+@pytest.mark.parametrize("lam", [10.0, 1e2, 1e4])
+def test_tv_large_privacy_weights_converge(lam):
+    # the Huber annealing ran each of its 8 widths into the 5,000-step cap
+    # here, and warned
+    for points, seed in LATTICES:
+        linear, prior = lattice_problem(points, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = minimize_linear_plus_privacy(linear, prior,
+                                                  from_name("tv"), lam)
+        assert result.converged
+        assert result.steps < optim.MAX_STEPS
+        # all mass on the best averaged row: a product plan, whose privacy
+        # is 0 up to the rounding of its row mass, which lam multiplies
+        concentrated = np.zeros_like(linear)
+        concentrated[np.argmin(linear @ prior)] = prior
+        assert result.value <= (linear * concentrated).sum() + 1e-15 * lam
+
+
+@pytest.mark.parametrize("lam, value", [(1e-3, 0.7747876888888889),
+                                        (1e-2, 0.7814507537836108),
+                                        (0.1, 0.8027909)])
+def test_tv_solve_on_pooled_auction_policies(lam, value):
+    cost = json.loads(POOLED.read_text())["cost"]
+    prior = AuctionModel(10).prior.weights
+    result = minimize_linear_plus_privacy(cost, prior, from_name("tv"), lam)
+    assert result.converged
+    assert result.value == pytest.approx(value, abs=1e-9)
+
+
+def test_tv_solve_keeps_an_init_that_is_no_worse():
+    # a program that returns the uniform mixture, worse than the init
+    linear, prior = lattice_problem(3)
+    tv = from_name("tv")
+    optimum = minimize_linear_plus_privacy(linear, prior, tv, 0.1)
+    uniform = np.tile(prior / 9, (9, 1))
+    worse = scipy.optimize.OptimizeResult(
+        status=0, message="", nit=1,
+        x=np.concatenate([uniform.ravel(), np.zeros(uniform.size)]))
+    with mock.patch("scipy.optimize.linprog", return_value=worse):
+        kept = minimize_linear_plus_privacy(linear, prior, tv, 0.1,
+                                            init=optimum.x)
+    assert kept.x is optimum.x
+    assert kept.value == optimum.value
+
+
+# a status other than 0 (here 4, numerical difficulties) has no plan to
+# return; it is not a step cap, so it must not warn as one
+HIGHS_FAILURE = scipy.optimize.OptimizeResult(
+    status=4, message="Numerical difficulties encountered", x=None, nit=3)
+
+
+def test_tv_solve_that_highs_does_not_solve_raises():
+    linear, prior = lattice_problem(3)
+    with mock.patch("scipy.optimize.linprog", return_value=HIGHS_FAILURE), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match="status 4: Numerical difficulties"):
+            minimize_linear_plus_privacy(linear, prior, from_name("tv"), 0.1)
+
+
+def test_tv_grid_run_that_highs_does_not_solve_exits_with_3(tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"kind": "grid", "d": 2, "K": 3, "lam": 10.0,
+                                  "divergence": "tv", "grid_points": 3}))
+    with mock.patch("scipy.optimize.linprog", return_value=HIGHS_FAILURE):
+        code = cli.main(["grid", "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "HiGHS status 4" in err
+    assert "cap" not in err
+    assert not (tmp_path / "out" / "objective.csv").exists()
+
+
+NO_SCIPY = """
+import sys
+import numpy as np
+import prp
+from prp import seeds, toy
+from prp.dca import dca_solve
+from prp.divergences import from_name
+from prp.gridsolve import solve_grid
+from prp.measures import linear_cost
+instance = toy.sample_instance(2, 5, seeds.rng_for(0, seeds.INSTANCE))
+axis = np.linspace(-1.0, 1.0, 3)
+atoms = np.array([[a, b] for a in axis for b in axis])
+solve_grid(atoms, instance.type_atoms, instance.prior_weights,
+           linear_cost(instance.bounds), from_name("kl"), 0.1)
+dca_solve(instance.type_atoms, instance.prior_weights, instance.bounds,
+          from_name("kl"), 0.1, 5)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_kl_solves_do_not_import_scipy():
+    # scipy.optimize takes about 0.6 s to import; only TV solves need it
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ,
+                               "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
