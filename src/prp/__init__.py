@@ -20,7 +20,8 @@ from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
 from .optim import (DescentConfig, OptimizerState, make_optimizer,
                     optimizer_step, project_box, project_columns,
                     project_simplex)
-from .sinkhorn import SinkhornResult, minimize_sinkhorn, solve_sinkhorn
+from .sinkhorn import (SinkhornResult, minimize_sinkhorn,
+                       minimize_sinkhorn_starts, solve_sinkhorn)
 from .direct import (kl_plan_objective, minimize_direct,
                      minimize_direct_starts)
 from .dca import DCAResult, best_corners, dca_solve
@@ -28,7 +29,7 @@ from .gridsolve import solve_grid
 from .auctions import (AuctionModel, BidPolicy, DominantActionMap,
                        StrategyEvaluation, SweepResult, SweepRow,
                        dominant_action_map, evaluate_strategy, random_policy,
-                       sweep_lambda, train_strategy)
+                       sweep_lambda, train_strategy, train_strategy_starts)
 from .toy import ToyInstance, run_benchmark, sample_instance
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -40,7 +40,10 @@ whose action atoms are policies: every policy is one parameter row [w, c,
 a, b] of length 3W + 1 (`_stack`), the cost matrix is C_ik = 1 - (y_k A_i
 - B_i), and the adjoint takes dL/dC = P to the rows through the adjoint of
 `expected_stats`, which takes rows and returns a gradient of their shape.
-`_unpack` is the only code that splits a row.
+`_unpack` is the only code that splits a row.  `sweep_lambda` trains all
+its (lambda, run) pairs as one stack of starts (`train_strategy_starts`),
+so each descent step prices every pair's policies in one `expected_stats`
+call.
 """
 
 from __future__ import annotations
@@ -369,10 +372,17 @@ def _revenue_cost(rows, y):
 
     The adjoint maps a plan P to the gradient of <C, P> in the rows: the
     adjoint of `expected_stats` at coefficients -P y on A and P 1 on B.
+    Rows (..., n, L) that stack starts give (..., n, K) matrices, and the
+    adjoint takes plans of that shape: `expected_stats` works row by row,
+    so one call prices the whole stack, each start bit for bit as a call
+    on its own rows.
     """
-    a_stat, b_stat, adjoint = expected_stats(rows)
-    matrix = 1.0 - (a_stat[:, None] * y[None, :] - b_stat[:, None])
-    return matrix, lambda plan: adjoint(-(plan @ y), plan.sum(axis=1))
+    a_stat, b_stat, adjoint = expected_stats(rows.reshape(-1, rows.shape[-1]))
+    a_stat, b_stat = (a_stat.reshape(rows.shape[:-1])[..., None],
+                      b_stat.reshape(rows.shape[:-1])[..., None])
+    matrix = 1.0 - (a_stat * y - b_stat)
+    return matrix, lambda plan: adjoint(
+        -(plan @ y).ravel(), plan.sum(axis=-1).ravel()).reshape(rows.shape)
 
 
 _REVENUE_COST = CostOracle(matrix_and_adjoint=_revenue_cost)
@@ -382,31 +392,57 @@ _REVENUE_COST = CostOracle(matrix_and_adjoint=_revenue_cost)
 _unroll_budget = solve_sinkhorn
 
 
+def train_strategy_starts(model: AuctionModel, starts,
+                          n_atoms: Optional[int] = None,
+                          config: Optional[DescentConfig] = None,
+                          width: int = WIDTH) -> list:
+    """Jointly descend (atom weights, policy parameters) from B starts.
+
+    `starts` is a sequence of (lam, seed) pairs.  Every start is the
+    Sinkhorn descent of `prp.sinkhorn` with the policy rows as action
+    atoms under the cost C_ik = 1 - (y_k A_i - B_i) of `_revenue_cost`,
+    at its own lam, for `config.steps` steps (default `DescentConfig()`).
+    Only the initial policies are random (drawn from the start's seed), so
+    every run is deterministic.  The starts descend as one stack, one cost
+    oracle call on all their policies per step.  Returns one (plan, trace)
+    per start, bit for bit those of a `train_strategy` run on its own: the
+    plan of the converged final solve (policies as action atoms) and the
+    loss trace.
+    """
+    n = n_atoms if n_atoms is not None else atom_count(model.n_types)
+    y = model.type_atoms
+    starts = list(starts)
+    rows = [_stack(ladder_policies(seeds.rng_for(seed, seeds.INIT), n, width))
+            for _, seed in starts]
+    # the weight floor keeps every atom shipping a trickle of mass, so its
+    # policy keeps receiving gradient; a policy that bids <= 0 for every
+    # value has zero gradient and stays dead regardless
+    rows, gammas, traces = _descend(
+        rows, model.prior.weights, y, _REVENUE_COST,
+        [lam for lam, _ in starts], [config or DescentConfig()] * len(starts),
+        min(1e-4, 0.1 / n))
+    results = []
+    for start_rows, gamma, trace in zip(rows, gammas, traces):
+        w, c, a, b = _unpack(start_rows)
+        policies = [BidPolicy(w[i], c[i], a[i], float(b[i])) for i in range(n)]
+        results.append((TransportPlan(gamma, policies, list(y), model.prior),
+                        trace))
+    return results
+
+
 def train_strategy(model: AuctionModel, lam: float,
                    n_atoms: Optional[int] = None,
                    config: Optional[DescentConfig] = None, seed: int = 0,
                    width: int = WIDTH):
     """Jointly descend (atom weights, policy parameters) on the coupling loss.
 
-    The Sinkhorn descent of `prp.sinkhorn` with the policy rows as action
-    atoms under the cost C_ik = 1 - (y_k A_i - B_i) of
-    `_revenue_cost`, for `config.steps` steps (default `DescentConfig()`).
-    Only the initial policies are random (drawn from `seed`), so the run
-    is deterministic.  Returns the plan of the converged final solve
+    The stack of one of `train_strategy_starts`, from the initial policies
+    drawn from `seed`.  Returns the plan of the converged final solve
     (policies as action atoms) and the loss trace.
     """
-    n = n_atoms if n_atoms is not None else atom_count(model.n_types)
-    y = model.type_atoms
-    rows = _stack(ladder_policies(seeds.rng_for(seed, seeds.INIT), n, width))
-    # the weight floor keeps every atom shipping a trickle of mass, so its
-    # policy keeps receiving gradient; a policy that bids <= 0 for every
-    # value has zero gradient and stays dead regardless
-    rows, gamma, trace = _descend(
-        rows, model.prior.weights, y, _REVENUE_COST, lam,
-        config or DescentConfig(), min(1e-4, 0.1 / n))
-    w, c, a, b = _unpack(rows)
-    policies = [BidPolicy(w[i], c[i], a[i], float(b[i])) for i in range(n)]
-    return TransportPlan(gamma, policies, list(y), model.prior), trace
+    (result,) = train_strategy_starts(model, [(lam, seed)], n_atoms=n_atoms,
+                                      config=config, width=width)
+    return result
 
 
 @dataclass(frozen=True)
@@ -460,23 +496,29 @@ def sweep_lambda(model: AuctionModel, lambdas, runs: int,
                  width: int = WIDTH) -> SweepResult:
     """Train and evaluate per (lambda, run); aggregate the trade-off table.
 
-    Every run is a `train_strategy` with `config`.  Run `run` at the
-    `li`-th lambda trains from the seed derived from (`seed`, TRAIN_STEP,
-    li, run), which only draws its initial policies.
+    Every (lambda, run) pair is one start of a single
+    `train_strategy_starts` stack with `config`, so each descent step
+    prices all pairs' policies in one cost oracle call; each run is bit
+    for bit a `train_strategy` on its own.  Run `run` at the `li`-th
+    lambda trains from the seed derived from (`seed`, TRAIN_STEP, li,
+    run), which only draws its initial policies.
     Training and evaluation (`evaluate_strategy`) are exact, so the per-row
     standard errors, sqrt(var / runs), come from the spread across runs
     alone.
     """
+    lambdas = list(lambdas)
+    starts = [(lam, seeds.seed_for(seed, seeds.TRAIN_STEP, li, run))
+              for li, lam in enumerate(lambdas) for run in range(runs)]
+    trained = iter(train_strategy_starts(model, starts, n_atoms=n_atoms,
+                                         config=config, width=width)
+                   if starts else [])
     rows = []
     details = []
-    for li, lam in enumerate(lambdas):
+    for lam in lambdas:
         utilities = []
         privacies = []
         for run in range(runs):
-            train_seed = seeds.seed_for(seed, seeds.TRAIN_STEP, li, run)
-            plan, trace = train_strategy(model, lam, n_atoms=n_atoms,
-                                         config=config, seed=train_seed,
-                                         width=width)
+            plan, trace = next(trained)
             evaluation = evaluate_strategy(plan)
             utilities.append(evaluation.utility)
             privacies.append(evaluation.privacy)

@@ -13,7 +13,10 @@ a convex term minus a convex term, so DCA applies (Pham Dinh & Le Thi
 constant <p0, Y mid>: each DCA step moves every row to its best corner and
 then solves the convex plan problem at that cost matrix.  The inner solve
 starts from the current plan and never increases its objective, so the
-trace is nonincreasing.
+DCA objective cannot rise in exact arithmetic; in floating point it can,
+by an ulp (KL and TV alike, on some toy instances), so an outer step whose
+plan scores higher than the last one is dropped and the solve stops.  The trace is
+therefore nonincreasing.
 """
 
 from __future__ import annotations
@@ -80,7 +83,9 @@ def dca_solve(type_atoms, prior_weights, bounds, divergence: FDivergence,
     from half the diagonal plan plus half the product coupling on K + 2
     rows: the product coupling alone is stationary (equal rows stay
     equal), and the inner solver's multiplicative updates keep exact zeros.
-    The trace holds the plan objective at the best corners of each iterate.
+    The trace holds the plan objective at the best corners of each iterate;
+    an outer step that would raise it is dropped and ends the solve, so
+    the trace never increases.
     Inner step-cap hits are reported through the result flag.  At lam = 0
     the first outer step goes straight to the closed-form optimum, every
     type at its own best corner (`_own_corners`), and the solve stops there.
@@ -112,8 +117,11 @@ def dca_solve(type_atoms, prior_weights, bounds, divergence: FDivergence,
         inner = minimize_linear_plus_privacy(corners @ type_atoms.T, prior,
                                              divergence, lam, init=gamma)
         inner_hit = inner_hit or not inner.converged
+        value = objective(inner.x)
+        if value > trace[-1]:
+            break   # a rise at rounding level: keep the last plan
         gamma = inner.x
-        trace.append(objective(gamma))
+        trace.append(value)
         if trace[-2] - trace[-1] < _OUTER_TOL:
             break
     corners = best_corners(gamma, type_atoms, bounds)

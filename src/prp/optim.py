@@ -16,14 +16,16 @@ def project_simplex(v, floor: float = 0.0) -> np.ndarray:
     With a positive floor the projection composes with a shift/rescale; the
     solvers use a tiny floor while optimizing mixture weights so that no
     component's weight reaches exact zero, where its gradient channel dies.
+    A (B, n) array stacks B vectors, each projected on its own along the
+    last axis, bit for bit as a call on that row alone.
     """
     v = np.asarray(v, dtype=float)
     if floor > 0.0:
-        slack = 1.0 - v.size * floor
+        slack = 1.0 - v.shape[-1] * floor
         if slack <= 0.0:
             raise ValueError("floor leaves no mass to distribute")
-        return floor + slack * project_columns((v - floor) / slack, 1.0)
-    return project_columns(v, 1.0)
+        return floor + slack * _project((v - floor) / slack, 1.0, -1)
+    return _project(v, 1.0, -1)
 
 
 def project_box(v, lower, upper) -> np.ndarray:
@@ -50,15 +52,21 @@ def project_columns(matrix, totals) -> np.ndarray:
     same operands either way, so the output is bit for bit the same.
     """
     m = np.asarray(matrix, dtype=float)
+    return _project(m, totals, -1 if m.ndim == 1 else -2)
+
+
+def _project(m, totals, axis: int) -> np.ndarray:
+    """`project_columns` along `axis`, -1 or -2: the entries of each
+    vector along it are projected onto {w >= 0, sum w = total}."""
     totals = np.asarray(totals, dtype=float)
-    axis = 0 if m.ndim == 1 else -2
     ascending = np.sort(m, axis=axis)
-    descending = ascending[::-1] if m.ndim == 1 else ascending[..., ::-1, :]
+    descending = (ascending[..., ::-1] if axis == -1
+                  else ascending[..., ::-1, :])
     # ufunc calls, not the ndarray.cumsum/.max/.sum wrappers: called at
     # every step
     partial = np.add.accumulate(descending, axis=axis)
     partial -= totals
-    partial /= _ranks(m.shape)
+    partial /= _ranks(m.shape, axis)
     w = m - np.maximum.reduce(partial, axis=axis, keepdims=True)
     np.maximum(w, 0.0, out=w)
     s = np.add.reduce(w, axis=axis, keepdims=True)
@@ -73,11 +81,11 @@ def project_columns(matrix, totals) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _ranks(shape) -> np.ndarray:
-    """1, 2, ..., n along the projection axis of `project_columns`, at
+def _ranks(shape, axis: int) -> np.ndarray:
+    """1, 2, ..., n along the projection axis (-1 or -2) of `_project`, at
     `shape`; read-only, since every caller of one shape shares it."""
-    n = shape[0] if len(shape) == 1 else shape[-2]
-    ranks = np.arange(1.0, n + 1.0).reshape((n, 1)[:len(shape)])
+    n = shape[axis]
+    ranks = np.arange(1.0, n + 1.0).reshape((n, 1)[:-axis])
     ranks = np.ascontiguousarray(np.broadcast_to(ranks, shape))
     ranks.flags.writeable = False
     return ranks

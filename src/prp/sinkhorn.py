@@ -71,7 +71,18 @@ oracle's adjoint map applied to P (`measures.cost_with_adjoint`); for the
 linear cost x . y that is P @ Y.
 
 One descent loop, `_descend`, serves every cost: box atoms under x . y in
-`minimize_sinkhorn`, packed bid policies in `auctions.train_strategy`.
+`minimize_sinkhorn_starts`, packed bid policies in
+`auctions.train_strategy_starts`.  It descends a stack of B independent
+starts, each with its own lam and optimizer config: a step makes one
+cost-oracle call on all B atom arrays, one packed optimizer step and one
+stacked simplex and box projection, and every start's numbers are bit for
+bit those of a descent on its own (`minimize_sinkhorn` and
+`auctions.train_strategy` are stacks of one).  Where the oracle works on
+small arrays, as the auction cost does on 12 policies, numpy's cost per
+call dominates it and one call for the stack saves most of that.  The
+Newton step solves stay a loop over the starts: a stacked Newton step on
+the paired toy solves was bit-identical but cost 1.43x a single step, more
+than the Newton steps it saved.
 """
 
 from __future__ import annotations
@@ -293,22 +304,34 @@ def needs_log_domain(cost_matrix, lam: float) -> bool:
     return bool(c / lam > _LOG_DOMAIN_EXPONENT)
 
 
-def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lam: float,
-             config: DescentConfig, floor: float):
-    """Descend the entropic-OT loss over (weights, atoms) from `atoms`.
+def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lams,
+             configs, floor: float):
+    """Descend the entropic-OT loss over (weights, atoms) from B starts.
 
-    Each step solves the instance once to tol 1e-8, warm started from the
-    previous step's log v, and takes one packed optimizer step with its
-    envelope gradients.  The tolerance bounds the column error |g|_inf of
-    the last Newton iterate; the marginal error is the row error after the
-    final column update, which can exceed it slightly (up to about 1.6e-8
-    has been seen at lam=1e-3).  On the toy benchmark panels of seeds 1 to
-    5 (10,000 warm-started step solves at lam=0.1) a step solve took 5.75
-    Newton steps on average (57,471 in all), median 6, at most 12.  The
-    weights start uniform and are projected onto {w >= floor, sum w = 1},
-    the atoms onto the oracle's box if it has `bounds`.  Returns the final
-    atoms, the plan of a final `solve_sinkhorn` to the default tol 1e-9
-    (its column sums equal the prior) and the per-step loss trace.
+    `atoms` holds the B starting atom arrays (n, ...), `lams` and `configs`
+    one lam and one `DescentConfig` per start; the configs share `steps`.
+    Each step solves every start's instance once to tol 1e-8, warm started
+    from that start's previous log v, and takes one packed optimizer step
+    with the envelope gradients of all starts.  The tolerance bounds the
+    column error |g|_inf of the last Newton iterate; the marginal error is
+    the row error after the final column update, which can exceed it
+    slightly (up to about 1.6e-8 has been seen at lam=1e-3).  On the toy
+    benchmark panels of seeds 1 to 5 (10,000 warm-started step solves at
+    lam=0.1) a step solve took 5.75 Newton steps on average (57,471 in
+    all), median 6, at most 12.  The weights start uniform and are
+    projected onto {w >= floor, sum w = 1}, the atoms onto the oracle's
+    box if it has `bounds`.  Returns the final (B, n, ...) atoms, per
+    start the plan of a final `solve_sinkhorn` to the default tol 1e-9
+    (its column sums equal the prior), and the (B, steps) loss traces.
+
+    The starts share the loop, not their numbers: a step makes one cost
+    oracle call on the (B, n, ...) atoms, one `optimizer_step` on the
+    packed (B, n + atom size) rows and one stacked simplex and box
+    projection, and each of these acts on every start alone, so a start's
+    atoms, plan and trace are bit for bit those of a descent on its own.
+    The Newton step solves run start by start (see the module docstring).
+    The previous step's matrix and adjoint are released before the next
+    oracle call, so the adjoint's intermediates of one step only are alive.
 
     The checks of `solve_sinkhorn` run once per descent: beta and lam do
     not change, alpha comes out of `project_simplex` and log v out of the
@@ -321,48 +344,68 @@ def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lam: float,
     positive weight, and that order sets the BLAS summation order of
     `q @ r` and `p.T @ q`: skipping the gather moved the losses of
     100-step toy descents (the benchmark's toy panel of seed 313) by up
-    to 6.4e-8.  The plan handed to the cost adjoint is C-ordered and
-    zero-filled: an F-ordered plan moved the trade-off values of a CLI
-    `sweep` by up to 9e-13 relative.
+    to 6.4e-8.  Each start's `matrix[i]` is a C-contiguous slice, so its
+    gather keeps that order.  The plan stack handed to the cost adjoint is
+    C-ordered and zero-filled: an F-ordered plan moved the trade-off values
+    of a CLI `sweep` by up to 9e-13 relative.
     """
-    n = atoms.shape[0]
-    alpha = np.full(n, 1.0 / n)
+    steps = {config.steps for config in configs}
+    if len(steps) != 1 or not len(lams) == len(configs) == len(atoms):
+        raise ValueError("need one or more starts, each with a lam and a "
+                         "config, that share their steps")
+    (steps,) = steps
+    atoms = np.stack(atoms)
+    b, n = atoms.shape[:2]
+    alpha = np.full((b, n), 1.0 / n)
     beta = np.asarray(prior_weights, dtype=float)
-    _check_lam(lam)
+    for lam in lams:
+        _check_lam(lam)
     _check_simplex(beta, "beta")
     cols = (beta > 0.0).nonzero()[0]
-    lr = np.repeat([config.lr_weights, config.lr_atoms], [n, atoms.size])
-    state = make_optimizer(config.method, lr, lr)
+    lr = np.stack([np.repeat([c.lr_weights, c.lr_atoms], [n, atoms[0].size])
+                   for c in configs])
+    state = make_optimizer([c.method for c in configs], lr, lr)
     # the box at the atoms' shape, once per descent (see `make_optimizer`)
-    box = (None if cost.bounds is None else np.broadcast_to(
-        np.asarray(cost.bounds, float).T[:, None], (2,) + atoms.shape).copy())
-    trace = np.empty(config.steps)
-    log_v = None
-    for step in range(config.steps):
+    box = (None if cost.bounds is None else
+           [np.broadcast_to(edge, atoms.shape).copy()
+            for edge in np.asarray(cost.bounds, dtype=float).T])
+    trace = np.empty((b, steps))
+    log_v = [None] * b
+    grad = np.empty(lr.shape)
+    for step in range(steps):
         matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms)
-        plan, log_v, trace[step], grad_alpha, *_ = _solve(
-            alpha, beta, cols, matrix, lam, log_v, _CAP, 1e-8)
-        grad = np.concatenate((grad_alpha, adjoint(plan).ravel()))
+        plans = np.zeros(matrix.shape)
+        for i in range(b):
+            plans[i], log_v[i], trace[i, step], grad[i, :n], *_ = _solve(
+                alpha[i], beta, cols, matrix[i], lams[i], log_v[i], _CAP,
+                1e-8)
+        grad[:, n:] = adjoint(plans).reshape(b, -1)
+        del matrix, adjoint
         packed = optimizer_step(
-            state, np.concatenate((alpha, atoms.ravel())), grad)
-        alpha = project_simplex(packed[:n], floor=floor)
-        atoms = packed[n:].reshape(atoms.shape)
+            state, np.concatenate((alpha, atoms.reshape(b, -1)), axis=1),
+            grad)
+        alpha = project_simplex(packed[:, :n], floor=floor)
+        atoms = packed[:, n:].reshape(atoms.shape)
         if box is not None:
             atoms = project_box(atoms, *box)
     matrix, _ = cost_with_adjoint(cost, atoms, type_atoms)
-    result = solve_sinkhorn(alpha, beta, matrix, lam, log_v)
-    return atoms, result.plan, trace
+    plans = [solve_sinkhorn(alpha[i], beta, matrix[i], lams[i], log_v[i]).plan
+             for i in range(b)]
+    return atoms, plans, trace
 
 
-def minimize_sinkhorn(prior_weights, type_atoms, cost: CostOracle, lam: float,
-                      config: DescentConfig | None = None, seed: int = 0):
-    """First-order descent of the entropic-OT loss over (weights, atoms).
+def minimize_sinkhorn_starts(prior_weights, type_atoms, cost: CostOracle,
+                             lam: float, starts) -> list:
+    """First-order descent of the entropic-OT loss from B starts.
 
-    K + 2 atom locations start uniform in the cost box, drawn from `seed`, and
-    the descent is `_descend` with weight floor min(1e-6, 0.1/n).  Returns
-    the plan of its final solve along with the per-step loss trace.  The
-    trace is recorded for benchmarking and is not guaranteed to be
-    monotone.
+    `starts` is a sequence of (DescentConfig, seed) pairs that share
+    `steps`.  Start b places K + 2 atoms uniform in the cost box, drawn
+    from default_rng(seed[b]), and steps by its config's method and
+    learning rates; all starts descend as one `_descend` stack with weight
+    floor min(1e-6, 0.1/n).  Returns one (plan, trace) per start, each bit
+    for bit that of a `minimize_sinkhorn` run on its own: the plan of its
+    final solve and the per-step loss trace.  The trace is recorded for
+    benchmarking and is not guaranteed to be monotone.
     """
     if cost.bounds is None:
         raise ValueError("minimize_sinkhorn needs a cost oracle with box bounds")
@@ -370,11 +413,27 @@ def minimize_sinkhorn(prior_weights, type_atoms, cost: CostOracle, lam: float,
     type_atoms_arr = np.asarray(type_atoms, dtype=float)
     n = atom_count(prior_weights.size)
     bounds = np.asarray(cost.bounds, dtype=float)
-    rng = np.random.default_rng(seed)
-    atoms = rng.uniform(bounds[:, 0], bounds[:, 1], size=(n, bounds.shape[0]))
-    atoms, gamma, trace = _descend(atoms, prior_weights, type_atoms_arr, cost,
-                                   lam, config or DescentConfig(),
-                                   min(1e-6, 0.1 / n))
+    starts = list(starts)
+    atoms = [np.random.default_rng(seed).uniform(
+        bounds[:, 0], bounds[:, 1], size=(n, bounds.shape[0]))
+        for _, seed in starts]
+    configs = [config for config, _ in starts]
+    atoms, gammas, traces = _descend(atoms, prior_weights, type_atoms_arr,
+                                     cost, [lam] * len(configs), configs,
+                                     min(1e-6, 0.1 / n))
     prior = DiscreteDistribution(list(type_atoms_arr), prior_weights)
-    plan = TransportPlan(gamma, list(atoms), list(type_atoms_arr), prior)
-    return plan, trace
+    types = list(type_atoms_arr)
+    return [(TransportPlan(gamma, list(x), types, prior), trace)
+            for x, gamma, trace in zip(atoms, gammas, traces)]
+
+
+def minimize_sinkhorn(prior_weights, type_atoms, cost: CostOracle, lam: float,
+                      config: DescentConfig | None = None, seed: int = 0):
+    """First-order descent of the entropic-OT loss over (weights, atoms).
+
+    The stack of one of `minimize_sinkhorn_starts`: returns its
+    (plan, trace).
+    """
+    (result,) = minimize_sinkhorn_starts(prior_weights, type_atoms, cost, lam,
+                                         [(config or DescentConfig(), seed)])
+    return result

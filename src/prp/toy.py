@@ -19,7 +19,7 @@ from .direct import minimize_direct, minimize_direct_starts
 from .divergences import kl_divergence
 from .measures import linear_cost, prp_objective
 from .optim import DescentConfig
-from .sinkhorn import minimize_sinkhorn
+from .sinkhorn import minimize_sinkhorn, minimize_sinkhorn_starts
 
 METHODS = ("prp-adam", "prp-rms", "sink-adam", "sink-rms", "dca")
 
@@ -113,6 +113,16 @@ def run_benchmark(d: int, k: int, lam: float, methods, runs: int,
                   iterations: int, seed: int,
                   lr_weights: float = DescentConfig.lr_weights,
                   lr_atoms: float = DescentConfig.lr_atoms) -> BenchmarkResult:
+    """Run every method on `runs` seeded instances; average their traces.
+
+    Run `run` draws its instance from (`seed`, INSTANCE, run) and method
+    `mi` its start from (`seed`, INIT, run, mi).  The direct methods of a
+    run descend as one stack of starts (`minimize_direct_starts`), and so
+    do its Sinkhorn methods (`minimize_sinkhorn_starts`), one cost oracle
+    call per step for the stack; each start is bit for bit a run of its
+    own, as `run_method` would give.  Traces shorter than `iterations`
+    are padded with their last value (`pad_trace`).
+    """
     methods = tuple(methods)
     traces = {m: np.empty((runs, iterations)) for m in methods}
     finals = {m: np.empty(runs) for m in methods}
@@ -120,16 +130,18 @@ def run_benchmark(d: int, k: int, lam: float, methods, runs: int,
         instance = sample_instance(d, k, seeds.rng_for(seed, seeds.INSTANCE, run))
         init = [seeds.seed_for(seed, seeds.INIT, run, mi)
                 for mi in range(len(methods))]
-        # the direct methods of a run descend as one stack of starts
-        direct = [mi for mi, m in enumerate(methods) if m.startswith("prp")]
         cost = linear_cost(instance.bounds)
         stacked = {}
-        if direct:
-            starts = [(_config(methods[mi], iterations, lr_weights, lr_atoms),
-                       init[mi]) for mi in direct]
-            stacked = dict(zip(direct, minimize_direct_starts(
-                instance.prior_weights, instance.type_atoms, cost, lam,
-                starts)))
+        for family, solver in (("prp", minimize_direct_starts),
+                               ("sink", minimize_sinkhorn_starts)):
+            chosen = [mi for mi, m in enumerate(methods)
+                      if m.startswith(family)]
+            if chosen:
+                starts = [(_config(methods[mi], iterations, lr_weights,
+                                   lr_atoms), init[mi]) for mi in chosen]
+                stacked.update(zip(chosen, solver(
+                    instance.prior_weights, instance.type_atoms, cost, lam,
+                    starts)))
         for mi, method in enumerate(methods):
             if mi in stacked:
                 out = _scored(method, *stacked[mi], cost, lam)

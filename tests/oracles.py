@@ -436,7 +436,9 @@ def dc_iteration(type_atoms, prior, lower, upper, divergence, lam,
     """DCA on the reduced program: linearize, then solve on -s.
 
     Starts from half the diagonal plan plus half the product coupling on
-    K + 2 rows and stops once an outer step gains below `outer_tol`.
+    K + 2 rows and stops once an outer step gains below `outer_tol`; a
+    step that raises the objective (by rounding) is dropped and also stops
+    it, as in `dca.dca_solve`.
     Returns the plan matrix, the actions mid - sign(gamma @ phi) * half and
     the trace of reduced objectives plus the dropped constant.
     """
@@ -453,9 +455,13 @@ def dc_iteration(type_atoms, prior, lower, upper, divergence, lam,
     trace = [dc_objective(gamma, phi, prior, divergence, lam)]
     for _ in range(max_outer):
         s = dc_subgradient(gamma, phi)
-        gamma = minimize_linear_plus_privacy(-s, prior, divergence, lam,
-                                             init=gamma).x
-        trace.append(dc_objective(gamma, phi, prior, divergence, lam))
+        step = minimize_linear_plus_privacy(-s, prior, divergence, lam,
+                                            init=gamma).x
+        value = dc_objective(step, phi, prior, divergence, lam)
+        if value > trace[-1]:
+            break
+        gamma = step
+        trace.append(value)
         if trace[-2] - trace[-1] < outer_tol:
             break
     mid = (lower + upper) / 2.0

@@ -511,3 +511,45 @@ def test_sweep_handles_empty_and_single_grids():
     assert len(single.rows) == 1
     assert single.rows[0].lam == 0.5
     assert len(single.runs) == 2
+
+
+def test_revenue_cost_prices_a_stack_of_starts_block_by_block():
+    # (B, n, L) rows give (B, n, K) matrices and an adjoint on (B, n, K)
+    # plans, each block bit for bit the cost of its rows alone
+    y = AuctionModel(n_types=5).type_atoms
+    stack = np.stack([auctions._stack(ladder_policies(
+        seeds.rng_for(seed, seeds.INIT), 7, 40)) for seed in (1, 2, 3)])
+    plans = np.random.default_rng(32).uniform(size=(3, 7, 5))
+    matrix, adjoint = auctions._revenue_cost(stack, y)
+    grad = adjoint(plans)
+    assert matrix.shape == (3, 7, 5) and grad.shape == stack.shape
+    for rows, plan, block, block_grad in zip(stack, plans, matrix, grad):
+        alone, alone_adjoint = auctions._revenue_cost(rows, y)
+        assert (block == alone).all()
+        assert (block_grad == alone_adjoint(plan)).all()
+
+
+def test_sweep_runs_equal_their_trainings_alone():
+    # the sweep trains its 2 x 2 (lambda, run) pairs as one stack; each
+    # run is bit for bit its own train_strategy and evaluate_strategy
+    model = AuctionModel(n_types=3)
+    config = DescentConfig(steps=6)
+    lambdas = [0.05, 0.5]
+    result = sweep_lambda(model, lambdas, runs=2, config=config, seed=7,
+                          width=10)
+    assert [(run.lam, run.run) for run in result.runs] == [
+        (0.05, 0), (0.05, 1), (0.5, 0), (0.5, 1)]
+    for run in result.runs:
+        seed = seeds.seed_for(7, seeds.TRAIN_STEP, lambdas.index(run.lam),
+                              run.run)
+        plan, trace = train_strategy(model, run.lam, config=config,
+                                     seed=seed, width=10)
+        assert (run.plan.gamma == plan.gamma).all()
+        assert (run.trace == trace).all()
+        for ours, alone in zip(run.plan.action_atoms, plan.action_atoms):
+            assert (auctions._stack([ours]) == auctions._stack([alone])).all()
+        assert run.evaluation == evaluate_strategy(plan)
+    for row, lam in zip(result.rows, lambdas):
+        utilities = [run.evaluation.utility for run in result.runs
+                     if run.lam == lam]
+        assert row.utility == float(np.mean(utilities))

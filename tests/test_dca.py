@@ -333,3 +333,15 @@ def test_off_center_boxes_match_the_reduced_program_final():
         result = dca_solve(y, prior, bounds, KL, lam)
         _, _, trace = oracles.dc_iteration(y, prior, *bounds.T, KL, lam)
         assert result.trace[-1] == pytest.approx(trace[-1], abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", [1010, 1021])
+def test_total_variation_trace_never_rises(seed):
+    # the last outer step of these solves scored one ulp above the step
+    # before it; such a step is dropped, so the trace never rises
+    instance = toy.sample_instance(2, 5, np.random.default_rng(seed))
+    result = toy.solve_dca(instance, total_variation(), 0.1, 200)
+    assert (np.diff(result.trace) <= 0.0).all()
+    assert result.trace[-1] == pytest.approx(prp_objective(
+        result.plan, linear_cost(instance.bounds), total_variation(), 0.1),
+        abs=1e-12)

@@ -86,6 +86,19 @@ def test_column_projection_matches_per_column():
     assert np.array_equal(out[3, :, 0], [0.1, 0.0, 0.1, 0.0, 0.0])
 
 
+def test_simplex_projection_of_stacked_rows_matches_each_row():
+    # a (B, n) stack projects row by row, bit for bit, with and without a
+    # floor; n up to 30 puts the sums past numpy's 8-term unrolled blocks
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 7, 12, 30):
+        stack = rng.normal(size=(4, n)) * rng.choice([0.01, 1.0, 100.0])
+        for floor in (0.0, min(1e-4, 0.1 / n)):
+            out = project_simplex(stack, floor=floor)
+            for b in range(4):
+                assert np.array_equal(out[b],
+                                      project_simplex(stack[b], floor=floor))
+
+
 def test_column_projection_equals_rank_search_on_continuous_inputs():
     # the closed-form threshold max_j (S_j - total) / j picks the same
     # value as the rank search, so the results agree bit for bit

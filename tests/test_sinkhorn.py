@@ -585,3 +585,31 @@ def test_minimize_with_tiny_privacy_reaches_per_type_minima():
     expected = -1.0  # per-type minimum of x.y over the box is -|y|_1 = -1
     value = prp_objective(plan, cost, kl_divergence(), 0.0)
     assert value == pytest.approx(expected, abs=0.05)
+
+
+def test_stacked_starts_equal_their_runs_alone():
+    # one stack of an adam and an rmsprop start on the box cost: every
+    # start's plan, atoms and trace are bit for bit those of its own run
+    instance = sample_instance(2, 5, np.random.default_rng(12))
+    cost = linear_cost(instance.bounds)
+    starts = [(DescentConfig(method="adam", steps=30), 3),
+              (DescentConfig(method="rmsprop", steps=30, lr_weights=0.1,
+                             lr_atoms=0.02), 4)]
+    stacked = sinkhorn.minimize_sinkhorn_starts(
+        instance.prior_weights, instance.type_atoms, cost, 0.1, starts)
+    assert len(stacked) == 2
+    for (plan, trace), (config, seed) in zip(stacked, starts):
+        alone, alone_trace = minimize_sinkhorn(
+            instance.prior_weights, instance.type_atoms, cost, 0.1,
+            config=config, seed=seed)
+        assert (plan.gamma == alone.gamma).all()
+        assert (np.asarray(plan.action_atoms)
+                == np.asarray(alone.action_atoms)).all()
+        assert (trace == alone_trace).all()
+    with pytest.raises(ValueError, match="share their steps"):
+        sinkhorn.minimize_sinkhorn_starts(
+            instance.prior_weights, instance.type_atoms, cost, 0.1,
+            [starts[0], (DescentConfig(steps=31), 5)])
+    with pytest.raises(ValueError, match="one or more starts"):
+        sinkhorn.minimize_sinkhorn_starts(
+            instance.prior_weights, instance.type_atoms, cost, 0.1, [])

@@ -2,13 +2,14 @@ import numpy as np
 
 from prp import seeds, toy
 
-METHODS = ["prp-rms", "dca", "prp-adam", "sink-adam"]
+METHODS = ["prp-rms", "dca", "sink-rms", "prp-adam", "sink-adam"]
 SEED, RUNS, ITERATIONS, LAM = 11, 2, 40, 0.1
 
 
 def test_benchmark_matches_per_method_runs_in_config_order(monkeypatch):
-    # the prp-* methods of a run descend as one stack; every method is
-    # still scored once, in config order, exactly as a run on its own
+    # the prp-* methods of a run descend as one stack, and so do its sink-*
+    # methods; every method is still scored once, in config order, exactly
+    # as a run on its own
     objective, scored = toy.prp_objective, []
 
     def recorded(plan, *args, **kwargs):
