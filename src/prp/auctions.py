@@ -405,15 +405,15 @@ def train_strategy_starts(model: AuctionModel, starts,
     Only the initial policies are random (drawn from the start's seed), so
     every run is deterministic.  The starts descend as one stack, one cost
     oracle call on all their policies per step.  Returns one (plan, trace)
-    per start, bit for bit those of a `train_strategy` run on its own: the
-    plan of the converged final solve (policies as action atoms) and the
-    loss trace.
+    per start, bit for bit those of a stack of that start alone: the plan
+    of the converged final solve (policies as action atoms) and the loss
+    trace.
     """
     n = n_atoms if n_atoms is not None else atom_count(model.n_types)
     y = model.type_atoms
     starts = list(starts)
-    rows = [_stack(ladder_policies(seeds.rng_for(seed, seeds.INIT), n, width))
-            for _, seed in starts]
+    rows = np.stack([_stack(ladder_policies(seeds.rng_for(seed, seeds.INIT),
+                                            n, width)) for _, seed in starts])
     # the weight floor keeps every atom shipping a trickle of mass, so its
     # policy keeps receiving gradient; a policy that bids <= 0 for every
     # value has zero gradient and stays dead regardless
@@ -428,21 +428,6 @@ def train_strategy_starts(model: AuctionModel, starts,
         results.append((TransportPlan(gamma, policies, list(y), model.prior),
                         trace))
     return results
-
-
-def train_strategy(model: AuctionModel, lam: float,
-                   n_atoms: Optional[int] = None,
-                   config: Optional[DescentConfig] = None, seed: int = 0,
-                   width: int = WIDTH):
-    """Jointly descend (atom weights, policy parameters) on the coupling loss.
-
-    The stack of one of `train_strategy_starts`, from the initial policies
-    drawn from `seed`.  Returns the plan of the converged final solve
-    (policies as action atoms) and the loss trace.
-    """
-    (result,) = train_strategy_starts(model, [(lam, seed)], n_atoms=n_atoms,
-                                      config=config, width=width)
-    return result
 
 
 @dataclass(frozen=True)
@@ -499,7 +484,7 @@ def sweep_lambda(model: AuctionModel, lambdas, runs: int,
     Every (lambda, run) pair is one start of a single
     `train_strategy_starts` stack with `config`, so each descent step
     prices all pairs' policies in one cost oracle call; each run is bit
-    for bit a `train_strategy` on its own.  Run `run` at the `li`-th
+    for bit a stack of that pair alone.  Run `run` at the `li`-th
     lambda trains from the seed derived from (`seed`, TRAIN_STEP, li,
     run), which only draws its initial policies.
     Training and evaluation (`evaluate_strategy`) are exact, so the per-row

@@ -8,12 +8,12 @@ closed forms: C_ik + lam log(gamma_ik / (p0_k m_i)) in the plan and the
 cost oracle's adjoint applied to gamma in the atoms (gamma @ Y for the
 linear cost x . y).  The scheme is KL by construction.
 
-`minimize_direct_starts` descends a stack of B independent starts in one
-loop: the plans form a (B, n, K) array, the atoms a (B, n, d) array, and
-each start keeps its own optimizer method, learning rates, random atoms
-and best iterate.  Every operation of the loop acts on each start alone,
-so a start's trace and plan are bit for bit those of a run on its own;
-`minimize_direct` is the stack of one.
+`minimize_direct_starts`, the scheme's entry point, descends a stack of B
+independent starts in one loop: the plans form a (B, n, K) array, the
+atoms a (B, n, d) array, and each start keeps its own optimizer method,
+learning rates, random atoms and best iterate.  Every operation of the
+loop acts on each start alone, so a start's trace and plan are bit for
+bit those of a stack of that start alone.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
                        atom_count, cost_with_adjoint)
-from .optim import (DescentConfig, make_optimizer, optimizer_step,
+from .optim import (box_starts, optimizer_step, packed_optimizer,
                     project_box, project_columns)
 
 _EPS = 1e-30  # keeps the 0 log 0 terms finite
@@ -74,41 +74,25 @@ def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
     iterate of the trace has a lower objective, in which case it is the
     best of those.
     """
-    if cost.bounds is None:
-        raise ValueError("minimize_direct needs a cost oracle with box bounds")
-    starts = list(starts)
-    configs = [config for config, _ in starts]
-    steps = {config.steps for config in configs}
-    if len(steps) != 1:
-        raise ValueError("need one or more starts that share their steps")
-    (steps,) = steps
-    if steps < 1:
-        raise ValueError("need at least one descent step")
     prior_weights = np.asarray(prior_weights, dtype=float)
     type_atoms_arr = np.asarray(type_atoms, dtype=float)
     k = prior_weights.size
     n = atom_count(k)
-    bounds = np.asarray(cost.bounds, dtype=float)
-    lower, upper = bounds[:, 0], bounds[:, 1]
-    atoms = np.stack([np.random.default_rng(seed).uniform(
-        lower, upper, size=(n, bounds.shape[0])) for _, seed in starts])
-    b = len(configs)
-    gamma = np.tile(prior_weights / n, (b, n, 1))
-    # the constants each step combines elementwise, at the shapes they meet
-    # (see `optim.make_optimizer`)
-    prior_full = np.broadcast_to(prior_weights, gamma.shape).copy()
-    lower = np.broadcast_to(lower, atoms.shape).copy()
-    upper = np.broadcast_to(upper, atoms.shape).copy()
+    starts = list(starts)
+    atoms, box = box_starts(cost, n, [seed for _, seed in starts])
     # one optimizer state over the packed rows (gamma_b, atoms_b)
     split = n * k
-    lr = np.stack([np.repeat([c.lr_weights, c.lr_atoms],
-                             [split, atoms[0].size]) for c in configs])
-    state = make_optimizer([c.method for c in configs], lr, lr)
+    state, steps = packed_optimizer([config for config, _ in starts], split,
+                                    atoms)
+    b = len(starts)
+    gamma = np.tile(prior_weights / n, (b, n, 1))
+    # the prior at the plans' shape, once per descent (see `make_optimizer`)
+    prior_full = np.broadcast_to(prior_weights, gamma.shape).copy()
     trace = np.empty((b, steps))
     # rows[t] holds the packed iterates step t starts from, rows[t, :, :split]
     # the plans and rows[t, :, split:] the atoms
-    rows = np.empty((steps, b, lr.shape[1]))
-    grad = np.empty((b, lr.shape[1]))
+    rows = np.empty((steps, b, state.lr.shape[1]))
+    grad = np.empty(state.lr.shape)
     for step in range(steps):
         matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms_arr)
         value, grad_gamma = kl_plan_objective(gamma, matrix, prior_full, lam)
@@ -121,8 +105,7 @@ def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
         packed = optimizer_step(state, row, grad)
         gamma = project_columns(packed[:, :split].reshape(gamma.shape),
                                 prior_full)
-        atoms = project_box(packed[:, split:].reshape(atoms.shape),
-                            lower, upper)
+        atoms = project_box(packed[:, split:].reshape(atoms.shape), *box)
     matrix, _ = cost_with_adjoint(cost, atoms, type_atoms_arr)
     final_value, _ = kl_plan_objective(gamma, matrix, prior_full, lam)
     # argmin picks the first of tied minima, as a running strict minimum would
@@ -136,14 +119,3 @@ def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
     types = list(type_atoms_arr)
     return [(TransportPlan(gamma[i], list(atoms[i]), types, prior), trace[i])
             for i in range(b)]
-
-
-def minimize_direct(prior_weights, type_atoms, cost: CostOracle, lam: float,
-                    config: DescentConfig | None = None, seed: int = 0):
-    """Descend the plan objective jointly in (gamma, atoms) from one start.
-
-    The stack of one of `minimize_direct_starts`: returns its (plan, trace).
-    """
-    (result,) = minimize_direct_starts(prior_weights, type_atoms, cost, lam,
-                                       [(config or DescentConfig(), seed)])
-    return result

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -200,6 +201,45 @@ def optimizer_step(state: OptimizerState, param, grad) -> np.ndarray:
     m_hat = state.m / bc1
     v_hat = state.v / bc2
     return param - state.lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def box_starts(cost, n: int, seeds) -> tuple:
+    """The random starts of a box descent: (atoms, (lower, upper)).
+
+    Start b places n atoms uniform in the box `cost.bounds`, drawn from
+    default_rng(seeds[b]); the atoms form a (B, n, d) array and the box
+    edges are given at its shape, once per descent (see `make_optimizer`).
+    """
+    if cost.bounds is None:
+        raise ValueError("the descent needs a cost oracle with box bounds")
+    bounds = np.asarray(cost.bounds, dtype=float)
+    lower, upper = bounds[:, 0], bounds[:, 1]
+    atoms = np.empty((len(seeds), n, bounds.shape[0]))
+    for start, seed in zip(atoms, seeds):
+        start[...] = np.random.default_rng(seed).uniform(lower, upper,
+                                                         size=start.shape)
+    return atoms, tuple(np.broadcast_to(edge, atoms.shape).copy()
+                        for edge in (lower, upper))
+
+
+def packed_optimizer(configs, weights: int, atoms) -> tuple:
+    """One optimizer state over the packed rows (weights_b, atoms_b).
+
+    `atoms` is the (B, ...) stack of start atoms.  Start b steps its
+    `weights` leading entries at `configs[b].lr_weights` and the entries of
+    atoms[b] at `configs[b].lr_atoms`, by `configs[b].method`; the configs
+    must share `steps`, at least 1.  Returns the state and the step count.
+    """
+    steps = {config.steps for config in configs}
+    if len(steps) != 1:
+        raise ValueError("need one or more starts that share their steps")
+    (steps,) = steps
+    if steps < 1:
+        raise ValueError("need at least one descent step")
+    lr = np.stack([np.repeat([c.lr_weights, c.lr_atoms],
+                             [weights, math.prod(atoms.shape[1:])])
+                   for c in configs])
+    return make_optimizer([c.method for c in configs], lr, lr), steps
 
 
 MAX_STEPS = 5000    # step cap of minimize_columns_pgd

@@ -72,17 +72,16 @@ linear cost x . y that is P @ Y.
 
 One descent loop, `_descend`, serves every cost: box atoms under x . y in
 `minimize_sinkhorn_starts`, packed bid policies in
-`auctions.train_strategy_starts`.  It descends a stack of B independent
-starts, each with its own lam and optimizer config: a step makes one
-cost-oracle call on all B atom arrays, one packed optimizer step and one
-stacked simplex and box projection, and every start's numbers are bit for
-bit those of a descent on its own (`minimize_sinkhorn` and
-`auctions.train_strategy` are stacks of one).  Where the oracle works on
-small arrays, as the auction cost does on 12 policies, numpy's cost per
-call dominates it and one call for the stack saves most of that.  The
-Newton step solves stay a loop over the starts: a stacked Newton step on
-the paired toy solves was bit-identical but cost 1.43x a single step, more
-than the Newton steps it saved.
+`auctions.train_strategy_starts`; these two are the scheme's entry
+points.  It descends a stack of B independent starts, each with its own
+lam and optimizer config: a step makes one cost-oracle call on all B atom
+arrays, one packed optimizer step and one stacked simplex and box
+projection, and every start's numbers are bit for bit those of a stack of
+one.  Where the oracle works on small arrays, as the auction cost does on
+12 policies, numpy's cost per call dominates it and one call for the
+stack saves most of that.  The Newton step solves stay a loop over the
+starts: a stacked Newton step on the paired toy solves was bit-identical
+but cost 1.43x a single step, more than the Newton steps it saved.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ import numpy as np
 
 from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
                        atom_count, cost_with_adjoint)
-from .optim import (DescentConfig, make_optimizer, optimizer_step,
+from .optim import (box_starts, optimizer_step, packed_optimizer,
                     project_box, project_simplex)
 
 _LOG_DOMAIN_EXPONENT = 690.0  # |C|/lam beyond this puts exp(-C/lam) under 1e-300
@@ -305,11 +304,12 @@ def needs_log_domain(cost_matrix, lam: float) -> bool:
 
 
 def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lams,
-             configs, floor: float):
+             configs, floor: float, box=None):
     """Descend the entropic-OT loss over (weights, atoms) from B starts.
 
-    `atoms` holds the B starting atom arrays (n, ...), `lams` and `configs`
-    one lam and one `DescentConfig` per start; the configs share `steps`.
+    `atoms` is the (B, n, ...) stack of starting atoms, `lams` and
+    `configs` hold one lam and one `DescentConfig` per start, and the
+    configs share `steps` (`optim.packed_optimizer`).
     Each step solves every start's instance once to tol 1e-8, warm started
     from that start's previous log v, and takes one packed optimizer step
     with the envelope gradients of all starts.  The tolerance bounds the
@@ -319,16 +319,17 @@ def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lams,
     benchmark panels of seeds 1 to 5 (10,000 warm-started step solves at
     lam=0.1) a step solve took 5.75 Newton steps on average (57,471 in
     all), median 6, at most 12.  The weights start uniform and are
-    projected onto {w >= floor, sum w = 1}, the atoms onto the oracle's
-    box if it has `bounds`.  Returns the final (B, n, ...) atoms, per
-    start the plan of a final `solve_sinkhorn` to the default tol 1e-9
-    (its column sums equal the prior), and the (B, steps) loss traces.
+    projected onto {w >= floor, sum w = 1}, the atoms onto `box`, given
+    as its (lower, upper) edges at the atoms' shape (`optim.box_starts`),
+    if there is one.  Returns the final (B, n, ...) atoms, per start the
+    plan of a final `solve_sinkhorn` to the default tol 1e-9 (its column
+    sums equal the prior), and the (B, steps) loss traces.
 
     The starts share the loop, not their numbers: a step makes one cost
     oracle call on the (B, n, ...) atoms, one `optimizer_step` on the
     packed (B, n + atom size) rows and one stacked simplex and box
     projection, and each of these acts on every start alone, so a start's
-    atoms, plan and trace are bit for bit those of a descent on its own.
+    atoms, plan and trace are bit for bit those of a stack of one.
     The Newton step solves run start by start (see the module docstring).
     The previous step's matrix and adjoint are released before the next
     oracle call, so the adjoint's intermediates of one step only are alive.
@@ -349,29 +350,17 @@ def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lams,
     C-ordered and zero-filled: an F-ordered plan moved the trade-off values
     of a CLI `sweep` by up to 9e-13 relative.
     """
-    steps = {config.steps for config in configs}
-    if len(steps) != 1 or not len(lams) == len(configs) == len(atoms):
-        raise ValueError("need one or more starts, each with a lam and a "
-                         "config, that share their steps")
-    (steps,) = steps
-    atoms = np.stack(atoms)
     b, n = atoms.shape[:2]
+    state, steps = packed_optimizer(configs, n, atoms)
     alpha = np.full((b, n), 1.0 / n)
     beta = np.asarray(prior_weights, dtype=float)
     for lam in lams:
         _check_lam(lam)
     _check_simplex(beta, "beta")
     cols = (beta > 0.0).nonzero()[0]
-    lr = np.stack([np.repeat([c.lr_weights, c.lr_atoms], [n, atoms[0].size])
-                   for c in configs])
-    state = make_optimizer([c.method for c in configs], lr, lr)
-    # the box at the atoms' shape, once per descent (see `make_optimizer`)
-    box = (None if cost.bounds is None else
-           [np.broadcast_to(edge, atoms.shape).copy()
-            for edge in np.asarray(cost.bounds, dtype=float).T])
     trace = np.empty((b, steps))
     log_v = [None] * b
-    grad = np.empty(lr.shape)
+    grad = np.empty(state.lr.shape)
     for step in range(steps):
         matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms)
         plans = np.zeros(matrix.shape)
@@ -403,37 +392,20 @@ def minimize_sinkhorn_starts(prior_weights, type_atoms, cost: CostOracle,
     from default_rng(seed[b]), and steps by its config's method and
     learning rates; all starts descend as one `_descend` stack with weight
     floor min(1e-6, 0.1/n).  Returns one (plan, trace) per start, each bit
-    for bit that of a `minimize_sinkhorn` run on its own: the plan of its
-    final solve and the per-step loss trace.  The trace is recorded for
+    for bit that of a stack of that start alone: the plan of its final
+    solve and the per-step loss trace.  The trace is recorded for
     benchmarking and is not guaranteed to be monotone.
     """
-    if cost.bounds is None:
-        raise ValueError("minimize_sinkhorn needs a cost oracle with box bounds")
     prior_weights = np.asarray(prior_weights, dtype=float)
     type_atoms_arr = np.asarray(type_atoms, dtype=float)
     n = atom_count(prior_weights.size)
-    bounds = np.asarray(cost.bounds, dtype=float)
     starts = list(starts)
-    atoms = [np.random.default_rng(seed).uniform(
-        bounds[:, 0], bounds[:, 1], size=(n, bounds.shape[0]))
-        for _, seed in starts]
-    configs = [config for config, _ in starts]
+    atoms, box = box_starts(cost, n, [seed for _, seed in starts])
     atoms, gammas, traces = _descend(atoms, prior_weights, type_atoms_arr,
-                                     cost, [lam] * len(configs), configs,
-                                     min(1e-6, 0.1 / n))
+                                     cost, [lam] * len(starts),
+                                     [config for config, _ in starts],
+                                     min(1e-6, 0.1 / n), box)
     prior = DiscreteDistribution(list(type_atoms_arr), prior_weights)
     types = list(type_atoms_arr)
     return [(TransportPlan(gamma, list(x), types, prior), trace)
             for x, gamma, trace in zip(atoms, gammas, traces)]
-
-
-def minimize_sinkhorn(prior_weights, type_atoms, cost: CostOracle, lam: float,
-                      config: DescentConfig | None = None, seed: int = 0):
-    """First-order descent of the entropic-OT loss over (weights, atoms).
-
-    The stack of one of `minimize_sinkhorn_starts`: returns its
-    (plan, trace).
-    """
-    (result,) = minimize_sinkhorn_starts(prior_weights, type_atoms, cost, lam,
-                                         [(config or DescentConfig(), seed)])
-    return result

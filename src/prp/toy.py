@@ -4,7 +4,10 @@ An instance draws a prior with weights proportional to exp of uniform noise
 and type vectors uniform in the cube rescaled to unit 1-norm; the utility
 cost is x . y over the box [-1, 1]^d, so every scheme (direct descent,
 entropic-OT descent, DCA) applies and their final plan objectives are
-directly comparable.
+directly comparable.  `run_benchmark` calls each scheme's one entry point:
+`direct.minimize_direct_starts` and `sinkhorn.minimize_sinkhorn_starts`
+on a stack of the run's starts, and `solve_dca`, which the CLI `dca`
+shares.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ import numpy as np
 
 from . import seeds
 from .dca import MAX_OUTER, dca_solve
-from .direct import minimize_direct, minimize_direct_starts
+from .direct import minimize_direct_starts
 from .divergences import kl_divergence
 from .measures import linear_cost, prp_objective
 from .optim import DescentConfig
-from .sinkhorn import minimize_sinkhorn, minimize_sinkhorn_starts
+from .sinkhorn import minimize_sinkhorn_starts
 
 METHODS = ("prp-adam", "prp-rms", "sink-adam", "sink-rms", "dca")
 
@@ -44,13 +47,6 @@ def sample_instance(d: int, k: int, rng: np.random.Generator) -> ToyInstance:
     return ToyInstance(type_atoms=atoms, prior_weights=weights)
 
 
-@dataclass(frozen=True)
-class MethodRun:
-    method: str
-    trace: np.ndarray
-    final_objective: float
-
-
 def _config(method: str, iterations: int, lr_weights: float,
             lr_atoms: float) -> DescentConfig:
     optimizer = {"adam": "adam", "rms": "rmsprop"}[method.split("-", 1)[1]]
@@ -58,10 +54,10 @@ def _config(method: str, iterations: int, lr_weights: float,
                          lr_weights=lr_weights, lr_atoms=lr_atoms)
 
 
-def _scored(method: str, plan, trace, cost, lam: float) -> MethodRun:
-    final = prp_objective(plan, cost, kl_divergence(), lam)
-    return MethodRun(method=method, trace=np.asarray(trace, dtype=float),
-                     final_objective=final)
+def _scored(plan, trace, cost, lam: float):
+    """The trace and the final KL plan objective of one method's solve."""
+    return (np.asarray(trace, dtype=float),
+            prp_objective(plan, cost, kl_divergence(), lam))
 
 
 def solve_dca(instance: ToyInstance, divergence, lam: float, iterations: int):
@@ -75,22 +71,6 @@ def solve_dca(instance: ToyInstance, divergence, lam: float, iterations: int):
     return dca_solve(instance.type_atoms, instance.prior_weights,
                      instance.bounds, divergence, lam,
                      max_outer=min(MAX_OUTER, iterations))
-
-
-def run_method(method: str, instance: ToyInstance, lam: float,
-               iterations: int, seed: int,
-               lr_weights: float = DescentConfig.lr_weights,
-               lr_atoms: float = DescentConfig.lr_atoms) -> MethodRun:
-    """One solve; the trace reports the scheme's own objective per iteration."""
-    cost = linear_cost(instance.bounds)
-    if method == "dca":
-        result = solve_dca(instance, kl_divergence(), lam, iterations)
-        return _scored(method, result.plan, result.trace, cost, lam)
-    config = _config(method, iterations, lr_weights, lr_atoms)
-    solver = minimize_direct if method.startswith("prp") else minimize_sinkhorn
-    plan, trace = solver(instance.prior_weights, instance.type_atoms, cost,
-                         lam, config=config, seed=seed)
-    return _scored(method, plan, trace, cost, lam)
 
 
 def pad_trace(trace: np.ndarray, length: int) -> np.ndarray:
@@ -119,9 +99,10 @@ def run_benchmark(d: int, k: int, lam: float, methods, runs: int,
     `mi` its start from (`seed`, INIT, run, mi).  The direct methods of a
     run descend as one stack of starts (`minimize_direct_starts`), and so
     do its Sinkhorn methods (`minimize_sinkhorn_starts`), one cost oracle
-    call per step for the stack; each start is bit for bit a run of its
-    own, as `run_method` would give.  Traces shorter than `iterations`
-    are padded with their last value (`pad_trace`).
+    call per step for the stack; each start is bit for bit a stack of that
+    start alone.  `dca` runs `solve_dca`.  Every method's solve is scored
+    by its KL plan objective in config order, and traces shorter than
+    `iterations` are padded with their last value (`pad_trace`).
     """
     methods = tuple(methods)
     traces = {m: np.empty((runs, iterations)) for m in methods}
@@ -131,7 +112,7 @@ def run_benchmark(d: int, k: int, lam: float, methods, runs: int,
         init = [seeds.seed_for(seed, seeds.INIT, run, mi)
                 for mi in range(len(methods))]
         cost = linear_cost(instance.bounds)
-        stacked = {}
+        solved = {}
         for family, solver in (("prp", minimize_direct_starts),
                                ("sink", minimize_sinkhorn_starts)):
             chosen = [mi for mi, m in enumerate(methods)
@@ -139,17 +120,16 @@ def run_benchmark(d: int, k: int, lam: float, methods, runs: int,
             if chosen:
                 starts = [(_config(methods[mi], iterations, lr_weights,
                                    lr_atoms), init[mi]) for mi in chosen]
-                stacked.update(zip(chosen, solver(
+                solved.update(zip(chosen, solver(
                     instance.prior_weights, instance.type_atoms, cost, lam,
                     starts)))
         for mi, method in enumerate(methods):
-            if mi in stacked:
-                out = _scored(method, *stacked[mi], cost, lam)
-            else:
-                out = run_method(method, instance, lam, iterations, init[mi],
-                                 lr_weights=lr_weights, lr_atoms=lr_atoms)
-            traces[method][run] = pad_trace(out.trace, iterations)
-            finals[method][run] = out.final_objective
+            if method == "dca":
+                result = solve_dca(instance, kl_divergence(), lam, iterations)
+                solved[mi] = result.plan, result.trace
+            trace, final = _scored(*solved[mi], cost, lam)
+            traces[method][run] = pad_trace(trace, iterations)
+            finals[method][run] = final
     mean = {m: traces[m].mean(axis=0) for m in methods}
     stderr = {m: traces[m].std(axis=0, ddof=0) / np.sqrt(runs) for m in methods}
     return BenchmarkResult(methods=methods, iterations=iterations,

@@ -8,7 +8,7 @@ from scipy import integrate
 from prp import auctions, seeds, sinkhorn
 from prp.auctions import (AuctionModel, BidPolicy, dominant_action_map,
                           evaluate_strategy, ladder_policies, random_policy,
-                          sweep_lambda, train_strategy)
+                          sweep_lambda, train_strategy_starts)
 from prp.divergences import kl_divergence
 from prp.measures import (DiscreteDistribution, TransportPlan, cost_matrix,
                           cost_with_adjoint)
@@ -420,9 +420,8 @@ def test_dominant_map_constant_on_product_plan():
 
 def test_training_with_huge_privacy_weight_stays_non_revealing():
     model = AuctionModel(n_types=10)
-    plan, trace = train_strategy(model, lam=1e3,
-                                 config=DescentConfig(steps=120),
-                                 seed=0, width=40)
+    ((plan, trace),) = train_strategy_starts(
+        model, [(1e3, 0)], config=DescentConfig(steps=120), width=40)
     assert np.isfinite(trace).all()
     prior = model.prior.weights
     masses = plan.row_masses
@@ -441,8 +440,8 @@ def test_training_with_tiny_privacy_weight_specializes():
     # reference optimum over t + s1 v + s2 relu(v - k) policies has
     # TV >= 0.69 on those rows; see CHANGES.md)
     model = AuctionModel(n_types=10)
-    plan, _ = train_strategy(model, lam=1e-3,
-                             config=DescentConfig(steps=250), seed=1, width=40)
+    ((plan, _),) = train_strategy_starts(
+        model, [(1e-3, 1)], config=DescentConfig(steps=250), width=40)
     prior = model.prior.weights
     masses = plan.row_masses
     order = np.argsort(masses)[::-1]
@@ -470,17 +469,16 @@ def test_tiny_privacy_weight_step_solves_all_converge(monkeypatch):
         return result
 
     monkeypatch.setattr(sinkhorn, "_solve", recorded)
-    train_strategy(AuctionModel(n_types=10), lam=1e-3,
-                   config=DescentConfig(steps=250), seed=1, width=40)
+    train_strategy_starts(AuctionModel(n_types=10), [(1e-3, 1)],
+                          config=DescentConfig(steps=250), width=40)
     assert len(errors) == 251   # 250 step solves and the final solve
     assert max(errors) < 1e-7
 
 
 def test_single_type_training_has_identically_zero_privacy():
     model = AuctionModel(n_types=1)
-    plan, trace = train_strategy(model, lam=0.5,
-                                 config=DescentConfig(steps=60),
-                                 seed=2, width=20)
+    ((plan, trace),) = train_strategy_starts(
+        model, [(0.5, 2)], config=DescentConfig(steps=60), width=20)
     result = evaluate_strategy(plan)
     assert result.privacy == pytest.approx(0.0, abs=1e-12)
     assert np.isfinite(trace).all()
@@ -490,9 +488,8 @@ def test_training_is_deterministic():
     model = AuctionModel(n_types=3)
 
     def run():
-        plan, trace = train_strategy(model, lam=0.1,
-                                     config=DescentConfig(steps=25),
-                                     seed=5, width=10)
+        ((plan, trace),) = train_strategy_starts(
+            model, [(0.1, 5)], config=DescentConfig(steps=25), width=10)
         return plan.gamma.copy(), np.array(trace)
 
     g1, t1 = run()
@@ -531,7 +528,7 @@ def test_revenue_cost_prices_a_stack_of_starts_block_by_block():
 
 def test_sweep_runs_equal_their_trainings_alone():
     # the sweep trains its 2 x 2 (lambda, run) pairs as one stack; each
-    # run is bit for bit its own train_strategy and evaluate_strategy
+    # run is bit for bit its own stack of one and evaluate_strategy
     model = AuctionModel(n_types=3)
     config = DescentConfig(steps=6)
     lambdas = [0.05, 0.5]
@@ -542,8 +539,8 @@ def test_sweep_runs_equal_their_trainings_alone():
     for run in result.runs:
         seed = seeds.seed_for(7, seeds.TRAIN_STEP, lambdas.index(run.lam),
                               run.run)
-        plan, trace = train_strategy(model, run.lam, config=config,
-                                     seed=seed, width=10)
+        ((plan, trace),) = train_strategy_starts(model, [(run.lam, seed)],
+                                                 config=config, width=10)
         assert (run.plan.gamma == plan.gamma).all()
         assert (run.trace == trace).all()
         for ours, alone in zip(run.plan.action_atoms, plan.action_atoms):
@@ -553,3 +550,9 @@ def test_sweep_runs_equal_their_trainings_alone():
         utilities = [run.evaluation.utility for run in result.runs
                      if run.lam == lam]
         assert row.utility == float(np.mean(utilities))
+
+
+def test_training_needs_a_step():
+    with pytest.raises(ValueError, match="at least one descent step"):
+        train_strategy_starts(AuctionModel(n_types=3), [(0.1, 0)],
+                              config=DescentConfig(steps=0), width=4)

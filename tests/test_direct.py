@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from prp import direct, seeds, toy
-from prp.direct import (kl_plan_objective, minimize_direct,
-                        minimize_direct_starts)
+from prp.direct import kl_plan_objective, minimize_direct_starts
 from prp.divergences import kl_divergence
-from prp.measures import (DiscreteDistribution, TransportPlan,
+from prp.measures import (CostOracle, DiscreteDistribution, TransportPlan,
                           cost_with_adjoint, linear_cost, prp_objective)
 from prp.optim import DescentConfig, project_columns
 
@@ -114,8 +113,8 @@ def test_descent_reaches_per_type_minima_for_tiny_privacy():
     rng = np.random.default_rng(3)
     y, prior = random_instance(rng, k=2)
     cost = linear_cost(BOUNDS)
-    plan, trace = minimize_direct(prior, y, cost, lam=1e-4,
-                                  config=DescentConfig(steps=1200), seed=0)
+    ((plan, trace),) = minimize_direct_starts(
+        prior, y, cost, 1e-4, [(DescentConfig(steps=1200), 0)])
     value = prp_objective(plan, cost, kl_divergence(), 0.0)
     assert value == pytest.approx(-1.0, abs=0.05)
     assert len(trace) == 1200
@@ -128,8 +127,8 @@ def test_descent_is_deterministic():
     cost = linear_cost(BOUNDS)
 
     def run():
-        plan, trace = minimize_direct(prior, y, cost, lam=0.2,
-                                      config=DescentConfig(steps=50), seed=7)
+        ((plan, trace),) = minimize_direct_starts(
+            prior, y, cost, 0.2, [(DescentConfig(steps=50), 7)])
         return plan.gamma, trace
 
     g1, t1 = run()
@@ -142,8 +141,8 @@ def test_final_plan_is_feasible():
     rng = np.random.default_rng(5)
     y, prior = random_instance(rng)
     cost = linear_cost(BOUNDS)
-    plan, _ = minimize_direct(prior, y, cost, lam=0.3,
-                              config=DescentConfig(steps=100), seed=1)
+    ((plan, _),) = minimize_direct_starts(prior, y, cost, 0.3,
+                                          [(DescentConfig(steps=100), 1)])
     assert plan.gamma.min() >= 0.0
     assert np.abs(plan.gamma.sum(axis=0) - prior).max() < 1e-12
     assert np.abs(np.asarray(plan.action_atoms)).max() <= 1.0 + 1e-12
@@ -170,8 +169,8 @@ def test_best_iterate_is_the_trace_minimum_and_the_trace_is_per_step():
     y, prior = random_instance(rng, k=4)
     cost = linear_cost(BOUNDS)
     config = DescentConfig(method="rmsprop", steps=60, lr_weights=0.3)
-    plan, trace = minimize_direct(prior, y, cost, lam=0.1, config=config,
-                                  seed=2)
+    ((plan, trace),) = minimize_direct_starts(prior, y, cost, 0.1,
+                                              [(config, 2)])
     value = prp_objective(plan, cost, kl_divergence(), 0.1)
     assert len(trace) == 60
     assert value <= trace.min() + 1e-12
@@ -193,7 +192,8 @@ def test_stacked_starts_match_separate_runs_bit_for_bit():
     assert len(stacked) == 3
     fell_back = []
     for (config, seed), (plan, trace) in zip(starts, stacked):
-        alone, alone_trace = minimize_direct(*args, config=config, seed=seed)
+        ((alone, alone_trace),) = minimize_direct_starts(*args,
+                                                         [(config, seed)])
         assert np.array_equal(trace, alone_trace)
         assert np.array_equal(plan.gamma, alone.gamma)
         assert np.array_equal(np.asarray(plan.action_atoms),
@@ -240,3 +240,15 @@ def test_stacked_starts_must_share_their_steps():
     with pytest.raises(ValueError, match="steps"):
         minimize_direct_starts(np.array([1.0]), np.array([[1.0, 0.0]]), cost,
                                0.1, starts)
+
+
+def test_descent_needs_a_box_and_a_step():
+    y, prior = random_instance(np.random.default_rng(4))
+    cost = linear_cost(BOUNDS)
+    unbounded = CostOracle(matrix_and_adjoint=cost.matrix_and_adjoint)
+    with pytest.raises(ValueError, match="box bounds"):
+        minimize_direct_starts(prior, y, unbounded, 0.1,
+                               [(DescentConfig(steps=5), 0)])
+    with pytest.raises(ValueError, match="at least one descent step"):
+        minimize_direct_starts(prior, y, cost, 0.1,
+                               [(DescentConfig(steps=0), 0)])

@@ -2,8 +2,8 @@
 
 Training prices every step with the exact expected statistics, so a run is
 a deterministic function of its seed.  `golden_auctions.json` holds the
-loss trace and the final plan of one short `train_strategy` run (K=3,
-width 10, lam=0.1, 25 steps, seed 5).  A later change of the training
+loss trace and the final plan of one short `train_strategy_starts` run
+of one start (K=3, width 10, lam=0.1, 25 steps, seed 5).  A later change of the training
 arithmetic must reproduce them: the trace to 1e-12 and the plan to 1e-10.
 
 Regenerate (only on purpose, when the arithmetic is meant to change) with
@@ -15,16 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from prp.auctions import AuctionModel, train_strategy
+from prp.auctions import AuctionModel, train_strategy_starts
 from prp.optim import DescentConfig
 
 GOLDEN = Path(__file__).with_name("golden_auctions.json")
 
 
 def _run():
-    plan, trace = train_strategy(AuctionModel(n_types=3), lam=0.1,
-                                 config=DescentConfig(steps=25),
-                                 seed=5, width=10)
+    ((plan, trace),) = train_strategy_starts(
+        AuctionModel(n_types=3), [(0.1, 5)], config=DescentConfig(steps=25),
+        width=10)
     return trace, plan.gamma
 
 

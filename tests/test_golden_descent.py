@@ -1,11 +1,12 @@
 """Golden-trace guard for the two descent schemes.
 
-`golden_descent.json` holds the per-step `minimize_direct` traces (adam
-and rmsprop) and the final `minimize_sinkhorn` plans on one toy instance,
-recorded at commit bcae99a, before the descent loops packed their
-optimizer states and before the Sinkhorn finish reused the last Newton
-state.  A later speed-up of either loop must reproduce them: the direct
-traces to 1e-12 and the Sinkhorn plans to 1e-10.
+`golden_descent.json` holds the per-step direct-descent traces (adam and
+rmsprop) and the final Sinkhorn-descent plans on one toy instance, each
+from one start of seed 0, recorded at commit bcae99a, before the descent
+loops packed their optimizer states and before the Sinkhorn finish
+reused the last Newton state.  A later speed-up of either loop must
+reproduce them: the direct traces to 1e-12 and the Sinkhorn plans to
+1e-10.
 
 Regenerate (only on purpose, when the arithmetic is meant to change) with
 `PYTHONPATH=src python tests/test_golden_descent.py`.
@@ -17,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prp.direct import minimize_direct
+from prp.direct import minimize_direct_starts
 from prp.measures import linear_cost
 from prp.optim import DescentConfig
-from prp.sinkhorn import minimize_sinkhorn
+from prp.sinkhorn import minimize_sinkhorn_starts
 from prp.toy import sample_instance
 
 GOLDEN = Path(__file__).with_name("golden_descent.json")
@@ -32,8 +33,8 @@ def _runs(method):
     cost = linear_cost(instance.bounds)
     config = DescentConfig(method=method, steps=100)
     args = (instance.prior_weights, instance.type_atoms, cost, 0.1)
-    _, trace = minimize_direct(*args, config=config)
-    plan, _ = minimize_sinkhorn(*args, config=config)
+    ((_, trace),) = minimize_direct_starts(*args, [(config, 0)])
+    ((plan, _),) = minimize_sinkhorn_starts(*args, [(config, 0)])
     return trace, plan.gamma
 
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from prp.divergences import kl_divergence
-from prp.measures import (DiscreteDistribution, TransportPlan,
+from prp.measures import (CostOracle, DiscreteDistribution, TransportPlan,
                           cost_with_adjoint, linear_cost, prp_objective)
 from prp.optim import DescentConfig
-from prp.sinkhorn import minimize_sinkhorn, needs_log_domain, solve_sinkhorn
+from prp.sinkhorn import (minimize_sinkhorn_starts, needs_log_domain,
+                          solve_sinkhorn)
 from prp import sinkhorn
 from prp.toy import sample_instance
 
@@ -432,9 +433,9 @@ def test_toy_step_solves_take_few_newton_steps(monkeypatch):
 
     monkeypatch.setattr(sinkhorn, "_solve", counted)
     instance = sample_instance(2, 5, np.random.default_rng(5))
-    minimize_sinkhorn(instance.prior_weights, instance.type_atoms,
-                      linear_cost(instance.bounds), 0.1,
-                      config=DescentConfig(steps=100), seed=0)
+    minimize_sinkhorn_starts(instance.prior_weights, instance.type_atoms,
+                             linear_cost(instance.bounds), 0.1,
+                             [(DescentConfig(steps=100), 0)])
     assert len(steps) == 101   # 100 step solves and the final solve
     assert max(steps) <= 25
 
@@ -463,9 +464,9 @@ def test_warm_toy_step_solves_equal_the_eager_solve(monkeypatch):
 
     monkeypatch.setattr(sinkhorn, "_solve", recorded)
     instance = sample_instance(2, 5, np.random.default_rng(5))
-    minimize_sinkhorn(instance.prior_weights, instance.type_atoms,
-                      linear_cost(instance.bounds), 0.1,
-                      config=DescentConfig(steps=40), seed=0)
+    minimize_sinkhorn_starts(instance.prior_weights, instance.type_atoms,
+                             linear_cost(instance.bounds), 0.1,
+                             [(DescentConfig(steps=40), 0)])
     assert len(calls) == 41
     assert sum(args[4] is not None for args, _ in calls) == 40   # warm
     for args, result in calls:
@@ -549,9 +550,8 @@ def test_minimize_single_type_reaches_pointwise_minimum():
     y = np.array([[0.6, -0.4]])  # unit 1-norm
     bounds = np.array([[-1.0, 1.0], [-1.0, 1.0]])
     cost = linear_cost(bounds)
-    plan, trace = minimize_sinkhorn(
-        np.array([1.0]), y, cost, lam=0.5,
-        config=DescentConfig(steps=800), seed=0)
+    ((plan, trace),) = minimize_sinkhorn_starts(
+        np.array([1.0]), y, cost, 0.5, [(DescentConfig(steps=800), 0)])
     value = prp_objective(plan, cost, kl_divergence(), 0.5)
     assert value == pytest.approx(-1.0, abs=0.02)
     assert len(trace) == 800
@@ -564,8 +564,8 @@ def test_minimize_with_dominant_privacy_collapses_to_average_vertex():
     prior = rng.dirichlet(np.ones(3))
     bounds = np.array([[-1.0, 1.0], [-1.0, 1.0]])
     cost = linear_cost(bounds)
-    plan, _ = minimize_sinkhorn(prior, y, cost, lam=1e3,
-                                config=DescentConfig(steps=800), seed=1)
+    ((plan, _),) = minimize_sinkhorn_starts(prior, y, cost, 1e3,
+                                            [(DescentConfig(steps=800), 1)])
     averaged = y.T @ prior
     vertices = oracles.box_vertices(bounds[:, 0], bounds[:, 1])
     best_vertex = vertices[np.argmin(vertices @ averaged)]
@@ -580,8 +580,8 @@ def test_minimize_with_tiny_privacy_reaches_per_type_minima():
     prior = np.array([0.4, 0.6])
     bounds = np.array([[-1.0, 1.0], [-1.0, 1.0]])
     cost = linear_cost(bounds)
-    plan, _ = minimize_sinkhorn(prior, y, cost, lam=1e-4,
-                                config=DescentConfig(steps=1000), seed=2)
+    ((plan, _),) = minimize_sinkhorn_starts(prior, y, cost, 1e-4,
+                                            [(DescentConfig(steps=1000), 2)])
     expected = -1.0  # per-type minimum of x.y over the box is -|y|_1 = -1
     value = prp_objective(plan, cost, kl_divergence(), 0.0)
     assert value == pytest.approx(expected, abs=0.05)
@@ -595,21 +595,33 @@ def test_stacked_starts_equal_their_runs_alone():
     starts = [(DescentConfig(method="adam", steps=30), 3),
               (DescentConfig(method="rmsprop", steps=30, lr_weights=0.1,
                              lr_atoms=0.02), 4)]
-    stacked = sinkhorn.minimize_sinkhorn_starts(
+    stacked = minimize_sinkhorn_starts(
         instance.prior_weights, instance.type_atoms, cost, 0.1, starts)
     assert len(stacked) == 2
-    for (plan, trace), (config, seed) in zip(stacked, starts):
-        alone, alone_trace = minimize_sinkhorn(
-            instance.prior_weights, instance.type_atoms, cost, 0.1,
-            config=config, seed=seed)
+    for (plan, trace), start in zip(stacked, starts):
+        ((alone, alone_trace),) = minimize_sinkhorn_starts(
+            instance.prior_weights, instance.type_atoms, cost, 0.1, [start])
         assert (plan.gamma == alone.gamma).all()
         assert (np.asarray(plan.action_atoms)
                 == np.asarray(alone.action_atoms)).all()
         assert (trace == alone_trace).all()
     with pytest.raises(ValueError, match="share their steps"):
-        sinkhorn.minimize_sinkhorn_starts(
+        minimize_sinkhorn_starts(
             instance.prior_weights, instance.type_atoms, cost, 0.1,
             [starts[0], (DescentConfig(steps=31), 5)])
     with pytest.raises(ValueError, match="one or more starts"):
-        sinkhorn.minimize_sinkhorn_starts(
+        minimize_sinkhorn_starts(
             instance.prior_weights, instance.type_atoms, cost, 0.1, [])
+
+
+def test_descent_needs_a_box_and_a_step():
+    instance = sample_instance(2, 3, np.random.default_rng(12))
+    cost = linear_cost(instance.bounds)
+    unbounded = CostOracle(matrix_and_adjoint=cost.matrix_and_adjoint)
+    args = (instance.prior_weights, instance.type_atoms)
+    with pytest.raises(ValueError, match="box bounds"):
+        minimize_sinkhorn_starts(*args, unbounded, 0.1,
+                                 [(DescentConfig(steps=5), 0)])
+    with pytest.raises(ValueError, match="at least one descent step"):
+        minimize_sinkhorn_starts(*args, cost, 0.1,
+                                 [(DescentConfig(steps=0), 0)])
