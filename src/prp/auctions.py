@@ -412,8 +412,12 @@ def train_strategy_starts(model: AuctionModel, starts,
     n = n_atoms if n_atoms is not None else atom_count(model.n_types)
     y = model.type_atoms
     starts = list(starts)
-    rows = np.stack([_stack(ladder_policies(seeds.rng_for(seed, seeds.INIT),
-                                            n, width)) for _, seed in starts])
+    # filled start by start, as `optim.box_starts` fills its atoms, so that
+    # an empty stack reaches the shared-steps check of `_descend`
+    rows = np.empty((len(starts), n, 3 * width + 1))
+    for start, (_, seed) in zip(rows, starts):
+        start[...] = _stack(ladder_policies(seeds.rng_for(seed, seeds.INIT),
+                                            n, width))
     # the weight floor keeps every atom shipping a trickle of mass, so its
     # policy keeps receiving gradient; a policy that bids <= 0 for every
     # value has zero gradient and stays dead regardless

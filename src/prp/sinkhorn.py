@@ -79,9 +79,12 @@ arrays, one packed optimizer step and one stacked simplex and box
 projection, and every start's numbers are bit for bit those of a stack of
 one.  Where the oracle works on small arrays, as the auction cost does on
 12 policies, numpy's cost per call dominates it and one call for the
-stack saves most of that.  The Newton step solves stay a loop over the
-starts: a stacked Newton step on the paired toy solves was bit-identical
-but cost 1.43x a single step, more than the Newton steps it saved.
+stack saves most of that.  The same holds for the Newton step solves: a
+step's B solves run as one `_newton` stack, which builds and solves the B
+systems in one call each and evaluates the B trials in one `_semi_dual`
+call, and a start leaves the stack as soon as it stops.  On 2-vCPU runs
+(BENCH_30.json) the time in `_solve` fell by 33% on the 6-start
+`auctions` sweep and by 7.5% on 2-start toy descents.
 """
 
 from __future__ import annotations
@@ -119,88 +122,148 @@ class SinkhornResult:
     grad_alpha: np.ndarray   # envelope gradient dL/dalpha; dL/dC is the plan
 
 
-def _semi_dual(log_kernel, alpha, beta, psi):
-    """At psi: the gradient g of G, the row-exact plan P, Q = P / alpha,
-    colsum(P), |g|_inf, and the row sums of the shifted kernel rows and
-    their shifts (the row maxima), from which `_lse` and `_value` compute
-    the row log-sums and G when they are needed.  `alpha` is given at the
-    log-kernel's shape and memory order (see `_newton`)."""
+def _semi_dual(log_kernel, weights, beta, psi):
+    """At the (B, K) potentials psi of a stack of solves: the gradients g of
+    G, the row-exact plans P, Q = P / alpha, colsum(P), |g|_inf, and the
+    row sums of the shifted kernel rows and their shifts (the row maxima),
+    from which `_value` computes the row log-sums and G when they are
+    needed.  The kernel, the weights and P and Q are (B, K, n) stacks of
+    transposed (n, K) arrays (see `_newton`)."""
     # ufunc reductions, not ndarray.max/.sum: on these small arrays the
     # wrapper costs a large share of the call
-    m = log_kernel + psi
+    m = log_kernel + psi[:, :, None]
     shift = np.maximum.reduce(m, axis=1)
-    e = np.exp(m - shift[:, None])
+    e = np.exp(m - shift[:, None, :])
     mass = np.add.reduce(e, axis=1)
     # e / mass, not exp(m - lse): its rounding does not grow with |psi|
-    q = e / mass[:, None]
-    p = alpha * q
-    col = np.add.reduce(p, axis=0)
+    q = e / mass[:, None, :]
+    p = weights * q
+    col = np.add.reduce(p, axis=2)
     g = beta - col
-    return g, p, q, col, np.maximum.reduce(np.abs(g)), mass, shift
+    return g, p, q, col, np.maximum.reduce(np.abs(g), axis=1), mass, shift
 
 
-def _lse(state):
-    """The row log-sums lse_j(log K_ij + psi_j) of a `_semi_dual` state."""
-    return np.log(state[5]) + state[6]
+def _value(alpha, beta, psi, mass, shift):
+    """G(psi) of one solve, from the row sums and shifts of its state."""
+    return beta @ psi - alpha @ (np.log(mass) + shift)
 
 
-def _value(alpha, beta, psi, state):
-    """G(psi) from the `_semi_dual` state at psi."""
-    return beta @ psi - alpha @ _lse(state)
-
-
-def _newton(log_kernel, alpha, beta, psi, cap: int, tol: float):
-    """Damped Newton ascent of G from psi, all column weights positive.
-
-    Stops at |g|_inf < tol, after cap steps, when no step gains, or
-    after _STALL accepted steps without a new lowest |g|_inf.  Returns the
-    last psi, the `_semi_dual` state there, the number of steps taken and
-    whether |g|_inf fell below tol.
-
-    The row weights are spread once per solve to the log-kernel's shape,
-    so that P = alpha * Q multiplies two same-shape arrays: on 7x5 arrays
-    that takes 0.45 us against 1.19 us for alpha[:, None] * Q.  The
-    spread copy takes the kernel's memory order (`np.empty_like`), which
-    P then inherits: the kernel's Fortran order sets the BLAS order of
-    `p.T @ q`, and a C-ordered copy changed the result of 35 of 40
-    random 12x10 solves at lam = 1e-3 and 0.1.  The t = 1 trial is
-    psi + d, which is psi + 1.0 * d to the bit.
-    """
-    weights = np.empty_like(log_kernel)
-    weights[...] = alpha[:, None]
-    state = _semi_dual(log_kernel, weights, beta, psi)
-    g, p, q, col, size = state[:5]
-    value = None   # G(psi), once a trial has needed it
-    k = col.size
-    best, since = size, 0
-    steps = 0
-    while (steps < cap and size >= tol and size > 0.0
-           and since < _STALL):
-        system = -(p.T @ q)
-        system.ravel()[::k + 1] += col + _DAMPING * size
-        system += np.add.reduce(col) / k / k
-        d = np.linalg.solve(system, g)
-        slope = g @ d
-        t = 1.0
-        while t >= _MIN_STEP:
-            trial = psi + d if t == 1.0 else psi + t * d
-            new = _semi_dual(log_kernel, weights, beta, trial)
+def _search(j, log_kernel, weights, beta, psi, d, state, trial, new, value):
+    """The line search of solve j of the stack, whose t = 1 trial did not
+    lower |g|_inf: the Armijo test on G at t = 1, then trials at t = 1/2,
+    1/4, ... on this solve alone.  `value` is G at psi[j] or None.  An
+    accepted t < 1 trial and its state overwrite row j of `trial` and
+    `new`.  Returns whether a step was accepted and G at it (None where it
+    passed on |g|_inf)."""
+    alpha = weights[j, 0]   # each row of the spread weights is alpha
+    slope = state[0][j] @ d[j]
+    if value is None:
+        value = _value(alpha, beta, psi[j], state[5][j], state[6][j])
+    t, at, mass, shift = 1.0, trial[j], new[5][j], new[6][j]
+    while True:
+        new_value = _value(alpha, beta, at, mass, shift)
+        if new_value >= value + _ARMIJO * t * slope:
+            break
+        t *= 0.5
+        if t < _MIN_STEP:
+            return False, None
+        at = psi[j] + t * d[j]
+        one = _semi_dual(log_kernel[j:j + 1], weights[j:j + 1], beta,
+                         at[None])
+        if one[4][0] < state[4][j]:
             new_value = None
-            if new[4] < size:
-                break
-            if value is None:
-                value = _value(alpha, beta, psi, state)
-            new_value = _value(alpha, beta, trial, new)
-            if new_value >= value + _ARMIJO * t * slope:
-                break
-            t *= 0.5
-        else:
-            break   # no step gains on G or |g|_inf at rounding level
-        psi, state, value = trial, new, new_value
+            break
+        mass, shift = one[5][0], one[6][0]
+    if t < 1.0:
+        trial[j] = at
+        for stacked, row in zip(new, one):
+            stacked[j] = row[0]
+    return True, new_value
+
+
+def _newton(log_kernel, weights, beta, psi, cap: int, tol: float):
+    """Damped Newton ascent of G for a stack of B solves, all column
+    weights positive.
+
+    `log_kernel` and `weights` are C-ordered (B, K, n) stacks of the
+    transposed (n, K) log-kernels and spread row weights, and psi is the
+    (B, K) stack of starts.  Each start's (n, K) view keeps the Fortran
+    order of the column gather `cost_matrix[:, cols]`, and with it the BLAS
+    order of `p.T @ q` and `q @ r`: a C-ordered kernel changed the result of
+    35 of 40 random 12x10 solves at lam = 1e-3 and 0.1.  P = alpha * Q
+    multiplies two same-shape arrays; on 7x5 arrays that takes 0.45 us
+    against 1.19 us for alpha[:, None] * Q.
+
+    A step makes one stacked Newton system and solve and one stacked t = 1
+    trial (psi + d, which is psi + 1.0 * d to the bit) for every start
+    still in the stack.  A start whose trial does not lower |g|_inf takes
+    the Armijo test and any shorter trials on its own (`_search`).  That
+    is rare: 10 toy descents of 2 starts and 100 steps made 12,218 t = 1
+    trials and 923 shorter ones.  A start leaves the stack when it stops:
+    at |g|_inf < tol, after cap steps, when no step gains, or after _STALL
+    accepted steps without a new lowest |g|_inf.  Its numbers are then bit
+    for bit those of a stack of one.  Returns per start its last psi, P
+    and Q as (n, K) views, colsum(P), the row log-sums, whether |g|_inf
+    fell below tol and the number of steps.
+    """
+    state = _semi_dual(log_kernel, weights, beta, psi)
+    b, k = psi.shape
+    live, sizes = list(range(b)), state[4].tolist()
+    best, since, steps = sizes[:], [0] * b, [0] * b
+    values = [None] * b   # G at a start's psi, once a trial has needed it
+    ends = [None] * b
+
+    def end(j, psi, state):
+        _, p, q, col, size, mass, shift = (x[j] for x in state)
+        return psi[j], p.T, q.T, col, np.log(mass) + shift, size < tol
+
+    while True:
+        going = []
+        for j, i in enumerate(live):
+            if ends[i] is not None:
+                continue   # no step gained
+            if (steps[i] < cap and sizes[j] >= tol and sizes[j] > 0.0
+                    and since[i] < _STALL):
+                going.append(j)
+            else:
+                ends[i] = end(j, psi, state)
+        if len(going) < len(live):
+            if not going:
+                return [(*e, s) for e, s in zip(ends, steps)]
+            live, sizes = [live[j] for j in going], [sizes[j] for j in going]
+            # a run of starts is a slice, a view; no array of the state is
+            # written once it is the state
+            if going[-1] - going[0] == len(going) - 1:
+                going = slice(going[0], going[-1] + 1)
+            log_kernel, weights, psi = (log_kernel[going], weights[going],
+                                        psi[going])
+            state = tuple(x[going] for x in state)
         g, p, q, col, size = state[:5]
-        steps += 1
-        best, since = (size, 0) if size < best else (best, since + 1)
-    return psi, state, steps, size < tol
+        system = -(p @ q.transpose(0, 2, 1))
+        system.reshape(-1, k * k)[:, ::k + 1] += col + _DAMPING * size[:, None]
+        system += (np.add.reduce(col, axis=1) / k / k)[:, None, None]
+        d = np.linalg.solve(system, g[:, :, None])[:, :, 0]
+        trial = psi + d
+        new = _semi_dual(log_kernel, weights, beta, trial)
+        new_sizes = new[4].tolist()
+        for j, i in enumerate(live):
+            if new_sizes[j] < sizes[j]:
+                values[i] = None
+                continue
+            moved, values[i] = _search(j, log_kernel, weights, beta, psi, d,
+                                       state, trial, new, values[i])
+            if moved:
+                new_sizes[j] = float(new[4][j])
+            else:
+                ends[i] = end(j, psi, state)
+        psi, state, sizes = trial, new, new_sizes
+        for j, i in enumerate(live):
+            if ends[i] is None:
+                steps[i] += 1
+                if sizes[j] < best[i]:
+                    best[i], since[i] = sizes[j], 0
+                else:
+                    since[i] += 1
 
 
 def _check_lam(lam):
@@ -218,44 +281,61 @@ def _marginal_error(plan, alpha, beta) -> float:
                      np.abs(plan.sum(axis=0) - beta).max()))
 
 
-def _solve(alpha, beta, cols, cost_matrix, lam: float, log_v, cap: int,
+def _solve(alpha, beta, cols, cost_matrix, lams, log_v, cap: int,
            tol: float):
-    """The solve of `solve_sinkhorn` on checked arrays.
+    """The solve of `solve_sinkhorn` on a stack of B checked instances.
 
-    `cols` indexes the positive entries of beta; `log_v` is None or has
-    beta's shape.  Returns the plan, log v, the loss, the envelope
-    gradient in alpha, the number of Newton steps and the row log-sums.
-    A solve that stops short of tol warns with its marginal error.
+    `alpha` (B, n) and `cost_matrix` (B, n, m) stack the instances, which
+    share beta (m,) and with it `cols`, the indices of its positive
+    entries; `lams` holds one lam per instance and `log_v` is None or
+    (B, m).  All B solves run as one `_newton` stack.  Returns the
+    C-ordered, zero-filled (B, n, m) plans, the (B, m) log v, and per
+    instance the loss, the envelope gradient in alpha, the number of Newton
+    steps and the row log-sums, each bit for bit those of a stack of one.
+    The finish runs instance by instance, in order: a solve that stops
+    short of tol warns with its marginal error, and one with a column of
+    the row-exact plan at 0 mass raises `FloatingPointError`.
     """
+    instances, n = alpha.shape
     b = beta[cols]
-    start = np.zeros(cols.size) if log_v is None else log_v[cols]
+    log_kernel = np.empty((instances, cols.size, n))
     # zero-weight rows stay in the system: their rows of P are exactly 0
-    psi, state, steps, converged = _newton(
-        -cost_matrix[:, cols] / lam, alpha, b, start, cap, tol)
-    _, p, q, col = state[:4]
-    if not (col > 0.0).all():
-        raise FloatingPointError(
-            f"Sinkhorn solve at lam={lam:g} stopped after {steps} Newton "
-            f"steps with a column of the plan at 0 mass")
-    # the column update from the row-exact plan P: plan = P r, psi + log r
-    r = b / col
-    core = p * r
-    psi = psi + np.log(r)
-    lse = _lse(state)
-    # C + lam log(plan / (alpha x beta)) = lam (phi - log a + psi - log b)
-    loss = lam * (np.add.reduce(core, axis=1) @ -lse
-                  + b @ (psi - np.log(b)))
-    plan = np.zeros(cost_matrix.shape)
-    plan[:, cols] = core
-    log_v = np.full(beta.size, -np.inf)
-    log_v[cols] = psi
-    f = -(lse + np.log(q @ r))   # -log(K v) at the updated psi
-    if not converged:
-        warnings.warn(f"Sinkhorn solve at lam={lam:g} stopped after {steps} "
-                      f"Newton steps with marginal error "
-                      f"{_marginal_error(plan, alpha, beta):.3g}",
-                      RuntimeWarning, stacklevel=3)
-    return plan, log_v, float(loss), lam * (f - f @ alpha - 1.0), steps, lse
+    np.divide(cost_matrix[:, :, cols].transpose(0, 2, 1),
+              -np.asarray(lams)[:, None, None], out=log_kernel)
+    weights = np.empty_like(log_kernel)
+    weights[...] = alpha[:, None, :]
+    start = (np.zeros((instances, cols.size)) if log_v is None
+             else np.ascontiguousarray(log_v[:, cols]))
+    ends = _newton(log_kernel, weights, b, start, cap, tol)
+    plans = np.zeros(cost_matrix.shape)
+    log_v = np.full((instances, beta.size), -np.inf)
+    losses, grads, steps, lses = [], np.empty((instances, n)), [], []
+    for i, (psi, p, q, col, lse, converged, count) in enumerate(ends):
+        lam = lams[i]
+        if not (col > 0.0).all():
+            raise FloatingPointError(
+                f"Sinkhorn solve at lam={lam:g} stopped after {count} Newton "
+                f"steps with a column of the plan at 0 mass")
+        # the column update from the row-exact plan P: plan = P r, psi + log r
+        r = b / col
+        core = p * r
+        psi = psi + np.log(r)
+        # C + lam log(plan / (alpha x beta)) = lam (phi - log a + psi - log b)
+        loss = lam * (np.add.reduce(core, axis=1) @ -lse
+                      + b @ (psi - np.log(b)))
+        plans[i][:, cols] = core
+        log_v[i, cols] = psi
+        f = -(lse + np.log(q @ r))   # -log(K v) at the updated psi
+        if not converged:
+            warnings.warn(f"Sinkhorn solve at lam={lam:g} stopped after "
+                          f"{count} Newton steps with marginal error "
+                          f"{_marginal_error(plans[i], alpha[i], beta):.3g}",
+                          RuntimeWarning, stacklevel=3)
+        losses.append(float(loss))
+        grads[i] = lam * (f - f @ alpha[i] - 1.0)
+        steps.append(count)
+        lses.append(lse)
+    return plans, log_v, losses, grads, steps, lses
 
 
 # bench/tracing.py reads the `cap` default, through prp.auctions._unroll_budget
@@ -287,13 +367,13 @@ def solve_sinkhorn(alpha, beta, cost_matrix, lam: float, log_v=None,
         log_v = np.asarray(log_v, dtype=float)
         if log_v.shape != beta.shape:
             raise ValueError("log_v must have the shape of beta")
-    plan, log_v, loss, grad, steps, lse = _solve(
-        alpha, beta, (beta > 0.0).nonzero()[0], cost_matrix, lam, log_v, cap,
-        tol)
+    plans, log_v, losses, grads, steps, lses = _solve(
+        alpha[None], beta, (beta > 0.0).nonzero()[0], cost_matrix[None],
+        [lam], None if log_v is None else log_v[None], cap, tol)
     with np.errstate(divide="ignore"):
-        phi = np.log(alpha) - lse
-    return SinkhornResult(plan, phi, log_v, loss, steps,
-                          _marginal_error(plan, alpha, beta), grad)
+        phi = np.log(alpha) - lses[0]
+    return SinkhornResult(plans[0], phi, log_v[0], losses[0], steps[0],
+                          _marginal_error(plans[0], alpha, beta), grads[0])
 
 
 # unused by prp; kept because bench/tracing.py reads it
@@ -330,25 +410,26 @@ def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lams,
     packed (B, n + atom size) rows and one stacked simplex and box
     projection, and each of these acts on every start alone, so a start's
     atoms, plan and trace are bit for bit those of a stack of one.
-    The Newton step solves run start by start (see the module docstring).
-    The previous step's matrix and adjoint are released before the next
-    oracle call, so the adjoint's intermediates of one step only are alive.
+    The step solves of all starts are one `_solve` call, and so one
+    `_newton` stack (see the module docstring).  The previous step's matrix
+    and adjoint are released before the next oracle call, so the adjoint's
+    intermediates of one step only are alive.
 
     The checks of `solve_sinkhorn` run once per descent: beta and lam do
     not change, alpha comes out of `project_simplex` and log v out of the
-    previous solve.  A step solve calls `_solve` directly; it builds the
-    plan, the loss, log v and the alpha-gradient, and the marginal error
-    only for the warning of a solve that stops short.  Two memory orders
-    fix the rounding of every step, so they stay even where a shortcut
-    would give the same values up to rounding.  The column gather
-    `cost_matrix[:, cols]` is Fortran-ordered, also when every type has
-    positive weight, and that order sets the BLAS summation order of
-    `q @ r` and `p.T @ q`: skipping the gather moved the losses of
+    previous solve.  The step solves call `_solve` directly; it builds the
+    plans, the losses, log v and the alpha-gradients, and the marginal
+    error only for the warning of a solve that stops short.  Two memory
+    orders fix the rounding of every step, so they stay even where a
+    shortcut would give the same values up to rounding.  Each start's
+    (n, K) log-kernel is a Fortran-ordered view of the C-ordered (B, K, n)
+    stack that `_solve` copies the gathered columns into, also when every
+    type has positive weight, and that order sets the BLAS summation order
+    of `q @ r` and `p.T @ q`: a C-ordered kernel moved the losses of
     100-step toy descents (the benchmark's toy panel of seed 313) by up
-    to 6.4e-8.  Each start's `matrix[i]` is a C-contiguous slice, so its
-    gather keeps that order.  The plan stack handed to the cost adjoint is
-    C-ordered and zero-filled: an F-ordered plan moved the trade-off values
-    of a CLI `sweep` by up to 9e-13 relative.
+    to 6.4e-8.  The plan stack handed to the cost adjoint is C-ordered and
+    zero-filled: an F-ordered plan moved the trade-off values of a CLI
+    `sweep` by up to 9e-13 relative.
     """
     b, n = atoms.shape[:2]
     state, steps = packed_optimizer(configs, n, atoms)
@@ -359,15 +440,12 @@ def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lams,
     _check_simplex(beta, "beta")
     cols = (beta > 0.0).nonzero()[0]
     trace = np.empty((b, steps))
-    log_v = [None] * b
+    log_v = None
     grad = np.empty(state.lr.shape)
     for step in range(steps):
         matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms)
-        plans = np.zeros(matrix.shape)
-        for i in range(b):
-            plans[i], log_v[i], trace[i, step], grad[i, :n], *_ = _solve(
-                alpha[i], beta, cols, matrix[i], lams[i], log_v[i], _CAP,
-                1e-8)
+        plans, log_v, trace[:, step], grad[:, :n], *_ = _solve(
+            alpha, beta, cols, matrix, lams, log_v, _CAP, 1e-8)
         grad[:, n:] = adjoint(plans).reshape(b, -1)
         del matrix, adjoint
         packed = optimizer_step(

@@ -459,13 +459,14 @@ def test_training_with_tiny_privacy_weight_specializes():
 def test_tiny_privacy_weight_step_solves_all_converge(monkeypatch):
     # the instance above; with a 3000-iteration scaling loop, 33 of its 250
     # step solves ended at the cap with marginal error up to 6.4e-4
-    # the step solves call sinkhorn._solve directly, and so does the final
-    # solve_sinkhorn
+    # each descent step solves its stack of starts in one sinkhorn._solve
+    # call, and so does the final solve_sinkhorn, as a stack of one
     solve, errors = sinkhorn._solve, []
 
     def recorded(alpha, beta, *args):
         result = solve(alpha, beta, *args)
-        errors.append(sinkhorn._marginal_error(result[0], alpha, beta))
+        errors.extend(sinkhorn._marginal_error(plan, weights, beta)
+                      for plan, weights in zip(result[0], alpha))
         return result
 
     monkeypatch.setattr(sinkhorn, "_solve", recorded)
@@ -496,6 +497,12 @@ def test_training_is_deterministic():
     g2, t2 = run()
     assert (g1 == g2).all()
     assert (t1 == t2).all()
+
+
+def test_training_needs_a_start():
+    with pytest.raises(ValueError,
+                       match="need one or more starts that share their steps"):
+        train_strategy_starts(AuctionModel(n_types=3), [], width=8)
 
 
 def test_sweep_handles_empty_and_single_grids():

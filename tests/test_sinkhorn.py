@@ -422,13 +422,14 @@ def test_tolerance_below_the_rounding_floor_stops_on_the_stall():
 
 
 def test_toy_step_solves_take_few_newton_steps(monkeypatch):
-    # the step solves call sinkhorn._solve directly, and so does the final
-    # solve_sinkhorn; the fifth output of _solve is its Newton step count
+    # each descent step solves its stack of starts in one sinkhorn._solve
+    # call, and so does the final solve_sinkhorn, as a stack of one; the
+    # fifth output of _solve holds the Newton step counts of its stack
     solve, steps = sinkhorn._solve, []
 
     def counted(*args):
         result = solve(*args)
-        steps.append(result[4])
+        steps.extend(result[4])
         return result
 
     monkeypatch.setattr(sinkhorn, "_solve", counted)
@@ -457,9 +458,13 @@ def test_warm_toy_step_solves_equal_the_eager_solve(monkeypatch):
     # that computes G and the row log-sums at every evaluation
     solve, calls = sinkhorn._solve, []
 
-    def recorded(alpha, beta, cols, matrix, lam, log_v, cap, tol):
-        result = solve(alpha, beta, cols, matrix, lam, log_v, cap, tol)
-        calls.append(((alpha, beta, matrix, lam, log_v, cap, tol), result))
+    def recorded(alpha, beta, cols, matrix, lams, log_v, cap, tol):
+        # one call per stack; one record per start of it
+        result = solve(alpha, beta, cols, matrix, lams, log_v, cap, tol)
+        for i, lam in enumerate(lams):
+            calls.append(((alpha[i], beta, matrix[i], lam,
+                           None if log_v is None else log_v[i], cap, tol),
+                          [output[i] for output in result]))
         return result
 
     monkeypatch.setattr(sinkhorn, "_solve", recorded)
@@ -472,6 +477,92 @@ def test_warm_toy_step_solves_equal_the_eager_solve(monkeypatch):
     for args, result in calls:
         assert_equals_the_eager_solve(
             result[:5], oracles.sinkhorn_newton_eager(*args))
+
+
+def auction_sized_stack(underflow=None):
+    """Six 12x10 instances sharing beta, two at lam 0.1 and four at 1e-3.
+
+    Solved alone to tol 1e-9 with cap 150 they stop after 123, 7, 150 (the
+    cap), 129, 8 and 78 Newton steps, and the four at lam = 1e-3 take
+    trials below t = 1.  At start `underflow` a column costs 2 in every
+    row, which underflows at lam = 1e-3 (see the test below)."""
+    beta = np.random.default_rng(2024).dirichlet(np.ones(10))
+    alpha, cost = [], []
+    for seed in (0, 1, 4, 6, 9, 10):
+        rng = np.random.default_rng(seed)
+        alpha.append(rng.dirichlet(np.ones(12)))
+        cost.append(rng.uniform(-1.0, 1.0, size=(12, 10)))
+    cost = np.stack(cost)
+    if underflow is not None:
+        cost[underflow, :, 3] = 2.0
+    return np.stack(alpha), beta, cost, [1e-3, 0.1, 1e-3, 1e-3, 0.1, 1e-3]
+
+
+def solve_recording_warnings(alpha, beta, cost, lams):
+    """`sinkhorn._solve` to tol 1e-9 with cap 150, its outputs and warning
+    texts; the error text instead of the outputs where it raises."""
+    cols = (beta > 0.0).nonzero()[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outputs = sinkhorn._solve(alpha, beta, cols, cost, lams, None,
+                                      150, 1e-9)
+        except FloatingPointError as error:
+            outputs = str(error)
+    return outputs, [str(w.message) for w in caught]
+
+
+def test_newton_stack_equals_its_stacks_of_one(monkeypatch):
+    alpha, beta, cost, lams = auction_sized_stack()
+    stack, stack_warnings = solve_recording_warnings(alpha, beta, cost, lams)
+    semi_dual, stack_sizes = sinkhorn._semi_dual, []
+
+    def counted(log_kernel, *args):
+        stack_sizes.append(len(log_kernel))
+        return semi_dual(log_kernel, *args)
+
+    monkeypatch.setattr(sinkhorn, "_semi_dual", counted)
+    alone, alone_warnings, extra_trials = [], [], []
+    for i in range(6):
+        stack_sizes.clear()
+        outputs, caught = solve_recording_warnings(
+            alpha[i:i + 1], beta, cost[i:i + 1], lams[i:i + 1])
+        alone.append([output[0] for output in outputs])
+        alone_warnings += caught
+        # one evaluation at the start and one t = 1 trial per step; the
+        # rest are trials below t = 1
+        extra_trials.append(len(stack_sizes) - 1 - outputs[4][0])
+    plans, log_v, losses, grads, steps, lses = stack
+    assert steps == [result[4] for result in alone] == [123, 7, 150, 129, 8,
+                                                        78]
+    assert [count > 0 for count in extra_trials] == [lam == 1e-3
+                                                     for lam in lams]
+    for i, (plan, psi, loss, grad, _, lse) in enumerate(alone):
+        assert (plans[i] == plan).all()
+        assert (log_v[i] == psi).all()
+        assert losses[i] == loss
+        assert (grads[i] == grad).all()
+        assert (lses[i] == lse).all()
+    assert stack_warnings == alone_warnings
+    assert len(stack_warnings) == 1
+    assert "stopped after 150 Newton steps" in stack_warnings[0]
+
+
+def test_newton_stack_raises_the_underflow_of_its_start():
+    # the column costing 2 has its entries exp(-3000) or less of its row
+    # maxima; the solve ascends its psi but stalls with the column at 0
+    alpha, beta, cost, lams = auction_sized_stack(underflow=3)
+    error, stack_warnings = solve_recording_warnings(alpha, beta, cost, lams)
+    alone_warnings = []
+    for i in range(4):
+        outputs, caught = solve_recording_warnings(
+            alpha[i:i + 1], beta, cost[i:i + 1], lams[i:i + 1])
+        alone_warnings += caught
+    assert error == outputs == ("Sinkhorn solve at lam=0.001 stopped after "
+                                "103 Newton steps with a column of the plan "
+                                "at 0 mass")
+    assert stack_warnings == alone_warnings
+    assert len(stack_warnings) == 1
 
 
 def _with_zero(weights, index):
