@@ -7,10 +7,10 @@ first-order descent on the finite plan parametrization with closed-form KL
 gradients, descent of the entropic optimal-transport loss with
 envelope-theorem gradients, and a difference-of-convex algorithm for linear
 costs on a box.  Both descent schemes take their gradients in the action
-atoms from the cost oracle's adjoint map, and each has one entry point
-that descends a stack of starts: `minimize_direct_starts`,
-`minimize_sinkhorn_starts` and, for auction policies,
-`train_strategy_starts`.
+atoms from the cost oracle's adjoint map and step in one loop,
+`optim.descend`; each has one entry point that descends a stack of
+starts: `minimize_direct_starts`, `minimize_sinkhorn_starts` and, for
+auction policies, `train_strategy_starts`.
 """
 
 __version__ = "0.1.0"

@@ -413,7 +413,7 @@ def train_strategy_starts(model: AuctionModel, starts,
     y = model.type_atoms
     starts = list(starts)
     # filled start by start, as `optim.box_starts` fills its atoms, so that
-    # an empty stack reaches the shared-steps check of `_descend`
+    # an empty stack reaches the shared-steps check of `optim.descend`
     rows = np.empty((len(starts), n, 3 * width + 1))
     for start, (_, seed) in zip(rows, starts):
         start[...] = _stack(ladder_policies(seeds.rng_for(seed, seeds.INIT),

@@ -158,6 +158,9 @@ def _validate(config: ExperimentConfig) -> None:
             raise ConfigError(f"auction lambdas repeat in file names: {labels}")
     if config.lam < 0.0:
         raise ConfigError("lam must be nonnegative")
+    if config.lr_weights < 0.0 or config.lr_atoms < 0.0:
+        # a negative rate ascends; lr_atoms = 0 keeps the atoms fixed
+        raise ConfigError("lr_weights and lr_atoms must be nonnegative")
     return None
 
 

@@ -9,11 +9,10 @@ cost oracle's adjoint applied to gamma in the atoms (gamma @ Y for the
 linear cost x . y).  The scheme is KL by construction.
 
 `minimize_direct_starts`, the scheme's entry point, descends a stack of B
-independent starts in one loop: the plans form a (B, n, K) array, the
-atoms a (B, n, d) array, and each start keeps its own optimizer method,
-learning rates, random atoms and best iterate.  Every operation of the
-loop acts on each start alone, so a start's trace and plan are bit for
-bit those of a stack of that start alone.
+independent starts in `optim.descend`: the plans form a (B, n, K) array,
+the atoms a (B, n, d) array, and each start keeps its own optimizer
+method, learning rates, random atoms and best iterate, so a start's trace
+and plan are bit for bit those of a stack of that start alone.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ import numpy as np
 
 from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
                        atom_count, cost_with_adjoint)
-from .optim import (box_starts, optimizer_step, packed_optimizer,
-                    project_box, project_columns)
+from .optim import box_starts, descend, project_columns
 
 _EPS = 1e-30  # keeps the 0 log 0 terms finite
 
@@ -80,41 +78,27 @@ def minimize_direct_starts(prior_weights, type_atoms, cost: CostOracle,
     n = atom_count(k)
     starts = list(starts)
     atoms, box = box_starts(cost, n, [seed for _, seed in starts])
-    # one optimizer state over the packed rows (gamma_b, atoms_b)
-    split = n * k
-    state, steps = packed_optimizer([config for config, _ in starts], split,
-                                    atoms)
     b = len(starts)
     gamma = np.tile(prior_weights / n, (b, n, 1))
     # the prior at the plans' shape, once per descent (see `make_optimizer`)
     prior_full = np.broadcast_to(prior_weights, gamma.shape).copy()
-    trace = np.empty((b, steps))
-    # rows[t] holds the packed iterates step t starts from, rows[t, :, :split]
-    # the plans and rows[t, :, split:] the atoms
-    rows = np.empty((steps, b, state.lr.shape[1]))
-    grad = np.empty(state.lr.shape)
-    for step in range(steps):
+    iterates = []    # iterates[t]: the (gamma, atoms) step t starts from
+
+    def step(gamma, atoms):
         matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms_arr)
         value, grad_gamma = kl_plan_objective(gamma, matrix, prior_full, lam)
-        trace[:, step] = value
-        row = rows[step]
-        row[:, :split] = gamma.reshape(b, -1)
-        row[:, split:] = atoms.reshape(b, -1)
-        grad[:, :split] = grad_gamma.reshape(b, -1)
-        grad[:, split:] = adjoint(gamma).reshape(b, -1)
-        packed = optimizer_step(state, row, grad)
-        gamma = project_columns(packed[:, :split].reshape(gamma.shape),
-                                prior_full)
-        atoms = project_box(packed[:, split:].reshape(atoms.shape), *box)
+        iterates.append((gamma, atoms))
+        return value, grad_gamma, adjoint(gamma)
+
+    gamma, atoms, trace = descend(
+        gamma, atoms, [config for config, _ in starts], step,
+        lambda packed: project_columns(packed, prior_full), box)
     matrix, _ = cost_with_adjoint(cost, atoms, type_atoms_arr)
     final_value, _ = kl_plan_objective(gamma, matrix, prior_full, lam)
     # argmin picks the first of tied minima, as a running strict minimum would
-    first = trace.argmin(axis=1)
-    starts_index = np.arange(b)
-    best = rows[first, starts_index]
-    worse = (final_value > trace[starts_index, first])[:, None, None]
-    gamma = np.where(worse, best[:, :split].reshape(gamma.shape), gamma)
-    atoms = np.where(worse, best[:, split:].reshape(atoms.shape), atoms)
+    for i, t in enumerate(trace.argmin(axis=1)):
+        if final_value[i] > trace[i, t]:
+            gamma[i], atoms[i] = iterates[t][0][i], iterates[t][1][i]
     prior = DiscreteDistribution(list(type_atoms_arr), prior_weights)
     types = list(type_atoms_arr)
     return [(TransportPlan(gamma[i], list(atoms[i]), types, prior), trace[i])

@@ -1,4 +1,4 @@
-"""Projections and first-order optimizers used by all solvers."""
+"""Projections, first-order optimizers and the descent loop `descend`."""
 
 from __future__ import annotations
 
@@ -45,8 +45,8 @@ def project_columns(matrix, totals) -> np.ndarray:
     is then rescaled onto its total so the output lies on the scaled simplex
     exactly.
 
-    `totals` may also be given at the plans' full shape, as the descent
-    loops do once per descent: on a 2x7x5 stack numpy multiplies two
+    `totals` may also be given at the plans' full shape, as the direct
+    descent does once per descent: on a 2x7x5 stack numpy multiplies two
     same-shape arrays in 0.40 us and takes 1.00 us when one operand is a
     broadcast (K,) vector, and the rank divisor comes at full shape from a
     small cache for the same reason.  Every entry is computed from the
@@ -149,8 +149,8 @@ def make_optimizer(method, lr, param) -> OptimizerState:
     case.  `lr` is a scalar or an array that broadcasts against `param`.
     All three updates are elementwise, so one state over a concatenated
     vector with a per-entry `lr` takes bit for bit the steps of separate
-    states over the pieces; the descent loops pack their weights and atoms
-    that way to make one update call per step.
+    states over the pieces; `descend` packs the weights and atoms that way
+    to make one update call per step.
 
     The per-start coefficients are stored at the parameter's full shape,
     once per state: on the 2x49 packed rows of a toy direct descent numpy
@@ -222,13 +222,22 @@ def box_starts(cost, n: int, seeds) -> tuple:
                         for edge in (lower, upper))
 
 
-def packed_optimizer(configs, weights: int, atoms) -> tuple:
-    """One optimizer state over the packed rows (weights_b, atoms_b).
+def descend(weights, atoms, configs, step, project, box=None) -> tuple:
+    """Descend B starts jointly in (weights, atoms): the one descent loop.
 
-    `atoms` is the (B, ...) stack of start atoms.  Start b steps its
-    `weights` leading entries at `configs[b].lr_weights` and the entries of
-    atoms[b] at `configs[b].lr_atoms`, by `configs[b].method`; the configs
-    must share `steps`, at least 1.  Returns the state and the step count.
+    `weights` and `atoms` stack the B start iterates along their leading
+    axis, and `configs` holds one `DescentConfig` per start; the configs
+    must share `steps`, at least 1.  A step calls `step(weights, atoms)`,
+    which returns the B values of the iterate and its gradients in the
+    weights and the atoms, and makes one optimizer step on the packed rows
+    (weights_b, atoms_b): start b steps by `configs[b].method`, its weights
+    at `configs[b].lr_weights` and its atoms at `configs[b].lr_atoms`.  The
+    stepped weights go through `project`, and the atoms are clamped to
+    `box`, its (lower, upper) edges at the atoms' shape (`box_starts`), if
+    there is one.  Where `step` and `project` act on each start alone, a
+    start's iterates and trace are bit for bit those of a stack of that
+    start alone.  Returns the last weights and atoms and the (B, steps)
+    trace; trace[:, t] holds the values of the iterate step t starts from.
     """
     steps = {config.steps for config in configs}
     if len(steps) != 1:
@@ -236,10 +245,25 @@ def packed_optimizer(configs, weights: int, atoms) -> tuple:
     (steps,) = steps
     if steps < 1:
         raise ValueError("need at least one descent step")
+    b = len(configs)
+    split = math.prod(weights.shape[1:])
     lr = np.stack([np.repeat([c.lr_weights, c.lr_atoms],
-                             [weights, math.prod(atoms.shape[1:])])
+                             [split, math.prod(atoms.shape[1:])])
                    for c in configs])
-    return make_optimizer([c.method for c in configs], lr, lr), steps
+    state = make_optimizer([c.method for c in configs], lr, lr)
+    trace = np.empty((b, steps))
+    for t in range(steps):
+        trace[:, t], grad_weights, grad_atoms = step(weights, atoms)
+        # called through the module globals, so that wrappers see each step
+        packed = optimizer_step(
+            state, np.hstack((weights.reshape(b, -1), atoms.reshape(b, -1))),
+            np.hstack((grad_weights.reshape(b, -1),
+                       grad_atoms.reshape(b, -1))))
+        weights = project(packed[:, :split].reshape(weights.shape))
+        atoms = packed[:, split:].reshape(atoms.shape)
+        if box is not None:
+            atoms = project_box(atoms, *box)
+    return weights, atoms, trace
 
 
 MAX_STEPS = 5000    # step cap of minimize_columns_pgd

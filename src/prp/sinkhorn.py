@@ -70,19 +70,19 @@ keeps a finite gradient.  The gradient in the action atoms is the cost
 oracle's adjoint map applied to P (`measures.cost_with_adjoint`); for the
 linear cost x . y that is P @ Y.
 
-One descent loop, `_descend`, serves every cost: box atoms under x . y in
+One descent, `_descend`, serves every cost: box atoms under x . y in
 `minimize_sinkhorn_starts`, packed bid policies in
 `auctions.train_strategy_starts`; these two are the scheme's entry
-points.  It descends a stack of B independent starts, each with its own
-lam and optimizer config: a step makes one cost-oracle call on all B atom
-arrays, one packed optimizer step and one stacked simplex and box
-projection, and every start's numbers are bit for bit those of a stack of
-one.  Where the oracle works on small arrays, as the auction cost does on
-12 policies, numpy's cost per call dominates it and one call for the
-stack saves most of that.  The same holds for the Newton step solves: a
-step's B solves run as one `_newton` stack, which builds and solves the B
-systems in one call each and evaluates the B trials in one `_semi_dual`
-call, and a start leaves the stack as soon as it stops.  On 2-vCPU runs
+points.  It runs a stack of B independent starts, each with its own lam
+and optimizer config, in `optim.descend`, the loop the direct scheme
+shares; its step makes one cost-oracle call on all B atom arrays and
+returns the envelope gradients of the B step solves.  Where the oracle
+works on small arrays, as the auction cost does on 12 policies, numpy's
+cost per call dominates it and one call for the stack saves most of
+that.  The same holds for the Newton step solves: a step's B solves run
+as one `_newton` stack, which builds and solves the B systems in one call
+each and evaluates the B trials in one `_semi_dual` call, and a start
+leaves the stack as soon as it stops.  On 2-vCPU runs
 (BENCH_30.json) the time in `_solve` fell by 33% on the 6-start
 `auctions` sweep and by 7.5% on 2-start toy descents.
 """
@@ -96,8 +96,7 @@ import numpy as np
 
 from .measures import (CostOracle, DiscreteDistribution, TransportPlan,
                        atom_count, cost_with_adjoint)
-from .optim import (box_starts, optimizer_step, packed_optimizer,
-                    project_box, project_simplex)
+from .optim import box_starts, descend, project_simplex
 
 _LOG_DOMAIN_EXPONENT = 690.0  # |C|/lam beyond this puts exp(-C/lam) under 1e-300
 _ARMIJO = 1e-4       # sufficient ascent of G, per unit of t <g, d>
@@ -389,31 +388,26 @@ def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lams,
 
     `atoms` is the (B, n, ...) stack of starting atoms, `lams` and
     `configs` hold one lam and one `DescentConfig` per start, and the
-    configs share `steps` (`optim.packed_optimizer`).
-    Each step solves every start's instance once to tol 1e-8, warm started
-    from that start's previous log v, and takes one packed optimizer step
-    with the envelope gradients of all starts.  The tolerance bounds the
-    column error |g|_inf of the last Newton iterate; the marginal error is
-    the row error after the final column update, which can exceed it
-    slightly (up to about 1.6e-8 has been seen at lam=1e-3).  On the toy
-    benchmark panels of seeds 1 to 5 (10,000 warm-started step solves at
-    lam=0.1) a step solve took 5.75 Newton steps on average (57,471 in
-    all), median 6, at most 12.  The weights start uniform and are
-    projected onto {w >= floor, sum w = 1}, the atoms onto `box`, given
-    as its (lower, upper) edges at the atoms' shape (`optim.box_starts`),
-    if there is one.  Returns the final (B, n, ...) atoms, per start the
-    plan of a final `solve_sinkhorn` to the default tol 1e-9 (its column
-    sums equal the prior), and the (B, steps) loss traces.
+    starts descend in `optim.descend`.  A step solves every start's
+    instance once to tol 1e-8, warm started from that start's previous
+    log v, and hands on the losses and the envelope gradients.  The
+    tolerance bounds the column error |g|_inf of the last Newton iterate;
+    the marginal error is the row error after the final column update,
+    which can exceed it slightly (up to about 1.6e-8 has been seen at
+    lam=1e-3).  On the toy benchmark panels of seeds 1 to 5 (10,000
+    warm-started step solves at lam=0.1) a step solve took 5.75 Newton
+    steps on average (57,471 in all), median 6, at most 12.  The weights
+    start uniform and are projected onto {w >= floor, sum w = 1}, the
+    atoms onto `box`, if there is one.  Returns the final (B, n, ...)
+    atoms, per start the plan of a final `solve_sinkhorn` to the default
+    tol 1e-9 (its column sums equal the prior), and the (B, steps) loss
+    traces.
 
-    The starts share the loop, not their numbers: a step makes one cost
-    oracle call on the (B, n, ...) atoms, one `optimizer_step` on the
-    packed (B, n + atom size) rows and one stacked simplex and box
-    projection, and each of these acts on every start alone, so a start's
-    atoms, plan and trace are bit for bit those of a stack of one.
-    The step solves of all starts are one `_solve` call, and so one
-    `_newton` stack (see the module docstring).  The previous step's matrix
-    and adjoint are released before the next oracle call, so the adjoint's
-    intermediates of one step only are alive.
+    A step makes one cost oracle call on the (B, n, ...) atoms and one
+    `_solve` call, and so one `_newton` stack (see the module docstring);
+    both act on every start alone, so a start's atoms, plan and trace are
+    bit for bit those of a stack of one.  A step's matrix and adjoint die
+    with it, so the adjoint intermediates of one step only are alive.
 
     The checks of `solve_sinkhorn` run once per descent: beta and lam do
     not change, alpha comes out of `project_simplex` and log v out of the
@@ -432,29 +426,23 @@ def _descend(atoms, prior_weights, type_atoms, cost: CostOracle, lams,
     `sweep` by up to 9e-13 relative.
     """
     b, n = atoms.shape[:2]
-    state, steps = packed_optimizer(configs, n, atoms)
-    alpha = np.full((b, n), 1.0 / n)
     beta = np.asarray(prior_weights, dtype=float)
     for lam in lams:
         _check_lam(lam)
     _check_simplex(beta, "beta")
     cols = (beta > 0.0).nonzero()[0]
-    trace = np.empty((b, steps))
     log_v = None
-    grad = np.empty(state.lr.shape)
-    for step in range(steps):
+
+    def step(alpha, atoms):
+        nonlocal log_v
         matrix, adjoint = cost_with_adjoint(cost, atoms, type_atoms)
-        plans, log_v, trace[:, step], grad[:, :n], *_ = _solve(
+        plans, log_v, losses, grads, *_ = _solve(
             alpha, beta, cols, matrix, lams, log_v, _CAP, 1e-8)
-        grad[:, n:] = adjoint(plans).reshape(b, -1)
-        del matrix, adjoint
-        packed = optimizer_step(
-            state, np.concatenate((alpha, atoms.reshape(b, -1)), axis=1),
-            grad)
-        alpha = project_simplex(packed[:, :n], floor=floor)
-        atoms = packed[:, n:].reshape(atoms.shape)
-        if box is not None:
-            atoms = project_box(atoms, *box)
+        return losses, grads, adjoint(plans)
+
+    alpha, atoms, trace = descend(
+        np.full((b, n), 1.0 / n), atoms, configs, step,
+        lambda packed: project_simplex(packed, floor=floor), box)
     matrix, _ = cost_with_adjoint(cost, atoms, type_atoms)
     plans = [solve_sinkhorn(alpha[i], beta, matrix[i], lams[i], log_v[i]).plan
              for i in range(b)]

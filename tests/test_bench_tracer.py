@@ -25,7 +25,8 @@ toy.run_benchmark(2, 3, 0.1, toy.METHODS, runs=1, iterations=2, seed=0)
 sweep_lambda(AuctionModel(n_types=2), [0.1], runs=1,
              config=DescentConfig(steps=2), width=4)
 metrics = tracer.layer_metrics(0.0)
-print(metrics["trace.spans"] > 0, "toy.run_benchmark.s" in metrics)
+print(metrics["trace.spans"] > 0, "toy.run_benchmark.s" in metrics,
+      tracer.names.count("optim.optimizer_step"))
 """
 
 
@@ -36,4 +37,6 @@ def test_tracer_installs_and_traces_a_toy_run_and_a_sweep():
                           env={**os.environ,
                                "PYTHONPATH": os.pathsep.join(path)})
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "True True\n"
+    # one optimizer step span per descent step: the direct and the Sinkhorn
+    # stacks of the toy run take 2 steps each, the sweep 2
+    assert done.stdout == "True True 6\n"

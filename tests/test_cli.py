@@ -77,6 +77,8 @@ def test_sweep_ignores_the_retired_sample_counts(tmp_path):
     {"kind": "sweep", "lambdas": [math.nan], "runs": 1, "steps": 2,
      "width": 4},
     {"kind": "toy", "lr_atoms": -math.inf},
+    {"kind": "toy", "lr_weights": -0.5},
+    {"kind": "toy", "lr_atoms": -0.2},
     {"kind": "toy", "runs": "3"},
     {"kind": "toy", "iterations": True},
     {"kind": "grid", "grid_points": 3.0},
@@ -95,7 +97,8 @@ def test_sweep_ignores_the_retired_sample_counts(tmp_path):
     {"kind": "toy", "methods": []},
 ], ids=["unknown-key", "non-kl-toy", "unknown-optimizer", "no-grid-points",
         "zero-width", "no-atoms", "nan-lam", "infinite-lam", "nan-lambdas",
-        "infinite-lr", "string-runs", "bool-iterations", "float-grid-points",
+        "infinite-lr", "negative-lr-weights", "negative-lr-atoms",
+        "string-runs", "bool-iterations", "float-grid-points",
         "negative-seed", "repeated-methods", "string-methods",
         "infinite-alpha", "repeated-lambdas", "colliding-lambda-labels",
         "number-divergence", "list-method", "empty-sweep-lambdas",
@@ -108,10 +111,12 @@ def test_config_errors_exit_with_2(tmp_path, capsys, doc):
 
 def test_integer_values_for_float_fields_stay_valid(tmp_path):
     path = tmp_path / "grid.json"
+    # a learning rate of 0 stays valid: lr_atoms = 0 keeps the atoms fixed
     path.write_text(json.dumps({"kind": "grid", "lam": 1, "lr_weights": 1,
-                                "lambdas": [1, 0.5]}))
+                                "lr_atoms": 0, "lambdas": [1, 0.5]}))
     config = cli.load_config(path)
-    assert (config.lam, config.lr_weights, config.lambdas) == (1, 1, [1, 0.5])
+    assert (config.lam, config.lr_weights, config.lr_atoms,
+            config.lambdas) == (1, 1, 0, [1, 0.5])
 
 
 def test_dca_trace_is_the_toy_helper_trace(tmp_path):

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prp.optim import (DescentConfig, make_optimizer, minimize_columns_pgd,
-                       optimizer_step, project_box, project_columns,
-                       project_simplex)
+from prp.optim import (DescentConfig, descend, make_optimizer,
+                       minimize_columns_pgd, optimizer_step, project_box,
+                       project_columns, project_simplex)
 
 import oracles
 
@@ -331,3 +333,64 @@ def test_descent_config_defaults():
     assert config.lr_weights == pytest.approx(0.05)
     assert config.lr_atoms == pytest.approx(0.01)
     assert not hasattr(config, "unroll_iters")
+
+
+def _half_square(weights, atoms):
+    """1/2 |(w, x)|^2 per start, exactly rounded, and its gradients w, x."""
+    values = [0.5 * math.fsum(np.concatenate((w.ravel(), x.ravel())) ** 2)
+              for w, x in zip(weights, atoms)]
+    return values, weights, atoms
+
+
+@pytest.mark.parametrize("boxed", [False, True], ids=["free", "box"])
+def test_descend_stack_equals_each_start_alone(boxed):
+    rng = np.random.default_rng(31)
+    configs = [DescentConfig(method=name, steps=12, lr_weights=0.05 * (i + 1),
+                             lr_atoms=0.02 * (i + 1))
+               for i, name in enumerate(("adam", "rmsprop", "pgd"))]
+    weights = project_simplex(rng.uniform(size=(3, 4)))
+    atoms = rng.normal(scale=2.0, size=(3, 3, 2))
+    edges = (-0.5, 0.5)
+    box = (tuple(np.full(atoms.shape, edge) for edge in edges) if boxed
+           else None)
+    stacked = descend(weights, atoms, configs, _half_square, project_simplex,
+                      box)
+    assert stacked[2].shape == (3, 12)
+    for i, config in enumerate(configs):
+        alone = descend(weights[i:i + 1], atoms[i:i + 1], [config],
+                        _half_square, project_simplex,
+                        None if box is None
+                        else tuple(edge[i:i + 1] for edge in box))
+        for out, ref in zip(stacked, alone):
+            assert np.array_equal(out[i], ref[0])
+        # the loop written out, one optimizer state per piece
+        w, x = weights[i], atoms[i]
+        w_state = make_optimizer(config.method, config.lr_weights, w)
+        x_state = make_optimizer(config.method, config.lr_atoms, x)
+        trace = []
+        for _ in range(config.steps):
+            trace.append(_half_square([w], [x])[0][0])
+            w = project_simplex(optimizer_step(w_state, w, w))
+            x = optimizer_step(x_state, x, x)
+            if boxed:
+                x = project_box(x, *edges)
+        assert np.array_equal(stacked[0][i], w)
+        assert np.array_equal(stacked[1][i], x)
+        assert np.array_equal(stacked[2][i], trace)
+    if boxed:
+        # the start atoms lie outside the box, so the clamp is exercised
+        assert np.abs(atoms).max() > 0.5
+        assert np.abs(stacked[1]).max() <= 0.5
+
+
+def test_descend_needs_starts_that_share_one_or_more_steps():
+    weights, atoms = np.full((2, 3), 1.0 / 3.0), np.zeros((2, 2, 1))
+    args = (_half_square, project_simplex)
+    shared = "^need one or more starts that share their steps$"
+    with pytest.raises(ValueError, match=shared):
+        descend(weights, atoms, [DescentConfig(steps=3),
+                                 DescentConfig(steps=4)], *args)
+    with pytest.raises(ValueError, match=shared):
+        descend(weights[:0], atoms[:0], [], *args)
+    with pytest.raises(ValueError, match="^need at least one descent step$"):
+        descend(weights, atoms, [DescentConfig(steps=0)] * 2, *args)
