@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from prp import cli, seeds, toy
+from prp import cli, convexsolve, seeds, toy
 from prp.auctions import AuctionModel
 from prp.convexsolve import minimize_linear_plus_privacy
 from prp.dca import dca_solve
@@ -74,13 +74,13 @@ def test_concentrated_plan_is_a_fixed_point(name):
 
 def test_capped_solve_warns():
     with mock.patch("prp.optim.MAX_STEPS", 3), \
-            pytest.warns(RuntimeWarning, match=r"reverse_kl .*lam=0\.1.* 3-step"):
+            pytest.warns(RuntimeWarning, match=r"alpha:2 .*lam=0\.1.* 3-step"):
         result = minimize_linear_plus_privacy(LINEAR, PRIOR,
-                                              from_name("reverse_kl"), 0.1)
+                                              from_name("alpha:2"), 0.1)
     assert not result.converged
 
 
-@pytest.mark.parametrize("name", ["kl", "reverse_kl", "alpha:2"])
+@pytest.mark.parametrize("name", ["kl", "alpha:2"])
 def test_plan_descent_reports_the_steps_of_every_level(name):
     linear, prior = lattice_problem(3)
     levels = []
@@ -204,6 +204,104 @@ def test_reverse_kl_at_smallest_privacy_weights_stays_finite(lam):
     assert result.value <= start
 
 
+@pytest.mark.parametrize("seed, optimum", [(0, 0.199284), (1, 0.218273),
+                                           (2, 0.151568)])
+def test_reverse_kl_small_instances_reach_the_optimum(seed, optimum):
+    # the plan descent stopped here after 2 steps and reported convergence,
+    # at 0.211021, 0.229443 and 0.164720: its first step left entries near
+    # 1e-31, where every trial step underflowed one of them to 0
+    rng = np.random.default_rng(seed)
+    k = rng.integers(2, 6)
+    linear = rng.uniform(0.0, 1.0, (4, k))
+    prior = rng.dirichlet(np.ones(k))
+    result = minimize_linear_plus_privacy(linear, prior,
+                                          from_name("reverse_kl"), 1e-3)
+    assert result.converged
+    assert result.value == pytest.approx(optimum, abs=1e-6)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.1, 10.0, 1e4])
+def test_reverse_kl_lattice_solves_are_certified(lam):
+    # the plan descent ran 32 of 96 lattice solves (3x3 and 5x5, lam from
+    # 1e-3 to 1e4) into its step cap, and at 1e4 the concentrated plan is
+    # the optimum, which the active-set check of the dual solve must reach
+    for seed in range(6):
+        linear, prior = lattice_problem(3, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = minimize_linear_plus_privacy(linear, prior,
+                                                  from_name("reverse_kl"), lam)
+        assert result.converged
+        assert np.abs(result.x.sum(axis=0) - prior).max() <= 1e-15
+        concentrated = np.zeros_like(linear)
+        concentrated[np.argmin(linear @ prior)] = prior
+        assert result.value <= (linear * concentrated).sum() + 1e-15 * lam
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.1, 10.0])
+def test_reverse_kl_row_conjugates_are_the_row_minima(lam):
+    # q minimizes <a, q> + lam D(q || p) over the simplex: a_k - lam p_k / q_k
+    # is the same for every k, and g is the value at q
+    rng = np.random.default_rng(8)
+    rows = rng.normal(size=(6, 4))
+    prior = rng.dirichlet(np.ones(4))
+    psi = rng.normal(size=4)
+    posteriors, _, values = convexsolve._row_conjugates(rows, psi, prior, lam)
+    assert np.abs(posteriors.sum(axis=1) - 1.0).max() <= 1e-15
+    a = rows - psi
+    multiplier = a - lam * prior / posteriors
+    assert np.ptp(multiplier, axis=1).max() <= 1e-12 * max(1.0, lam)
+    direct = ((a * posteriors).sum(axis=1)
+              - lam * (prior * np.log(posteriors / prior)).sum(axis=1))
+    assert np.abs(values - direct).max() <= 1e-12 * max(1.0, lam)
+    others = rng.dirichlet(np.ones(4), size=(200, 6))
+    worse = ((a * others).sum(axis=-1)
+             - lam * (prior * np.log(others / prior)).sum(axis=-1))
+    assert (worse >= values).all()
+
+
+@pytest.mark.parametrize("lam", [1e-2, 1.0])
+def test_reverse_kl_dual_bound_is_below_every_plan(lam):
+    # weak duality: <psi, p> + min_i g_i(psi) bounds every feasible plan
+    linear, prior = lattice_problem(5, 2)
+    div = from_name("reverse_kl")
+    objective, _ = convexsolve._terms(linear, prior, div, lam)
+    result, bound = convexsolve._reverse_kl_dual(
+        objective, linear, prior, lam, np.tile(prior / 25, (25, 1)))
+    assert -1e-15 <= result.value - bound <= 1e-9
+    rng = np.random.default_rng(9)
+    plans = rng.dirichlet(np.full(25, 0.3), size=(100, 5)).swapaxes(1, 2)
+    assert (objective(plans * prior) >= bound).all()
+
+
+def test_reverse_kl_type_of_zero_weight_gets_no_mass():
+    # the plan descent returned nan here: its gradient divides by the prior
+    linear = np.random.default_rng(10).normal(size=(6, 4))
+    prior = np.array([0.0, 0.3, 0.3, 0.4])
+    div = from_name("reverse_kl")
+    result = minimize_linear_plus_privacy(linear, prior, div, 0.1)
+    without = minimize_linear_plus_privacy(linear[:, 1:], prior[1:], div, 0.1)
+    assert result.converged
+    assert (result.x[:, 0] == 0.0).all()
+    assert result.value == pytest.approx(without.value, abs=1e-15)
+
+
+def test_reverse_kl_identical_rows_are_solved_as_one():
+    # DCA's rows share best corners; two equal posteriors made the KKT
+    # system singular, and the solve ended 7e-5 above its dual bound
+    linear = np.random.default_rng(0).normal(size=(6, 4))
+    prior = np.array([0.1, 0.2, 0.3, 0.4])
+    div = from_name("reverse_kl")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        doubled = minimize_linear_plus_privacy(np.vstack([linear, linear[:3]]),
+                                               prior, div, 1e-2)
+    single = minimize_linear_plus_privacy(linear, prior, div, 1e-2)
+    assert doubled.converged
+    assert (doubled.x[6:] == 0.0).all()
+    assert doubled.value == pytest.approx(single.value, abs=1e-15)
+
+
 def test_zero_linear_term_reaches_zero_privacy():
     rng = np.random.default_rng(5)
     init = rng.dirichlet(np.ones(5), size=3).T * PRIOR[None, :]
@@ -239,12 +337,12 @@ def test_value_never_exceeds_init_value(name):
 
 
 @pytest.mark.parametrize("name, lam", [
-    *itertools.product(["reverse_kl", "alpha:2", "kl"], [0.01, 0.1, 1.0]),
-    ("kl", 1e4)])
+    *itertools.product(["alpha:2", "kl"], [0.01, 0.1, 1.0]), ("kl", 1e4)])
 def test_stacked_line_search_takes_the_steps_of_the_scalar_ladder(name, lam):
-    # the plan descent of the smooth non-KL solves and the row-mass descent
-    # of KL both run the stacked ladder; here each is replaced by the scalar
-    # loop (TV, a linear program, runs neither).
+    # the plan descent of the alpha solves and the row-mass descent of KL
+    # both run the stacked ladder; here each is replaced by the scalar loop
+    # (TV, a linear program, and reverse KL, solved in its dual, run
+    # neither).
     # At lam = 1e4 the KL trial steps grow past 1e6 * lr0; the plan descents
     # run into their step cap there
     linear, prior = lattice_problem(3)
@@ -464,12 +562,17 @@ solve_grid(atoms, instance.type_atoms, instance.prior_weights,
            linear_cost(instance.bounds), from_name("kl"), 0.1)
 dca_solve(instance.type_atoms, instance.prior_weights, instance.bounds,
           from_name("kl"), 0.1, 5)
+solve_grid(atoms, instance.type_atoms, instance.prior_weights,
+           linear_cost(instance.bounds), from_name("reverse_kl"), 0.1)
+dca_solve(instance.type_atoms, instance.prior_weights, instance.bounds,
+          from_name("reverse_kl"), 0.1, 5)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
 def test_kl_solves_do_not_import_scipy():
-    # scipy.optimize takes about 0.6 s to import; only TV solves need it
+    # scipy.optimize takes about 0.4-0.6 s to import; only TV solves need it,
+    # so KL and reverse-KL grid and DCA solves must not import it
     done = subprocess.run([sys.executable, "-c", NO_SCIPY],
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ,
